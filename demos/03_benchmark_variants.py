@@ -13,9 +13,9 @@ with gather up to floating-point reassociation, which the gate checks.
 
 from ngfreg import format_table, run_benchmark
 
+# worker counts: 1 and every core (run_benchmark's default)
 records = run_benchmark(
     dims=(32, 32, 32),
-    workers_list=(1, 2, 8),
     precisions=("f64", "f32"),
     variants=("gather", "scatter", "redblack"),
     reps=5,

@@ -7,6 +7,7 @@ agree on the same inputs: correctness precedes speed.
 from __future__ import annotations
 
 import hashlib
+import os
 import time
 from dataclasses import dataclass
 
@@ -91,15 +92,23 @@ def verify_variant_agreement(dims, seed: int = 0, rel_tol: float = 1e-12, *,
 
 def run_benchmark(
     dims=(64, 64, 64),
-    workers_list=(1, 8),
+    workers_list=None,
     precisions=("f64",),
     variants=("gather", "scatter", "redblack"),
     reps: int = 3,
     seed: int = 0,
     register_max_iter: int = 10,
 ) -> list[BenchmarkRecord]:
+    """Time P, each P^T variant, one NGF evaluation and a short register call
+    per precision and worker count, after the variant agreement gate.
+
+    workers_list defaults to 1 and os.cpu_count(): more workers than cores
+    would only measure oversubscription.
+    """
     if reps < 3:
         raise ValueError("repetitions must be >= 3")
+    if workers_list is None:
+        workers_list = tuple(dict.fromkeys((1, os.cpu_count() or 1)))
     verify_variant_agreement(dims, seed, workers_list=workers_list)
 
     records = []

@@ -8,17 +8,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import fileio
 from .benchmark import VariantDisagreement, format_table, run_benchmark
 from .evaluation import field_difference_stats, landmark_error
-from .geometry import Grid3, GridError, Image3, precision_dtype
+from .geometry import (
+    Grid3, GridError, Image3, VectorField3, identity_field_array, precision_dtype,
+)
 from .lbfgs import LbfgsConfig
 from .multilevel import MultilevelConfig, RegistrationReport, register
 from .ngf import NgfParams
 from .transfer import PT_VARIANTS, apply_P, build_gather_plan
-from .warp import warp_image
+from .warp import _clamp_to_hull, warp_image
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,7 +75,8 @@ def _build_parser() -> _Parser:
 
     bm = sub.add_parser("benchmark", help="time grid-transfer variants and the pipeline")
     bm.add_argument("--dims", default="64,64,64")
-    bm.add_argument("--threads", default="1,8", help="comma-separated worker counts")
+    bm.add_argument("--threads", default=None,
+                    help="comma-separated worker counts (default: 1 and the number of cores)")
     bm.add_argument("--precision", default="f64", help="comma-separated: f32,f64")
     bm.add_argument("--pt-variant", default="gather,scatter,redblack")
     bm.add_argument("--reps", type=int, default=3)
@@ -197,7 +198,7 @@ def _cmd_benchmark(args) -> int:
         raise _UsageExit("--dims must have three comma-separated entries")
     records = run_benchmark(
         dims=dims,
-        workers_list=[int(v) for v in args.threads.split(",")],
+        workers_list=None if args.threads is None else [int(v) for v in args.threads.split(",")],
         precisions=[v.strip() for v in args.precision.split(",")],
         variants=[v.strip() for v in args.pt_variant.split(",")],
         reps=args.reps,
@@ -214,15 +215,9 @@ def _cmd_benchmark(args) -> int:
 def _cmd_resample(args) -> int:
     src = fileio.read_volume(args.input)
     like = fileio.read_volume(args.like)
-    from .geometry import VectorField3, identity_field_array
-
-    positions = VectorField3(like.grid, identity_field_array(like.grid, src.values.dtype))
     # clamp-to-edge resampling: clip target positions into the source hull
-    for a in range(3):
-        lo = src.grid.origin[a]
-        hi = src.grid.origin[a] + (src.grid.dims[a] - 1) * src.grid.spacing[a]
-        np.clip(positions.field[a], lo, hi, out=positions.field[a])
-    out = warp_image(src, positions).warped
+    positions = _clamp_to_hull(src.grid, identity_field_array(like.grid, src.values.dtype))
+    out = warp_image(src, VectorField3(like.grid, positions)).warped
     fileio.write_volume(out, args.out)
     return EXIT_OK
 

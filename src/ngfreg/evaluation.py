@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DeformationField, Grid3, GridError, Image3
+from .warp import _clamp_to_hull, _trilinear
 
 __all__ = ["LandmarkSet", "LandmarkErrorResult", "landmark_error",
            "field_difference_stats", "sample_deformation"]
@@ -39,30 +40,10 @@ class LandmarkErrorResult:
 def sample_deformation(y: DeformationField, points: np.ndarray) -> np.ndarray:
     """Trilinear evaluation of the deformation at world points (clamp-to-edge)."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    g = y.grid
-    corners = []
-    fracs = []
-    for a in range(3):
-        t = (pts[:, a] - g.origin[a]) / g.spacing[a]
-        n = g.dims[a]
-        i0 = np.clip(np.floor(t).astype(np.intp), 0, max(n - 2, 0))
-        f = np.clip(t - i0, 0.0, 1.0) if n > 1 else np.zeros(len(pts))
-        corners.append(i0)
-        fracs.append(f)
-    out = np.zeros((len(pts), 3))
-    fld = y.field.astype(np.float64, copy=False)
-    for dz in (0, 1):
-        wz = fracs[2] if dz else 1 - fracs[2]
-        iz = np.minimum(corners[2] + dz, g.dims[2] - 1)
-        for dy in (0, 1):
-            wy = fracs[1] if dy else 1 - fracs[1]
-            iy = np.minimum(corners[1] + dy, g.dims[1] - 1)
-            for dx in (0, 1):
-                wx = fracs[0] if dx else 1 - fracs[0]
-                ix = np.minimum(corners[0] + dx, g.dims[0] - 1)
-                w = (wx * wy * wz)[:, None]
-                out += w * fld[:, iz, iy, ix].T
-    return out
+    pos = _clamp_to_hull(y.grid, pts.T.copy())
+    fld = y.field.astype(np.float64, copy=False).reshape(3, -1)
+    value, _, _ = _trilinear(fld, y.grid, pos)
+    return value.T
 
 
 def landmark_error(

@@ -40,6 +40,11 @@ _ELEMENT_TYPES = {
     "MET_FLOAT": np.dtype("<f4"),
     "MET_DOUBLE": np.dtype("<f8"),
 }
+# Direction cosines, under the three names MetaImage accepts for them. Grids
+# here are axis-aligned, so a volume whose axes are rotated or flipped would
+# be misread; only the identity (up to formatting noise) is accepted.
+_DIRECTION_KEYS = ("TransformMatrix", "Rotation", "Orientation")
+_DIRECTION_TOL = 1e-6
 _TYPE_NAMES = {np.dtype(np.float32): "MET_FLOAT", np.dtype(np.float64): "MET_DOUBLE",
                np.dtype(np.int16): "MET_SHORT"}
 
@@ -91,6 +96,9 @@ def _read_meta(path: str):
         raise MetaImageError(f"{path}: malformed header field ({e})") from e
     if len(dims) != 3 or len(spacing) != 3 or len(origin) != 3:
         raise MetaImageError(f"{path}: DimSize/ElementSpacing/Offset must have 3 entries")
+    for key in _DIRECTION_KEYS:
+        if key in fields:
+            _check_identity_direction(path, key, fields[key])
 
     etype = fields.get("ElementType", "")
     if etype not in _ELEMENT_TYPES:
@@ -119,6 +127,20 @@ def _read_meta(path: str):
     arr = np.frombuffer(payload[:expected], dtype=dtype)
     arr = arr.reshape(dims[2], dims[1], dims[0], channels)
     return Grid3(dims, spacing, origin), arr, channels
+
+
+def _check_identity_direction(path: str, key: str, value: str) -> None:
+    try:
+        matrix = np.array([float(v) for v in value.split()])
+    except ValueError as e:
+        raise MetaImageError(f"{path}: malformed header field {key} ({e})") from e
+    if matrix.size != 9:
+        raise MetaImageError(f"{path}: {key} must have 9 entries, got {matrix.size}")
+    if np.max(np.abs(matrix - np.eye(3).ravel())) > _DIRECTION_TOL:
+        raise MetaImageError(
+            f"{path}: {key} = {value} is not the identity; rotated or flipped "
+            "volumes are not supported (grids are axis-aligned)"
+        )
 
 
 def _write_meta(path: str, grid: Grid3, arr: np.ndarray, channels: int) -> None:

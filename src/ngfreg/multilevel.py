@@ -28,7 +28,6 @@ from .ngf import NgfParams, precompute_reference_terms
 from .objective import LevelObjective
 from .parallel import run_tasks
 from .transfer import _axis_transfer, _interp_block, build_gather_plan
-from .warp import warp_image
 
 __all__ = [
     "MultilevelConfig",
@@ -246,11 +245,3 @@ def register(R: Image3, T: Image3, cfg: MultilevelConfig = MultilevelConfig()):
     report.seconds_total = time.perf_counter() - t_start
     return y, report
 
-
-def warp_with_field(template: Image3, y: DeformationField, image_grid: Grid3,
-                    workers: int = 1) -> Image3:
-    """Convenience: apply P then sample the template on the image grid."""
-    from .transfer import apply_P
-
-    yhat = apply_P(y, image_grid, workers)
-    return warp_image(template, yhat, workers).warped

@@ -5,10 +5,12 @@ The distance compares image-gradient directions voxel by voxel,
     D = (hbar/2) * sum_i ( 1 - r_i^2 ),
     r_i = (<gT_i, gR_i> + tau*rho) / (||gT_i||_tau * ||gR_i||_rho),
 
-with the smoothed norm ||v||_eps = sqrt(<v,v> + eps^2). The gradient with
-respect to the deformation-grid variables is assembled through the chain of
-small local operators (gradient stencil transpose, interpolation Jacobian
-transpose, grid-transfer transpose) without forming any matrix.
+with the smoothed norm ||v||_eps = sqrt(<v,v> + eps^2). The value and the
+gradient with respect to the deformation-grid variables come from one pass:
+the warp keeps the interpolant's partial derivatives, the pointwise terms
+are computed once, and the chain of small local operators (gradient
+stencil transpose, a multiply by the stored partials, grid-transfer
+transpose) is applied without forming any matrix.
 """
 
 from __future__ import annotations
@@ -19,19 +21,12 @@ import numpy as np
 
 from .geometry import DeformationField, Grid3, Image3, VectorField3
 from .transfer import GatherPlan, apply_P, apply_Pt
-from .warp import (
-    WarpResult,
-    image_gradient,
-    image_gradient_apply_transpose,
-    warp_image,
-    warp_jacobian_apply_transpose,
-)
+from .warp import WarpResult, image_gradient, image_gradient_apply_transpose, warp_image
 
 __all__ = [
     "NgfParams",
     "ReferenceTerms",
     "distance_and_gradient",
-    "ngf_gradient_wrt_yhat",
     "ngf_value",
     "precompute_reference_terms",
 ]
@@ -80,38 +75,18 @@ def _ratio_terms(grad_T: VectorField3, ref: ReferenceTerms, params: NgfParams):
     return r, norm_T
 
 
-def ngf_value(warped: WarpResult, ref: ReferenceTerms, params: NgfParams,
-              h_bar: float, workers: int = 1) -> float:
-    """NGF distance; the sum is a fixed-shape pairwise reduction, so the
-    result is bit-stable across worker counts."""
-    grad_T = image_gradient(warped.warped, workers)
-    r, _ = _ratio_terms(grad_T, ref, params)
+def _distance(r: np.ndarray, h_bar: float) -> float:
+    """(hbar/2) * sum(1 - r^2); one fixed-shape pairwise reduction over the
+    whole grid, so the result is bit-stable across worker counts."""
     terms = 1 - r * r
     return float(h_bar / 2 * np.sum(terms, dtype=terms.dtype))
 
 
-def ngf_gradient_wrt_yhat(
-    warped: WarpResult,
-    ref: ReferenceTerms,
-    template: Image3,
-    yhat: VectorField3,
-    params: NgfParams,
-    h_bar: float,
-    workers: int = 1,
-) -> VectorField3:
-    """Gradient of the NGF distance with respect to the image-grid deformation."""
-    grad_T = image_gradient(warped.warped, workers)
-    r, norm_T = _ratio_terms(grad_T, ref, params)
-    dtype = grad_T.field.dtype
-    # d[(hbar/2)(1 - r^2)]/d(grad T) = -hbar * r * (gR/(nT*nR) - r*gT/nT^2)
-    coef = dtype.type(-h_bar) * r
-    q = np.empty_like(grad_T.field)
-    inv_prod = 1 / (norm_T * ref.norm)
-    inv_nt2 = 1 / (norm_T * norm_T)
-    for a in range(3):
-        q[a] = coef * (ref.grad.field[a] * inv_prod - r * grad_T.field[a] * inv_nt2)
-    s = image_gradient_apply_transpose(VectorField3(yhat.grid, q), yhat.grid)
-    return warp_jacobian_apply_transpose(template, yhat, s, workers)
+def ngf_value(warped: WarpResult, ref: ReferenceTerms, params: NgfParams,
+              h_bar: float, workers: int = 1) -> float:
+    """NGF distance of a warped template."""
+    r, _ = _ratio_terms(image_gradient(warped.warped, workers), ref, params)
+    return _distance(r, h_bar)
 
 
 def distance_and_gradient(
@@ -123,12 +98,25 @@ def distance_and_gradient(
     pt_variant: str = "gather",
     workers: int = 1,
 ) -> tuple[float, VectorField3]:
-    """Full distance pipeline: P, value + gradient on the image grid, P^T."""
+    """NGF distance and its gradient with respect to y, in one pass:
+    P, warp with partials, the pointwise terms, G^T, the partials times s, P^T."""
     image_grid: Grid3 = plan.image_grid
     yhat = apply_P(y, image_grid, workers)
-    warped = warp_image(template, yhat, workers)
+    warped = warp_image(template, yhat, workers, partials=True)
     h_bar = image_grid.cell_volume
-    D = ngf_value(warped, ref, params, h_bar, workers)
-    g_hat = ngf_gradient_wrt_yhat(warped, ref, template, yhat, params, h_bar, workers)
-    grad_y = apply_Pt(g_hat, plan, pt_variant, workers)
+    grad_T = image_gradient(warped.warped, workers)
+    r, norm_T = _ratio_terms(grad_T, ref, params)
+    D = _distance(r, h_bar)
+    dtype = grad_T.field.dtype
+    # d[(hbar/2)(1 - r^2)]/d(grad T) = -hbar * r * (gR/(nT*nR) - r*gT/nT^2)
+    coef = dtype.type(-h_bar) * r
+    q = np.empty_like(grad_T.field)
+    inv_prod = 1 / (norm_T * ref.norm)
+    inv_nt2 = 1 / (norm_T * norm_T)
+    for a in range(3):
+        q[a] = coef * (ref.grad.field[a] * inv_prod - r * grad_T.field[a] * inv_nt2)
+    s = image_gradient_apply_transpose(VectorField3(image_grid, q), image_grid)
+    g_hat = warped.partials
+    g_hat *= s
+    grad_y = apply_Pt(VectorField3(image_grid, g_hat), plan, pt_variant, workers)
     return D, grad_y

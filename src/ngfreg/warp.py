@@ -1,7 +1,10 @@
 """Template sampling at deformed positions and image-grid finite differences.
 
-Both the warp and the gradient stencils come with exact transpose
-(adjoint) applications so the distance gradient can be assembled by the
+One trilinear kernel serves every interpolation of grid samples at world
+positions: the warp, its derivative with respect to the positions (kept
+by the forward pass, so the backward pass is one multiply) and the
+evaluation of deformation fields at landmarks. The gradient stencil comes
+with its exact transpose, so the distance gradient is assembled by the
 chain rule without materializing any operator matrix.
 """
 
@@ -19,112 +22,104 @@ __all__ = [
     "image_gradient",
     "image_gradient_apply_transpose",
     "warp_image",
-    "warp_jacobian_apply_transpose",
 ]
+
+# Voxels per kernel call. The warp walks each slab in chunks of whole
+# z-planes of about this size, so the kernel's temporaries stay small and
+# cache-resident instead of slab-sized.
+_CHUNK_VOXELS = 1 << 16
 
 
 @dataclass
 class WarpResult:
     warped: Image3
     inside_mask: np.ndarray  # True where the sample fell inside the template hull
+    # (3, nz, ny, nx) world-space partial derivatives of the interpolant at
+    # each sample; zero outside the hull and along degenerate axes. Only
+    # filled when warp_image is asked for them.
+    partials: np.ndarray | None = None
 
 
-def _fractional_coords(template: Image3, positions: np.ndarray):
-    """Continuous template indices and inside flag for world positions (3, ...)."""
-    g = template.grid
-    t = np.empty_like(positions)
-    inside = np.ones(positions.shape[1:], dtype=bool)
+def _trilinear(flat: np.ndarray, grid: Grid3, pos: np.ndarray, partials: bool = False):
+    """Trilinear interpolation of grid samples at world positions.
+
+    flat holds the samples of `grid` x-fastest in its last axis, (..., N);
+    pos is (3, *shape). Returns (value (..., *shape), inside (*shape),
+    partials (3, ..., *shape) or None). inside flags positions in the
+    cell-center hull. Outside it the value is the clamp-to-edge
+    extrapolation and the partials are zero.
+    """
+    dtype = pos.dtype
+    inside = np.ones(pos.shape[1:], dtype=bool)
+    base = np.zeros(pos.shape[1:], dtype=np.intp)
+    f, steps, stride = [], [], 1
     for a in range(3):
-        t[a] = (positions[a] - g.origin[a]) / positions.dtype.type(g.spacing[a])
-        inside &= (t[a] >= 0) & (t[a] <= g.dims[a] - 1)
-    return t, inside
-
-
-def _corner_data(template: Image3, t: np.ndarray):
-    """Lower corner indices (clipped) and in-cell fractions per axis."""
-    g = template.grid
-    i0 = []
-    f = []
+        n = grid.dims[a]
+        t = (pos[a] - grid.origin[a]) / dtype.type(grid.spacing[a])
+        inside &= (t >= 0) & (t <= n - 1)
+        lo = np.clip(np.floor(t).astype(np.intp), 0, max(n - 2, 0))
+        f.append(np.clip(t - lo, 0.0, 1.0).astype(dtype, copy=False))
+        base += lo * stride
+        steps.append(stride if n > 1 else 0)  # a degenerate axis has one corner
+        stride *= n
+    sx, sy, sz = steps
+    fx, fy, fz = f
+    gx, gy, gz = 1 - fx, 1 - fy, 1 - fz
+    # the 8 corners as the 4 cell edges along x, at (y, z) = 00, 10, 01, 11
+    edges = [(np.take(flat, base + off, axis=-1), np.take(flat, base + off + sx, axis=-1))
+             for off in (0, sy, sz, sy + sz)]
+    ex = [c0 * gx + c1 * fx for c0, c1 in edges]              # interpolated along x,
+    ey = [ex[0] * gy + ex[1] * fy, ex[2] * gy + ex[3] * fy]   # then y,
+    value = ey[0] * gz + ey[1] * fz                           # then z
+    if not partials:
+        return value, inside, None
+    dx = [c1 - c0 for c0, c1 in edges]
+    grads = np.stack([(dx[0] * gy + dx[1] * fy) * gz + (dx[2] * gy + dx[3] * fy) * fz,
+                      (ex[1] - ex[0]) * gz + (ex[3] - ex[2]) * fz,
+                      ey[1] - ey[0]])
     for a in range(3):
-        n = g.dims[a]
-        lo = np.clip(np.floor(t[a]).astype(np.intp), 0, max(n - 2, 0))
-        i0.append(lo)
-        f.append(np.clip(t[a] - lo, 0.0, 1.0).astype(t.dtype))
-    return i0, f
+        grads[a] /= dtype.type(grid.spacing[a])
+    np.copyto(grads, 0, where=~inside)
+    return value, inside, grads
 
 
-def _corner_values(template: Image3, i0, dx, dy, dz):
-    g = template.grid
-    ix = np.minimum(i0[0] + dx, g.dims[0] - 1)
-    iy = np.minimum(i0[1] + dy, g.dims[1] - 1)
-    iz = np.minimum(i0[2] + dz, g.dims[2] - 1)
-    return template.values[iz, iy, ix]
-
-
-def warp_image(template: Image3, yhat: VectorField3, workers: int = 1) -> WarpResult:
+def warp_image(template: Image3, yhat: VectorField3, workers: int = 1, *,
+               partials: bool = False) -> WarpResult:
     """Trilinear sampling of the template at world positions yhat.
 
     Positions outside the template cell-center hull produce value 0 with
-    inside_mask False (Dirichlet-zero outside).
+    inside_mask False (Dirichlet-zero outside). With partials=True the
+    result also carries the interpolant's world-space partial derivatives
+    at every sample.
     """
-    out = np.empty(yhat.grid.shape, dtype=yhat.field.dtype)
-    mask = np.empty(yhat.grid.shape, dtype=bool)
-    nz = yhat.grid.shape[0]
+    dtype = yhat.field.dtype
+    flat = template.values.astype(dtype, copy=False).ravel()
+    nz, ny, nx = yhat.grid.shape
+    out = np.empty((nz, ny, nx), dtype=dtype)
+    mask = np.empty((nz, ny, nx), dtype=bool)
+    grads = np.empty((3, nz, ny, nx), dtype=dtype) if partials else None
+    step = max(1, _CHUNK_VOXELS // (ny * nx))
 
     def do_slab(lo, hi):
-        pos = yhat.field[:, lo:hi]
-        t, inside = _fractional_coords(template, pos)
-        i0, f = _corner_data(template, t)
-        acc = np.zeros(pos.shape[1:], dtype=pos.dtype)
-        for dz in (0, 1):
-            wz = f[2] if dz else 1 - f[2]
-            for dy in (0, 1):
-                wy = f[1] if dy else 1 - f[1]
-                for dx in (0, 1):
-                    wx = f[0] if dx else 1 - f[0]
-                    acc += _corner_values(template, i0, dx, dy, dz).astype(pos.dtype) * (wx * wy * wz)
-        out[lo:hi] = np.where(inside, acc, 0)
-        mask[lo:hi] = inside
+        for k0 in range(lo, hi, step):
+            k1 = min(k0 + step, hi)
+            value, inside, d = _trilinear(flat, template.grid, yhat.field[:, k0:k1], partials)
+            np.copyto(value, 0, where=~inside)
+            out[k0:k1] = value
+            mask[k0:k1] = inside
+            if partials:
+                grads[:, k0:k1] = d
 
     run_slabs(do_slab, nz, workers)
-    return WarpResult(warped=Image3(yhat.grid, out), inside_mask=mask)
+    return WarpResult(warped=Image3(yhat.grid, out), inside_mask=mask, partials=grads)
 
 
-def warp_jacobian_apply_transpose(
-    template: Image3, yhat: VectorField3, w: np.ndarray, workers: int = 1
-) -> VectorField3:
-    """Apply the transposed interpolation Jacobian: per voxel, w_i times the
-    spatial gradient of the trilinear interpolant of the template at yhat(i).
-
-    Zero where the sample is outside the template hull.
-    """
-    g = template.grid
-    out = np.empty((3,) + yhat.grid.shape, dtype=yhat.field.dtype)
-    nz = yhat.grid.shape[0]
-
-    def do_slab(lo, hi):
-        pos = yhat.field[:, lo:hi]
-        ws = w[lo:hi]
-        t, inside = _fractional_coords(template, pos)
-        i0, f = _corner_data(template, t)
-        grads = [np.zeros(pos.shape[1:], dtype=pos.dtype) for _ in range(3)]
-        for dz in (0, 1):
-            wz, dwz = (f[2], 1.0) if dz else (1 - f[2], -1.0)
-            for dy in (0, 1):
-                wy, dwy = (f[1], 1.0) if dy else (1 - f[1], -1.0)
-                for dx in (0, 1):
-                    wx, dwx = (f[0], 1.0) if dx else (1 - f[0], -1.0)
-                    c = _corner_values(template, i0, dx, dy, dz).astype(pos.dtype)
-                    grads[0] += c * (dwx * wy * wz)
-                    grads[1] += c * (wx * dwy * wz)
-                    grads[2] += c * (wx * wy * dwz)
-        for a in range(3):
-            # degenerate axes have a constant interpolant
-            scale = ws / pos.dtype.type(g.spacing[a]) if g.dims[a] > 1 else 0.0
-            out[a, lo:hi] = np.where(inside, grads[a] * scale, 0)
-
-    run_slabs(do_slab, nz, workers)
-    return VectorField3(yhat.grid, out)
+def _clamp_to_hull(grid: Grid3, pos: np.ndarray) -> np.ndarray:
+    """Clip world positions (3, ...) into the cell-center hull of grid, in place."""
+    for a in range(3):
+        lo = grid.origin[a]
+        np.clip(pos[a], lo, lo + (grid.dims[a] - 1) * grid.spacing[a], out=pos[a])
+    return pos
 
 
 def _diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:

@@ -362,10 +362,11 @@ def test_criterion_8_variant_agreement(capsys, synthetic_case, gather_registrati
 
 
 def test_criterion_9_parallel_throughput(capsys, synthetic_case):
-    """Soft performance property: 8-worker objective-evaluation throughput
-    >= 2.5x the 1-worker throughput on the 64^3 case (gather pipeline).
-    The result is reported but a miss does not fail the suite (pure-Python
-    threading is GIL-bound). A benchmark table is emitted either way."""
+    """Soft performance property: objective-evaluation throughput with one
+    worker per core (os.cpu_count()) >= 2.5x the 1-worker throughput on the
+    64^3 case (gather pipeline). The result is reported but a miss does not
+    fail the suite (pure-Python threading is GIL-bound). A benchmark table,
+    at 1 worker and one per core, is emitted either way."""
     R, T, _, _ = synthetic_case
     params = NgfParams()
     ref = precompute_reference_terms(R, params)
@@ -381,15 +382,15 @@ def test_criterion_9_parallel_throughput(capsys, synthetic_case):
             times.append(time.perf_counter() - t0)
         return 1.0 / min(times)
 
+    cores = os.cpu_count() or 1
     thr1 = throughput(1)
-    thr8 = throughput(8)
-    ratio = thr8 / thr1
+    ratio = throughput(cores) / thr1
 
-    records = run_benchmark(dims=(32, 32, 32), workers_list=(1, 8),
-                            precisions=("f64",), reps=3, register_max_iter=3)
+    records = run_benchmark(dims=(32, 32, 32), precisions=("f64",), reps=3,
+                            register_max_iter=3)
     table = format_table(records)
     status = "PASS" if ratio >= 2.5 else "FAIL (soft, not fatal)"
-    _emit(capsys, f"CRITERION 9: {status} -- 8-worker / 1-worker objective "
+    _emit(capsys, f"CRITERION 9: {status} -- {cores}-worker / 1-worker objective "
           f"throughput ratio {ratio:.2f} (target 2.5); benchmark table "
           f"({len(records)} rows) follows")
     _emit(capsys, table)

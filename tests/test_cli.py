@@ -33,6 +33,18 @@ def test_missing_input_is_io_error(tmp_path):
                  "--out-deformation", out]) == EXIT_IO
 
 
+def test_rotated_volume_is_io_error(pair, tmp_path, capsys):
+    g, rp, tp = pair
+    rotated = str(tmp_path / "rot.mha")
+    data = open(tp, "rb").read()
+    open(rotated, "wb").write(
+        data.replace(b"ElementType", b"TransformMatrix = 0 1 0 -1 0 0 0 0 1\nElementType", 1))
+    rc = main(["register", "--reference", rp, "--template", rotated,
+               "--out-deformation", str(tmp_path / "y.mha")])
+    assert rc == EXIT_IO
+    assert "TransformMatrix" in capsys.readouterr().err
+
+
 def test_register_warp_evaluate_roundtrip(pair, tmp_path, capsys):
     g, rp, tp = pair
     ypath = str(tmp_path / "y.mha")

@@ -71,6 +71,7 @@ def test_external_raw_datafile(tmp_path):
     mhd.write_text(
         "ObjectType = Image\nNDims = 3\nBinaryData = True\n"
         "DimSize = 3 2 2\nElementSpacing = 1 1 1\nOffset = 0 0 0\n"
+        "TransformMatrix = 1 0 0 0 1 0 0 0 1\n"
         "ElementType = MET_DOUBLE\nElementDataFile = vol.raw\n"
     )
     back = read_volume(str(mhd))
@@ -103,6 +104,16 @@ def test_bad_headers_rejected(tmp_path):
                  "CompressedData = True\nElementDataFile = LOCAL\n")
     with pytest.raises(MetaImageError, match="ompressed"):
         read_volume(str(p))
+    # direction cosines: anything but the identity would be misread
+    for line, match in (("TransformMatrix = 0 1 0 1 0 0 0 0 1", "not the identity"),
+                        ("Rotation = -1 0 0 0 1 0 0 0 1", "not the identity"),
+                        ("Orientation = 1 0 0 0 0.8 0.6 0 -0.6 0.8", "not the identity"),
+                        ("TransformMatrix = 1 0 0 0 1 0", "9 entries"),
+                        ("TransformMatrix = 1 0 0 0 x 0 0 0 1", "TransformMatrix")):
+        p.write_text("NDims = 3\nDimSize = 2 2 2\nElementType = MET_FLOAT\n"
+                     f"{line}\nElementDataFile = LOCAL\n")
+        with pytest.raises(MetaImageError, match=match):
+            read_volume(str(p))
 
 
 def test_missing_file_raises_metaimage_error(tmp_path):

@@ -156,3 +156,29 @@ def test_variants_and_workers_agree(rng):
                 assert np.array_equal(gv.field, g0.field)
             else:
                 assert np.max(np.abs(gv.field - g0.field)) <= 1e-12 * scale
+
+
+def test_bytes_identical_across_workers_and_chunks(rng, monkeypatch):
+    # 29 z-planes of 41 x 37: the slabs of 1, 2 and 3 workers end inside the
+    # kernel's chunks of z-planes, both at the module's chunk size and at 7 planes
+    from ngfreg import warp
+
+    gi = _grid((37, 41, 29))
+    gd = Grid3((10, 11, 8),
+               tuple(n * s / m for n, s, m in zip(gi.dims, gi.spacing, (10, 11, 8))),
+               tuple(o - s / 2 + n * s / m / 2
+                     for o, s, n, m in zip(gi.origin, gi.spacing, gi.dims, (10, 11, 8))))
+    T = _extended_template(gi)
+    R = make_volume(gi)
+    params = NgfParams()
+    ref = precompute_reference_terms(R, params)
+    plan = build_gather_plan(gd, gi)
+    y = DeformationField(gd, make_identity(gd).field
+                         + 1.5 * rng.standard_normal((3,) + gd.shape))
+    D0, g0 = distance_and_gradient(y, ref, T, plan, params, workers=1)
+    for chunk in (warp._CHUNK_VOXELS, 7 * 41 * 37):
+        monkeypatch.setattr(warp, "_CHUNK_VOXELS", chunk)
+        for w in (1, 2, 3):
+            D, g = distance_and_gradient(y, ref, T, plan, params, workers=w)
+            assert D == D0
+            assert g.field.tobytes() == g0.field.tobytes()

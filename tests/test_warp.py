@@ -2,12 +2,7 @@ import numpy as np
 
 from ngfreg.geometry import DeformationField, Grid3, Image3, VectorField3, make_identity
 from ngfreg.synthetic import smooth_random_field, smooth_random_volume
-from ngfreg.warp import (
-    image_gradient,
-    image_gradient_apply_transpose,
-    warp_image,
-    warp_jacobian_apply_transpose,
-)
+from ngfreg.warp import _trilinear, image_gradient, image_gradient_apply_transpose, warp_image
 
 
 def _grid(dims, spacing=(1, 1, 1), origin=(0, 0, 0)):
@@ -72,7 +67,7 @@ def test_warp_jacobian_matches_fd(rng):
         field[a] = np.minimum(field[a], (g.dims[a] - 1) * g.spacing[a] - 0.3)
     y = DeformationField(g, field)
     w = rng.standard_normal(g.shape)
-    grad = warp_jacobian_apply_transpose(T, y, w).field
+    grad = warp_image(T, y, partials=True).partials * w
 
     eps = 1e-6
     idx = [(0, 0, 0), (3, 2, 4), (5, 6, 1)]
@@ -93,10 +88,82 @@ def test_warp_jacobian_zero_outside_and_degenerate_axis():
     T = Image3(g, np.arange(16, dtype=float).reshape(g.shape))
     field = make_identity(g).field.copy()
     field[0, 0, 0, 0] = 99.0
-    grad = warp_jacobian_apply_transpose(T, DeformationField(g, field),
-                                         np.ones(g.shape)).field
+    grad = warp_image(T, DeformationField(g, field), partials=True).partials * np.ones(g.shape)
     assert np.all(grad[:, 0, 0, 0] == 0)  # outside the hull
     assert np.all(grad[2] == 0)           # nz == 1 -> constant along z
+
+
+def _reference_trilinear(T, pos):
+    """The 8-corner weighted sum and its derivative, one corner at a time:
+    the formula the fused kernel replaced, kept here as its oracle."""
+    g = T.grid
+    dtype = pos.dtype
+    inside = np.ones(pos.shape[1:], dtype=bool)
+    i0, f = [], []
+    for a in range(3):
+        n = g.dims[a]
+        t = (pos[a] - g.origin[a]) / dtype.type(g.spacing[a])
+        inside &= (t >= 0) & (t <= n - 1)
+        lo = np.clip(np.floor(t).astype(np.intp), 0, max(n - 2, 0))
+        i0.append(lo)
+        f.append(np.clip(t - lo, 0.0, 1.0).astype(dtype))
+    value = np.zeros(pos.shape[1:], dtype=dtype)
+    grads = np.zeros(pos.shape, dtype=dtype)
+    for dz in (0, 1):
+        wz, dwz = (f[2], 1.0) if dz else (1 - f[2], -1.0)
+        iz = np.minimum(i0[2] + dz, g.dims[2] - 1)
+        for dy in (0, 1):
+            wy, dwy = (f[1], 1.0) if dy else (1 - f[1], -1.0)
+            iy = np.minimum(i0[1] + dy, g.dims[1] - 1)
+            for dx in (0, 1):
+                wx, dwx = (f[0], 1.0) if dx else (1 - f[0], -1.0)
+                ix = np.minimum(i0[0] + dx, g.dims[0] - 1)
+                c = T.values[iz, iy, ix].astype(dtype)
+                value += c * (wx * wy * wz)
+                grads[0] += c * (dwx * wy * wz)
+                grads[1] += c * (wx * dwy * wz)
+                grads[2] += c * (wx * wy * dwz)
+    for a in range(3):
+        scale = 1 / dtype.type(g.spacing[a]) if g.dims[a] > 1 else 0.0
+        grads[a] = np.where(inside, grads[a] * scale, 0)
+    return np.where(inside, value, 0), inside, grads
+
+
+def test_kernel_matches_reference_formula(rng):
+    # random positions inside the hull, outside it, and on a template with
+    # a single z-plane (inside only at exactly that plane's z)
+    for dims, spacing, origin in (((7, 6, 5), (1.1, 0.8, 1.3), (-2.0, 1.0, 0.5)),
+                                  ((6, 5, 1), (0.9, 1.2, 2.0), (1.0, -1.0, 3.0))):
+        gt = _grid(dims, spacing, origin)
+        T = smooth_random_volume(gt, seed=5)
+        gp = _grid((9, 8, 7))
+        pos = np.empty((3,) + gp.shape)
+        for a in range(3):
+            lo, h, n = origin[a], spacing[a], dims[a]
+            pos[a] = rng.uniform(lo - 1.5 * h, lo + n * h, gp.shape)
+        if dims[2] == 1:
+            pos[2].flat[::2] = origin[2]
+        for dtype, tol in ((np.float64, 1e-13), (np.float32, 1e-5)):
+            p = pos.astype(dtype)
+            ref_value, ref_inside, ref_grads = _reference_trilinear(T, p)
+            assert ref_inside.any() and not ref_inside.all()
+            res = warp_image(T.astype(dtype), VectorField3(gp, p), partials=True)
+            assert res.warped.values.dtype == dtype and res.partials.dtype == dtype
+            assert np.array_equal(res.inside_mask, ref_inside)
+            vscale = np.abs(T.values).max()
+            gscale = np.abs(ref_grads).max()
+            assert np.abs(res.warped.values - ref_value).max() <= tol * vscale
+            assert np.abs(res.partials - ref_grads).max() <= tol * gscale
+            assert np.all(res.warped.values[~ref_inside] == 0)
+            assert np.all(res.partials[:, ~ref_inside] == 0)
+            if dims[2] == 1:
+                assert np.all(res.partials[2] == 0)
+        # the kernel interpolates every channel of a multi-channel input alike
+        flat = np.stack([T.values.ravel(), 2 * T.values.ravel()])
+        value, inside, _ = _trilinear(flat, gt, pos)
+        ref_value, _, _ = _reference_trilinear(T, pos)
+        assert np.abs(value[0][inside] - ref_value[inside]).max() <= 1e-13 * vscale
+        assert np.array_equal(value[1], 2 * value[0])
 
 
 def test_image_gradient_exact_on_linear_ramp():
