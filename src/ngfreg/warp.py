@@ -98,19 +98,16 @@ def warp_image(template: Image3, yhat: VectorField3, workers: int = 1, *,
     out = np.empty((nz, ny, nx), dtype=dtype)
     mask = np.empty((nz, ny, nx), dtype=bool)
     grads = np.empty((3, nz, ny, nx), dtype=dtype) if partials else None
-    step = max(1, _CHUNK_VOXELS // (ny * nx))
 
-    def do_slab(lo, hi):
-        for k0 in range(lo, hi, step):
-            k1 = min(k0 + step, hi)
-            value, inside, d = _trilinear(flat, template.grid, yhat.field[:, k0:k1], partials)
-            np.copyto(value, 0, where=~inside)
-            out[k0:k1] = value
-            mask[k0:k1] = inside
-            if partials:
-                grads[:, k0:k1] = d
+    def do_chunk(k0, k1):
+        value, inside, d = _trilinear(flat, template.grid, yhat.field[:, k0:k1], partials)
+        np.copyto(value, 0, where=~inside)
+        out[k0:k1] = value
+        mask[k0:k1] = inside
+        if partials:
+            grads[:, k0:k1] = d
 
-    run_slabs(do_slab, nz, workers)
+    _run_planes(do_chunk, nz, ny * nx, workers)
     return WarpResult(warped=Image3(yhat.grid, out), inside_mask=mask, partials=grads)
 
 
@@ -122,58 +119,93 @@ def _clamp_to_hull(grid: Grid3, pos: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Central differences interior, one-sided first order at the two faces."""
-    n = values.shape[axis]
-    out = np.zeros_like(values)
+def _diff_rows(v: np.ndarray, h: float, k0: int, k1: int, out: np.ndarray) -> None:
+    """Rows k0:k1 of the derivative along axis 0 of v into out: central
+    differences inside, one-sided first order at the two faces. Reads one
+    row beyond the range on each side."""
+    n = v.shape[0]
     if n < 2:
-        return out
-    v = np.moveaxis(values, axis, 0)
-    g = np.moveaxis(out, axis, 0)
-    h = values.dtype.type(h)
-    g[0] = (v[1] - v[0]) / h
-    g[-1] = (v[-1] - v[-2]) / h
-    if n > 2:
-        g[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-    return out
+        out[...] = 0
+        return
+    h = v.dtype.type(h)
+    lo, hi = max(k0, 1), min(k1, n - 1)
+    if lo < hi:
+        out[lo - k0:hi - k0] = (v[lo + 1:hi + 1] - v[lo - 1:hi - 1]) / (2 * h)
+    if k0 == 0:
+        out[0] = (v[1] - v[0]) / h
+    if k1 == n:
+        out[-1] = (v[n - 1] - v[n - 2]) / h
+
+
+def _diff_transpose_rows(w: np.ndarray, h: float, k0: int, k1: int, o: np.ndarray) -> None:
+    """Add rows k0:k1 of the exact transpose of _diff_rows along axis 0 of w
+    into o. Each row sums its terms in one fixed order (boundary rows, then
+    the -half band, then the +half band), whatever the range."""
+    n = w.shape[0]
+    if n < 2:
+        return
+    h = w.dtype.type(h)
+    for row, src, sign in ((0, 0, -1), (1, 0, 1), (n - 2, n - 1, -1), (n - 1, n - 1, 1)):
+        if k0 <= row < k1:
+            o[row - k0] += sign * w[src] / h
+    hi = min(k1, n - 2)  # row i gets -w[i+1] / 2h for i < n - 2
+    if k0 < hi:
+        o[:hi - k0] += -(w[k0 + 1:hi + 1] / (2 * h))
+    lo = max(k0, 2)  # and +w[i-1] / 2h for i >= 2
+    if lo < k1:
+        o[lo - k0:] += w[lo - 1:k1 - 1] / (2 * h)
+
+
+def _gradient_planes(values: np.ndarray, spacing, k0: int, k1: int, out: np.ndarray) -> None:
+    """Gradient of z-planes k0:k1 of values (nz, ny, nx) into out (3, k1-k0, ny, nx);
+    reads one halo plane on each side in z."""
+    planes = values[k0:k1]
+    for a in (0, 1):  # in-plane axes: whole rows of the chunk, numpy axes 2 and 1
+        ax = 2 - a
+        _diff_rows(np.moveaxis(planes, ax, 0), spacing[a], 0, planes.shape[ax],
+                   np.moveaxis(out[a], ax, 0))
+    _diff_rows(values, spacing[2], k0, k1, out[2])
+
+
+def _gradient_transpose_planes(w, spacing, axes, k0: int, k1: int, out: np.ndarray) -> None:
+    """Add the parts of G^T w along the geometric `axes` for z-planes k0:k1 into
+    out (k1-k0, ny, nx), axis by axis in the order given. w[i] is component
+    axes[i]: for x and y just the planes k0:k1, for z all nz planes (one halo
+    plane is read on each side)."""
+    for comp, a in zip(w, axes):
+        o = np.zeros_like(out)
+        if a == 2:
+            _diff_transpose_rows(comp, spacing[2], k0, k1, o)
+        else:
+            ax = 2 - a
+            _diff_transpose_rows(np.moveaxis(comp, ax, 0), spacing[a], 0, comp.shape[ax],
+                                 np.moveaxis(o, ax, 0))
+        out += o
+
+
+def _run_planes(fn, nz: int, plane_voxels: int, workers: int) -> None:
+    """Run fn(k0, k1) over chunks of whole z-planes of about _CHUNK_VOXELS
+    voxels; the slabs of the worker partition are split into such chunks."""
+    step = max(1, _CHUNK_VOXELS // plane_voxels)
+
+    def do_slab(lo, hi):
+        for k0 in range(lo, hi, step):
+            fn(k0, min(k0 + step, hi))
+
+    run_slabs(do_slab, nz, workers)
 
 
 def image_gradient(img: Image3, workers: int = 1) -> VectorField3:
     """Finite-difference spatial gradient on the image grid."""
     g = img.grid
     out = np.empty((3,) + g.shape, dtype=img.values.dtype)
-    for a in range(3):
-        out[a] = _diff_axis(img.values, g.spacing[a], _np_axis(a))
+    _run_planes(lambda k0, k1: _gradient_planes(img.values, g.spacing, k0, k1, out[:, k0:k1]),
+                g.shape[0], g.shape[1] * g.shape[2], workers)
     return VectorField3(g, out)
-
-
-def _np_axis(a: int) -> int:
-    return 2 - a  # geometric x,y,z -> numpy axes 2,1,0
-
-
-def _diff_axis_transpose(w: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Exact transpose of _diff_axis along one axis."""
-    n = w.shape[axis]
-    out = np.zeros_like(w)
-    if n < 2:
-        return out
-    ww = np.moveaxis(w, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    h = w.dtype.type(h)
-    o[0] += -ww[0] / h
-    o[1] += ww[0] / h
-    o[n - 2] += -ww[n - 1] / h
-    o[n - 1] += ww[n - 1] / h
-    if n > 2:
-        half = ww[1:-1] / (2 * h)
-        o[: n - 2] += -half
-        o[2:] += half
-    return out
 
 
 def image_gradient_apply_transpose(w: VectorField3, grid: Grid3) -> np.ndarray:
     """Apply G^T where G is the exact linear operator of image_gradient."""
     out = np.zeros(grid.shape, dtype=w.field.dtype)
-    for a in range(3):
-        out += _diff_axis_transpose(w.field[a], grid.spacing[a], _np_axis(a))
+    _gradient_transpose_planes(w.field, grid.spacing, (0, 1, 2), 0, grid.shape[0], out)
     return out

@@ -160,25 +160,45 @@ def test_variants_and_workers_agree(rng):
 
 def test_bytes_identical_across_workers_and_chunks(rng, monkeypatch):
     # 29 z-planes of 41 x 37: the slabs of 1, 2 and 3 workers end inside the
-    # kernel's chunks of z-planes, both at the module's chunk size and at 7 planes
+    # kernel's chunks of z-planes, at the module's chunk size and at 7 and 1
+    # planes; 3 z-planes: every slab and chunk touches a boundary row of G^T
     from ngfreg import warp
 
-    gi = _grid((37, 41, 29))
-    gd = Grid3((10, 11, 8),
-               tuple(n * s / m for n, s, m in zip(gi.dims, gi.spacing, (10, 11, 8))),
-               tuple(o - s / 2 + n * s / m / 2
-                     for o, s, n, m in zip(gi.origin, gi.spacing, gi.dims, (10, 11, 8))))
-    T = _extended_template(gi)
-    R = make_volume(gi)
+    chunks = (warp._CHUNK_VOXELS, 7 * 41 * 37, 41 * 37)
+    for dims, def_dims in (((37, 41, 29), (10, 11, 8)), ((37, 41, 3), (10, 11, 2))):
+        gi = _grid(dims)
+        gd = Grid3(def_dims,
+                   tuple(n * s / m for n, s, m in zip(gi.dims, gi.spacing, def_dims)),
+                   tuple(o - s / 2 + n * s / m / 2
+                         for o, s, n, m in zip(gi.origin, gi.spacing, gi.dims, def_dims)))
+        T = _extended_template(gi)
+        R = make_volume(gi)
+        params = NgfParams()
+        ref = precompute_reference_terms(R, params)
+        plan = build_gather_plan(gd, gi)
+        y = DeformationField(gd, make_identity(gd).field
+                             + 1.5 * rng.standard_normal((3,) + gd.shape))
+        monkeypatch.setattr(warp, "_CHUNK_VOXELS", chunks[0])
+        D0, g0 = distance_and_gradient(y, ref, T, plan, params, workers=1)
+        for chunk in chunks:
+            monkeypatch.setattr(warp, "_CHUNK_VOXELS", chunk)
+            for w in (1, 2, 3):
+                D, g = distance_and_gradient(y, ref, T, plan, params, workers=w)
+                assert D == D0
+                assert g.field.tobytes() == g0.field.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_nonfinite_intermediate_is_floating_point_error(workers):
+    # planes of +-3e38 are finite in f32, but their differences overflow
+    g = _grid((8, 7, 6))
+    sign = np.where(np.arange(6) % 2 == 0, 1.0, -1.0)[:, None, None]
+    T = Image3(g, (3e38 * sign + np.zeros(g.shape)).astype(np.float32))
+    R = smooth_random_volume(g, seed=5).astype(np.float32)
     params = NgfParams()
     ref = precompute_reference_terms(R, params)
-    plan = build_gather_plan(gd, gi)
-    y = DeformationField(gd, make_identity(gd).field
-                         + 1.5 * rng.standard_normal((3,) + gd.shape))
-    D0, g0 = distance_and_gradient(y, ref, T, plan, params, workers=1)
-    for chunk in (warp._CHUNK_VOXELS, 7 * 41 * 37):
-        monkeypatch.setattr(warp, "_CHUNK_VOXELS", chunk)
-        for w in (1, 2, 3):
-            D, g = distance_and_gradient(y, ref, T, plan, params, workers=w)
-            assert D == D0
-            assert g.field.tobytes() == g0.field.tobytes()
+    plan = build_gather_plan(g, g)
+    with pytest.raises(FloatingPointError, match="template gradient"):
+        distance_and_gradient(make_identity(g, np.float32), ref, T, plan, params,
+                              workers=workers)

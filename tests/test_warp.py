@@ -1,8 +1,12 @@
 import numpy as np
+import pytest
 
 from ngfreg.geometry import DeformationField, Grid3, Image3, VectorField3, make_identity
 from ngfreg.synthetic import smooth_random_field, smooth_random_volume
-from ngfreg.warp import _trilinear, image_gradient, image_gradient_apply_transpose, warp_image
+from ngfreg.warp import (
+    _gradient_planes, _gradient_transpose_planes, _trilinear, image_gradient,
+    image_gradient_apply_transpose, warp_image,
+)
 
 
 def _grid(dims, spacing=(1, 1, 1), origin=(0, 0, 0)):
@@ -192,3 +196,41 @@ def test_image_gradient_adjoint(rng):
     lhs = float(np.sum(image_gradient(Image3(g, v)).field * w.field))
     rhs = float(np.sum(v * image_gradient_apply_transpose(w, g)))
     assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + 1)
+
+
+@pytest.mark.parametrize("nz", [1, 2, 3, 4, 29])
+def test_plane_range_stencils_match_full_arrays(rng, nz):
+    # nz = 2 and 3 are the grids whose boundary rows overlap in G^T
+    g = _grid((6, 5, nz), (0.7, 1.3, 0.9))
+    v = rng.standard_normal(g.shape)
+    w = rng.standard_normal((3,) + g.shape)
+    full_grad = image_gradient(Image3(g, v)).field
+    full_gt = image_gradient_apply_transpose(VectorField3(g, w), g)
+    # the full-range results against np.gradient's first-order edges and the adjoint identity
+    for a in range(3):
+        if g.dims[a] > 1:
+            ref = np.gradient(v, g.spacing[a], axis=2 - a, edge_order=1)
+            assert np.allclose(full_grad[a], ref, rtol=1e-14, atol=1e-14)
+        else:
+            assert np.all(full_grad[a] == 0)
+    lhs, rhs = float(np.sum(full_grad * w)), float(np.sum(v * full_gt))
+    assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + 1)
+    for chunk in (1, 2, 7):
+        grad = np.empty_like(full_grad)
+        gt = np.zeros_like(full_gt)
+        bounds = [(k0, min(k0 + chunk, nz)) for k0 in range(0, nz, chunk)]
+        for k0, k1 in bounds:  # the split the NGF sweeps use: x and y, then z
+            _gradient_planes(v, g.spacing, k0, k1, grad[:, k0:k1])
+            _gradient_transpose_planes(w[:2, k0:k1], g.spacing, (0, 1), k0, k1, gt[k0:k1])
+        for k0, k1 in bounds:
+            _gradient_transpose_planes(w[2:], g.spacing, (2,), k0, k1, gt[k0:k1])
+        assert grad.tobytes() == full_grad.tobytes()
+        assert gt.tobytes() == full_gt.tobytes()
+
+
+def test_image_gradient_bytes_identical_across_workers(rng):
+    g = _grid((37, 41, 29), (0.7, 1.3, 0.9))
+    img = Image3(g, rng.standard_normal(g.shape))
+    g1 = image_gradient(img, 1).field
+    for w in (2, 3):
+        assert image_gradient(img, w).field.tobytes() == g1.tobytes()
