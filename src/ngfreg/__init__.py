@@ -36,9 +36,6 @@ from .transfer import (
     GatherPlan,
     apply_P,
     apply_Pt,
-    apply_Pt_gather,
-    apply_Pt_redblack,
-    apply_Pt_scatter_atomic,
     build_gather_plan,
     dense_P_oracle,
 )
@@ -70,9 +67,6 @@ __all__ = [
     "VectorField3",
     "apply_P",
     "apply_Pt",
-    "apply_Pt_gather",
-    "apply_Pt_redblack",
-    "apply_Pt_scatter_atomic",
     "apply_laplacian",
     "build_gather_plan",
     "build_pyramid",

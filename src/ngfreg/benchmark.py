@@ -18,13 +18,7 @@ from .lbfgs import LbfgsConfig
 from .multilevel import MultilevelConfig, deformation_grid_for, register
 from .ngf import NgfParams, distance_and_gradient, precompute_reference_terms
 from .synthetic import smooth_random_field, smooth_random_volume
-from .transfer import (
-    apply_P,
-    apply_Pt_gather,
-    apply_Pt_redblack,
-    apply_Pt_scatter_atomic,
-    build_gather_plan,
-)
+from .transfer import PT_VARIANTS, apply_P, apply_Pt, build_gather_plan
 
 __all__ = ["BenchmarkRecord", "VariantDisagreement", "run_benchmark", "format_table"]
 
@@ -75,14 +69,11 @@ def verify_variant_agreement(dims, seed: int = 0, rel_tol: float = 1e-12, *,
     from .geometry import VectorField3
 
     r = VectorField3(image_grid, rng.standard_normal((3,) + image_grid.shape))
-    ref = apply_Pt_gather(r, plan).field
+    ref = apply_Pt(r, plan, "gather").field
     scale = np.max(np.abs(ref)) + 1.0
     for w in workers_list:
-        for name, fn in (
-            ("scatter", lambda: apply_Pt_scatter_atomic(r, def_grid, workers=w)),
-            ("redblack", lambda: apply_Pt_redblack(r, def_grid, workers=w)),
-        ):
-            diff = np.max(np.abs(fn().field - ref))
+        for name in ("scatter", "redblack"):
+            diff = np.max(np.abs(apply_Pt(r, plan, name, w).field - ref))
             if diff > rel_tol * scale:
                 raise VariantDisagreement(
                     f"P^T variant {name} with {w} workers deviates from gather "
@@ -94,7 +85,7 @@ def run_benchmark(
     dims=(64, 64, 64),
     workers_list=None,
     precisions=("f64",),
-    variants=("gather", "scatter", "redblack"),
+    variants=PT_VARIANTS,
     reps: int = 3,
     seed: int = 0,
     register_max_iter: int = 10,
@@ -130,13 +121,7 @@ def run_benchmark(
             records.append(BenchmarkRecord("apply_P", "-", precision, w, dims, reps,
                                            tmin, tmed, _checksum(yhat.field)))
             for variant in variants:
-                if variant == "gather":
-                    fn = lambda: apply_Pt_gather(yhat, plan, workers=w)
-                elif variant == "scatter":
-                    fn = lambda: apply_Pt_scatter_atomic(yhat, def_grid, workers=w)
-                else:
-                    fn = lambda: apply_Pt_redblack(yhat, def_grid, workers=w)
-                out, tmin, tmed = _time(fn, reps)
+                out, tmin, tmed = _time(lambda: apply_Pt(yhat, plan, variant, w), reps)
                 records.append(BenchmarkRecord("apply_Pt", variant, precision, w, dims,
                                                reps, tmin, tmed, _checksum(out.field)))
 

@@ -196,11 +196,16 @@ def _cmd_benchmark(args) -> int:
     dims = tuple(int(v) for v in args.dims.replace("x", ",").split(","))
     if len(dims) != 3:
         raise _UsageExit("--dims must have three comma-separated entries")
+    variants = [v.strip() for v in args.pt_variant.split(",")]
+    unknown = [v for v in variants if v not in PT_VARIANTS]
+    if unknown:
+        raise _UsageExit(f"unknown --pt-variant {', '.join(unknown)}; expected some of "
+                         f"{','.join(PT_VARIANTS)}")
     records = run_benchmark(
         dims=dims,
         workers_list=None if args.threads is None else [int(v) for v in args.threads.split(",")],
         precisions=[v.strip() for v in args.precision.split(",")],
-        variants=[v.strip() for v in args.pt_variant.split(",")],
+        variants=variants,
         reps=args.reps,
     )
     table = format_table(records)

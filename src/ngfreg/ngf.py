@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DeformationField, Grid3, Image3, VectorField3
+from .parallel import run_planes
 from .transfer import GatherPlan, apply_P, apply_Pt
 from .warp import (
-    WarpResult, _gradient_planes, _gradient_transpose_planes, _run_planes, image_gradient,
-    warp_image,
+    WarpResult, _gradient_planes, _gradient_transpose_planes, image_gradient, warp_image,
 )
 
 __all__ = [
@@ -156,8 +156,8 @@ def distance_and_gradient(
         _gradient_transpose_planes((q_z,), spacing, (2,), k0, k1, s[k0:k1])
         g_hat[:, k0:k1] *= s[k0:k1]
 
-    _run_planes(terms_and_q, nz, ny * nx, workers)
+    run_planes(terms_and_q, nz, ny * nx, workers)
     D = _distance(terms, h_bar)
-    _run_planes(gradient_chain, nz, ny * nx, workers)
+    run_planes(gradient_chain, nz, ny * nx, workers)
     grad_y = apply_Pt(VectorField3(image_grid, g_hat), plan, pt_variant, workers)
     return D, grad_y

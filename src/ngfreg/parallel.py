@@ -5,6 +5,9 @@ Each slab computation is a pure function writing to a disjoint output region,
 so results are independent of the worker count; for the gather-style
 operations they are bit-identical by construction.
 
+run_planes splits each slab further into chunks of whole z-planes of a fixed
+size; the warp, the NGF sweeps and P^T all chunk their work through it.
+
 Every threaded call runs on one persistent pool per worker count, created on
 first use. A call made from inside a pool thread runs inline, so nested calls
 cannot deadlock, and a call returns or raises only after all of its work has
@@ -15,6 +18,10 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+
+# Voxels per chunk of whole z-planes in run_planes: the kernels' temporaries
+# stay small and cache-resident instead of slab-sized.
+_CHUNK_VOXELS = 1 << 16
 
 _pools: dict[int, ThreadPoolExecutor] = {}
 _pools_lock = threading.Lock()
@@ -68,3 +75,15 @@ def run_slabs(fn, n: int, workers: int) -> None:
 def run_tasks(tasks, workers: int) -> list:
     """Run a list of zero-argument callables, threaded when workers > 1."""
     return _run_all([(t, ()) for t in tasks], workers)
+
+
+def run_planes(fn, nz: int, plane_voxels: int, workers: int) -> None:
+    """Run fn(k0, k1) over chunks of whole z-planes of about _CHUNK_VOXELS
+    voxels; the slabs of the worker partition are split into such chunks."""
+    step = max(1, _CHUNK_VOXELS // plane_voxels)
+
+    def do_slab(lo, hi):
+        for k0 in range(lo, hi, step):
+            fn(k0, min(k0 + step, hi))
+
+    run_slabs(do_slab, nz, workers)

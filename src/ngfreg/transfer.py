@@ -4,15 +4,19 @@ The conversion operator P is separable trilinear interpolation from
 deformation-grid cell centers to image-grid cell centers, with clamp-to-edge
 extrapolation outside the coarse cell-center hull (weights always sum to 1).
 
-Three strategies compute the exact transpose P^T of the same operator:
+Its exact transpose P^T has one plan per grid pair (GatherPlan) and one xy
+reduction: the input is contracted along x, then y, per chunk of whole image
+z-planes, into a small (3, nz_image, ny_def, nx_def) buffer. Three schedules
+then accumulate that buffer along z; they are the strategies the matrix-free
+scheme compares:
 
-* gather      -- each deformation-grid point sums its weighted image-grid
-                 range (x inner, then y, then z); conflict-free and
-                 bit-deterministic for any worker count.
-* scatter     -- parallel over image slices, accumulating into shared
-                 outputs under a lock (the atomic-add style).
-* red-black   -- image slices grouped by the deformation slab they feed;
-                 alternating slab colors run without write conflicts.
+* gather      -- each output z-plane sums its weighted image planes in a fixed
+                 ascending order; conflict-free and bit-identical for any
+                 worker count.
+* scatter     -- parallel over image planes, each added into the two output
+                 planes it feeds under a lock (the atomic-add style).
+* redblack    -- image planes grouped by the lower output plane they feed;
+                 groups of alternating parity run without write conflicts.
 """
 
 from __future__ import annotations
@@ -23,20 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DeformationField, Grid3, GridError, VectorField3
-from .parallel import run_slabs
+from .parallel import run_planes, run_slabs
 
 __all__ = [
     "GatherPlan",
     "apply_P",
     "apply_Pt",
-    "apply_Pt_gather",
-    "apply_Pt_redblack",
-    "apply_Pt_scatter_atomic",
     "build_gather_plan",
     "dense_P_oracle",
 ]
-
-PT_VARIANTS = ("gather", "scatter", "redblack")
 
 
 def check_compatible(def_grid: Grid3, image_grid: Grid3) -> None:
@@ -77,12 +76,11 @@ class GatherPlan:
     def_grid: Grid3
     image_grid: Grid3
     axes: tuple[AxisPlan, AxisPlan, AxisPlan]  # x, y, z
+    z_transfer: tuple[np.ndarray, np.ndarray]  # (i0, w1) of _axis_transfer along z
 
 
-def _build_axis_plan(image_grid: Grid3, def_grid: Grid3, axis: int) -> AxisPlan:
-    i0, w1 = _axis_transfer(image_grid, def_grid, axis)
+def _build_axis_plan(i0: np.ndarray, w1: np.ndarray, nd: int) -> AxisPlan:
     ni = len(i0)
-    nd = def_grid.dims[axis]
     start = np.empty(nd, dtype=np.intp)
     counts = np.empty(nd, dtype=np.intp)
     rows = []
@@ -103,10 +101,12 @@ def _build_axis_plan(image_grid: Grid3, def_grid: Grid3, axis: int) -> AxisPlan:
 
 def build_gather_plan(def_grid: Grid3, image_grid: Grid3) -> GatherPlan:
     check_compatible(def_grid, image_grid)
+    transfers = [_axis_transfer(image_grid, def_grid, a) for a in range(3)]
     return GatherPlan(
         def_grid=def_grid,
         image_grid=image_grid,
-        axes=tuple(_build_axis_plan(image_grid, def_grid, a) for a in range(3)),
+        axes=tuple(_build_axis_plan(*t, def_grid.dims[a]) for a, t in enumerate(transfers)),
+        z_transfer=transfers[2],
     )
 
 
@@ -165,105 +165,77 @@ def _gather_block(arr: np.ndarray, ap: AxisPlan, axis: int, rows: slice | None =
     return out
 
 
-def _validate_pt_input(r: VectorField3, plan: GatherPlan) -> None:
-    if r.grid != plan.image_grid:
-        raise GridError("input field grid does not match the plan's image grid")
+def _z_gather(xy: np.ndarray, out: np.ndarray, plan: GatherPlan, workers: int) -> None:
+    """Each output z-slab gathers its weighted image planes."""
+    zp = plan.axes[2]
+
+    def do_slab(lo, hi):
+        out[:, lo:hi] = _gather_block(xy, zp, axis=1, rows=slice(lo, hi))
+
+    run_slabs(do_slab, out.shape[1], workers)
 
 
-def apply_Pt_gather(r: VectorField3, plan: GatherPlan, workers: int = 1) -> VectorField3:
-    """P^T via per-output gathering; bit-identical for any worker count."""
-    _validate_pt_input(r, plan)
-    xp, yp, zp = plan.axes
-    nz_img = plan.image_grid.shape[0]
-    nz_def = plan.def_grid.shape[0]
-    out = np.empty((3,) + plan.def_grid.shape, dtype=r.field.dtype)
-    for c in range(3):
-        tmp = np.empty((nz_img, plan.def_grid.dims[1], plan.def_grid.dims[0]), dtype=r.field.dtype)
-
-        def do_xy(lo, hi):
-            tmp[lo:hi] = _gather_block(_gather_block(r.field[c, lo:hi], xp, axis=2), yp, axis=1)
-
-        run_slabs(do_xy, nz_img, workers)
-
-        def do_z(lo, hi):
-            out[c, lo:hi] = _gather_block(tmp, zp, axis=0, rows=slice(lo, hi))
-
-        run_slabs(do_z, nz_def, workers)
-    return VectorField3(plan.def_grid, out)
+def _add_plane(out: np.ndarray, xy: np.ndarray, k: int, plan: GatherPlan) -> None:
+    """Add image plane k of xy into the two output z-planes it interpolates
+    from, weighted (1 - w1, w1)."""
+    i0, w1z = plan.z_transfer
+    d0 = i0[k]
+    w1 = out.dtype.type(w1z[k])
+    out[:, d0] += (out.dtype.type(1) - w1) * xy[:, k]
+    if w1 != 0:
+        out[:, d0 + 1] += w1 * xy[:, k]
 
 
-def _reduce_slice_xy(sl: np.ndarray, xp: AxisPlan, yp: AxisPlan) -> np.ndarray:
-    return _gather_block(_gather_block(sl, xp, axis=1), yp, axis=0)
-
-
-def apply_Pt_scatter_atomic(r: VectorField3, def_grid: Grid3, workers: int = 1) -> VectorField3:
-    """P^T scattering image slices into shared outputs under a lock."""
-    check_compatible(def_grid, r.grid)
-    xp = _build_axis_plan(r.grid, def_grid, 0)
-    yp = _build_axis_plan(r.grid, def_grid, 1)
-    i0z, w1z = _axis_transfer(r.grid, def_grid, 2)
-    nz_img = r.grid.shape[0]
-    out = np.zeros((3,) + def_grid.shape, dtype=r.field.dtype)
+def _z_scatter(xy: np.ndarray, out: np.ndarray, plan: GatherPlan, workers: int) -> None:
+    """Slabs of image planes add into shared output planes under one lock."""
     lock = threading.Lock()
 
     def do_slab(lo, hi):
         for k in range(lo, hi):
-            d0 = i0z[k]
-            w1 = r.field.dtype.type(w1z[k])
-            w0 = r.field.dtype.type(1) - w1
-            for c in range(3):
-                sl = _reduce_slice_xy(r.field[c, k], xp, yp)
-                with lock:
-                    out[c, d0] += w0 * sl
-                    if w1 != 0:
-                        out[c, d0 + 1] += w1 * sl
+            with lock:
+                _add_plane(out, xy, k, plan)
 
-    run_slabs(do_slab, nz_img, workers)
-    return VectorField3(def_grid, out)
+    run_slabs(do_slab, xy.shape[1], workers)
 
 
-def apply_Pt_redblack(r: VectorField3, def_grid: Grid3, workers: int = 1) -> VectorField3:
-    """P^T with image slices grouped by target deformation slab; alternating
-    slab colors run concurrently without write conflicts."""
-    check_compatible(def_grid, r.grid)
-    xp = _build_axis_plan(r.grid, def_grid, 0)
-    yp = _build_axis_plan(r.grid, def_grid, 1)
-    i0z, w1z = _axis_transfer(r.grid, def_grid, 2)
-    out = np.zeros((3,) + def_grid.shape, dtype=r.field.dtype)
-
-    groups: dict[int, list[int]] = {}
-    for k in range(r.grid.shape[0]):
-        groups.setdefault(int(i0z[k]), []).append(k)
-
-    def do_group(d0):
-        for k in groups[d0]:
-            w1 = r.field.dtype.type(w1z[k])
-            w0 = r.field.dtype.type(1) - w1
-            for c in range(3):
-                sl = _reduce_slice_xy(r.field[c, k], xp, yp)
-                out[c, d0] += w0 * sl
-                if w1 != 0:
-                    out[c, d0 + 1] += w1 * sl
-
+def _z_redblack(xy: np.ndarray, out: np.ndarray, plan: GatherPlan, workers: int) -> None:
+    """Image planes grouped by the lower output plane d0 they feed; a group
+    writes planes d0 and d0 + 1 only, so groups of one parity of d0 run
+    concurrently, even ones first."""
+    i0 = plan.z_transfer[0]
     for parity in (0, 1):
-        color = sorted(d for d in groups if d % 2 == parity)
+        color = [d for d in np.unique(i0) if d % 2 == parity]
 
         def do_slab(lo, hi):
             for d0 in color[lo:hi]:
-                do_group(d0)
+                for k in np.flatnonzero(i0 == d0):
+                    _add_plane(out, xy, k, plan)
 
         run_slabs(do_slab, len(color), workers)
-    return VectorField3(def_grid, out)
+
+
+_Z_SCHEDULES = {"gather": _z_gather, "scatter": _z_scatter, "redblack": _z_redblack}
+PT_VARIANTS = tuple(_Z_SCHEDULES)
 
 
 def apply_Pt(r: VectorField3, plan: GatherPlan, variant: str = "gather", workers: int = 1) -> VectorField3:
-    if variant == "gather":
-        return apply_Pt_gather(r, plan, workers)
-    if variant == "scatter":
-        return apply_Pt_scatter_atomic(r, plan.def_grid, workers)
-    if variant == "redblack":
-        return apply_Pt_redblack(r, plan.def_grid, workers)
-    raise ValueError(f"unknown P^T variant {variant!r}, expected one of {PT_VARIANTS}")
+    """P^T r: the plan's xy reduction, then the variant's z schedule."""
+    z_schedule = _Z_SCHEDULES.get(variant)
+    if z_schedule is None:
+        raise ValueError(f"unknown P^T variant {variant!r}, expected one of {PT_VARIANTS}")
+    if r.grid != plan.image_grid:
+        raise GridError("input field grid does not match the plan's image grid")
+    xp, yp, _ = plan.axes
+    nz, ny, nx = plan.image_grid.shape
+    xy = np.empty((3, nz) + plan.def_grid.shape[1:], dtype=r.field.dtype)
+
+    def reduce_xy(k0, k1):
+        xy[:, k0:k1] = _gather_block(_gather_block(r.field[:, k0:k1], xp, axis=3), yp, axis=2)
+
+    run_planes(reduce_xy, nz, ny * nx, workers)
+    out = np.zeros((3,) + plan.def_grid.shape, dtype=r.field.dtype)
+    z_schedule(xy, out, plan, workers)
+    return VectorField3(plan.def_grid, out)
 
 
 def dense_P_oracle(def_grid: Grid3, image_grid: Grid3) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Grid3, Image3, VectorField3
-from .parallel import run_slabs
+from .parallel import run_planes
 
 __all__ = [
     "WarpResult",
@@ -23,11 +23,6 @@ __all__ = [
     "image_gradient_apply_transpose",
     "warp_image",
 ]
-
-# Voxels per kernel call. The warp walks each slab in chunks of whole
-# z-planes of about this size, so the kernel's temporaries stay small and
-# cache-resident instead of slab-sized.
-_CHUNK_VOXELS = 1 << 16
 
 
 @dataclass
@@ -107,7 +102,7 @@ def warp_image(template: Image3, yhat: VectorField3, workers: int = 1, *,
         if partials:
             grads[:, k0:k1] = d
 
-    _run_planes(do_chunk, nz, ny * nx, workers)
+    run_planes(do_chunk, nz, ny * nx, workers)
     return WarpResult(warped=Image3(yhat.grid, out), inside_mask=mask, partials=grads)
 
 
@@ -183,23 +178,11 @@ def _gradient_transpose_planes(w, spacing, axes, k0: int, k1: int, out: np.ndarr
         out += o
 
 
-def _run_planes(fn, nz: int, plane_voxels: int, workers: int) -> None:
-    """Run fn(k0, k1) over chunks of whole z-planes of about _CHUNK_VOXELS
-    voxels; the slabs of the worker partition are split into such chunks."""
-    step = max(1, _CHUNK_VOXELS // plane_voxels)
-
-    def do_slab(lo, hi):
-        for k0 in range(lo, hi, step):
-            fn(k0, min(k0 + step, hi))
-
-    run_slabs(do_slab, nz, workers)
-
-
 def image_gradient(img: Image3, workers: int = 1) -> VectorField3:
     """Finite-difference spatial gradient on the image grid."""
     g = img.grid
     out = np.empty((3,) + g.shape, dtype=img.values.dtype)
-    _run_planes(lambda k0, k1: _gradient_planes(img.values, g.spacing, k0, k1, out[:, k0:k1]),
+    run_planes(lambda k0, k1: _gradient_planes(img.values, g.spacing, k0, k1, out[:, k0:k1]),
                 g.shape[0], g.shape[1] * g.shape[2], workers)
     return VectorField3(g, out)
 

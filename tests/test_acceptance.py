@@ -47,9 +47,7 @@ from ngfreg.synthetic import (
 )
 from ngfreg.transfer import (
     apply_P,
-    apply_Pt_gather,
-    apply_Pt_redblack,
-    apply_Pt_scatter_atomic,
+    apply_Pt,
     build_gather_plan,
     dense_P_oracle,
 )
@@ -71,14 +69,6 @@ def _random_pair(rng, lo=1, hi=9):
     hd = tuple(n * s / m for n, s, m in zip(di, h, dd))
     od = tuple(oo - s / 2 + sd / 2 for oo, s, sd in zip(o, h, hd))
     return Grid3(dd, hd, od), gi
-
-
-def _variant_apply(variant, r, plan):
-    if variant == "gather":
-        return apply_Pt_gather(r, plan)
-    if variant == "scatter":
-        return apply_Pt_scatter_atomic(r, plan.def_grid)
-    return apply_Pt_redblack(r, plan.def_grid)
 
 
 # ---------------------------------------------------------------- shared data
@@ -124,7 +114,7 @@ def test_criterion_1_adjoint_correctness(capsys):
         z = VectorField3(gi, rng.standard_normal((3,) + gi.shape))
         lhs = float(np.sum(apply_P(x, gi).field * z.field))
         for variant in ("gather", "scatter", "redblack"):
-            rhs = float(np.sum(x.field * _variant_apply(variant, z, plan).field))
+            rhs = float(np.sum(x.field * apply_Pt(z, plan, variant).field))
             worst = max(worst, abs(lhs - rhs) / (abs(lhs) + 1))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 10
@@ -160,7 +150,7 @@ def test_criterion_2_dense_oracle_equivalence(capsys):
         plan = build_gather_plan(gd, gi)
         r = VectorField3(gi, rng.standard_normal((3,) + gi.shape))
         for variant in ("gather", "scatter", "redblack"):
-            out = _variant_apply(variant, r, plan)
+            out = apply_Pt(r, plan, variant)
             for c in range(3):
                 ref = (P.T @ r.field[c].ravel()).reshape(gd.shape)
                 scale = max(1.0, float(np.abs(ref).max()))

@@ -17,12 +17,15 @@ def test_verify_variant_agreement_passes_on_small_volume():
 def test_verify_variant_agreement_detects_a_broken_variant(monkeypatch):
     import ngfreg.benchmark as bm
 
-    def broken(r, def_grid, workers=1):
-        out = bm.apply_Pt_redblack(r, def_grid, workers)
-        out.field[0, 0, 0, 0] += 1.0
+    apply_Pt = bm.apply_Pt
+
+    def broken(r, plan, variant="gather", workers=1):
+        out = apply_Pt(r, plan, variant, workers)
+        if variant == "scatter":
+            out.field[0, 0, 0, 0] += 1.0
         return out
 
-    monkeypatch.setattr(bm, "apply_Pt_scatter_atomic", broken)
+    monkeypatch.setattr(bm, "apply_Pt", broken)
     with pytest.raises(VariantDisagreement, match="scatter"):
         verify_variant_agreement((12, 10, 8))
 
@@ -30,13 +33,15 @@ def test_verify_variant_agreement_detects_a_broken_variant(monkeypatch):
 def test_verify_variant_agreement_checks_every_worker_count(monkeypatch):
     import ngfreg.benchmark as bm
 
-    def broken_when_threaded(r, def_grid, workers=1):
-        out = bm.apply_Pt_redblack(r, def_grid, workers)
-        if workers > 1:
+    apply_Pt = bm.apply_Pt
+
+    def broken_when_threaded(r, plan, variant="gather", workers=1):
+        out = apply_Pt(r, plan, variant, workers)
+        if variant == "scatter" and workers > 1:
             out.field[0, 0, 0, 0] += 1e-9 * (np.abs(out.field).max() + 1.0)
         return out
 
-    monkeypatch.setattr(bm, "apply_Pt_scatter_atomic", broken_when_threaded)
+    monkeypatch.setattr(bm, "apply_Pt", broken_when_threaded)
     verify_variant_agreement((12, 10, 8))
     with pytest.raises(VariantDisagreement, match="scatter with 2 workers"):
         verify_variant_agreement((12, 10, 8), workers_list=(1, 2))

@@ -176,3 +176,12 @@ def test_benchmark_smoke(tmp_path, capsys):
 
 def test_benchmark_bad_dims_is_usage_error():
     assert main(["benchmark", "--dims", "12,12"]) == EXIT_USAGE
+
+
+def test_benchmark_unknown_variant_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "bench.tsv"
+    rc = main(["benchmark", "--dims", "8,8,8", "--pt-variant", "gather,bogus",
+               "--reps", "3", "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "bogus" in capsys.readouterr().err
+    assert not out.exists()

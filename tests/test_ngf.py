@@ -162,9 +162,9 @@ def test_bytes_identical_across_workers_and_chunks(rng, monkeypatch):
     # 29 z-planes of 41 x 37: the slabs of 1, 2 and 3 workers end inside the
     # kernel's chunks of z-planes, at the module's chunk size and at 7 and 1
     # planes; 3 z-planes: every slab and chunk touches a boundary row of G^T
-    from ngfreg import warp
+    from ngfreg import parallel
 
-    chunks = (warp._CHUNK_VOXELS, 7 * 41 * 37, 41 * 37)
+    chunks = (parallel._CHUNK_VOXELS, 7 * 41 * 37, 41 * 37)
     for dims, def_dims in (((37, 41, 29), (10, 11, 8)), ((37, 41, 3), (10, 11, 2))):
         gi = _grid(dims)
         gd = Grid3(def_dims,
@@ -178,10 +178,10 @@ def test_bytes_identical_across_workers_and_chunks(rng, monkeypatch):
         plan = build_gather_plan(gd, gi)
         y = DeformationField(gd, make_identity(gd).field
                              + 1.5 * rng.standard_normal((3,) + gd.shape))
-        monkeypatch.setattr(warp, "_CHUNK_VOXELS", chunks[0])
+        monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunks[0])
         D0, g0 = distance_and_gradient(y, ref, T, plan, params, workers=1)
         for chunk in chunks:
-            monkeypatch.setattr(warp, "_CHUNK_VOXELS", chunk)
+            monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunk)
             for w in (1, 2, 3):
                 D, g = distance_and_gradient(y, ref, T, plan, params, workers=w)
                 assert D == D0

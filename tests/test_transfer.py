@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from ngfreg.geometry import DeformationField, Grid3, GridError, VectorField3, make_identity
-from ngfreg.transfer import (
-    apply_P,
-    apply_Pt_gather,
-    apply_Pt_redblack,
-    apply_Pt_scatter_atomic,
-    build_gather_plan,
-    dense_P_oracle,
-)
+from ngfreg import parallel
+from ngfreg.transfer import PT_VARIANTS, apply_P, apply_Pt, build_gather_plan, dense_P_oracle
 
 from conftest import random_grid_pair
 
@@ -96,16 +90,16 @@ def test_pt_identity_when_grids_match(rng):
     g = _grid((3, 5, 4))
     plan = build_gather_plan(g, g)
     r = VectorField3(g, rng.standard_normal((3,) + g.shape))
-    assert np.array_equal(apply_Pt_gather(r, plan).field, r.field)
-    assert np.array_equal(apply_Pt_scatter_atomic(r, g).field, r.field)
-    assert np.array_equal(apply_Pt_redblack(r, g).field, r.field)
+    for variant in PT_VARIANTS:
+        assert np.array_equal(apply_Pt(r, plan, variant).field, r.field)
 
 
 def test_pt_zero_input(rng):
     gd, gi = random_grid_pair(rng)
+    plan = build_gather_plan(gd, gi)
     r = VectorField3(gi, np.zeros((3,) + gi.shape))
-    assert np.all(apply_Pt_scatter_atomic(r, gd).field == 0)
-    assert np.all(apply_Pt_redblack(r, gd).field == 0)
+    for variant in PT_VARIANTS:
+        assert np.all(apply_Pt(r, plan, variant).field == 0)
 
 
 def test_all_variants_match_dense_oracle(rng):
@@ -114,11 +108,8 @@ def test_all_variants_match_dense_oracle(rng):
         P = dense_P_oracle(gd, gi)
         plan = build_gather_plan(gd, gi)
         r = VectorField3(gi, rng.standard_normal((3,) + gi.shape))
-        for out in (
-            apply_Pt_gather(r, plan),
-            apply_Pt_scatter_atomic(r, gd),
-            apply_Pt_redblack(r, gd),
-        ):
+        for variant in PT_VARIANTS:
+            out = apply_Pt(r, plan, variant)
             for c in range(3):
                 ref = (P.T @ r.field[c].ravel()).reshape(gd.shape)
                 assert np.max(np.abs(out.field[c] - ref)) < 1e-13 * (np.abs(ref).max() + 1)
@@ -132,17 +123,28 @@ def test_adjoint_identity(rng):
         z = VectorField3(gi, rng.standard_normal((3,) + gi.shape))
         px = apply_P(y, gi)
         lhs = float(np.sum(px.field * z.field))
-        rhs = float(np.sum(y.field * apply_Pt_gather(z, plan).field))
-        assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + 1)
+        for variant in PT_VARIANTS:
+            rhs = float(np.sum(y.field * apply_Pt(z, plan, variant).field))
+            assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + 1)
 
 
-def test_gather_bit_identical_across_workers(rng):
-    gd, gi = random_grid_pair(rng)
-    plan = build_gather_plan(gd, gi)
-    r = VectorField3(gi, rng.standard_normal((3,) + gi.shape))
-    base = apply_Pt_gather(r, plan, workers=1).field
-    for w in (2, 8):
-        assert np.array_equal(apply_Pt_gather(r, plan, workers=w).field, base)
+def test_gather_bit_identical_across_workers(rng, monkeypatch):
+    # gather and redblack are bit-identical for any worker count (README);
+    # a one-plane chunk size also splits the xy reduction at every z-plane.
+    # The second pair feeds about 6 image planes into each output plane, so
+    # a summation order that followed the worker partition would show.
+    chunks = (parallel._CHUNK_VOXELS, 1)
+    gi = _grid((9, 7, 31))
+    for gd, gi in (random_grid_pair(rng), (_def_grid_like(gi, (3, 2, 5)), gi)):
+        plan = build_gather_plan(gd, gi)
+        r = VectorField3(gi, rng.standard_normal((3,) + gi.shape))
+        for variant in ("gather", "redblack"):
+            base = apply_Pt(r, plan, variant, workers=1).field
+            for chunk in chunks:
+                monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunk)
+                for w in (1, 2, 8):
+                    out = apply_Pt(r, plan, variant, workers=w).field
+                    assert out.tobytes() == base.tobytes()
 
 
 def test_apply_P_bit_identical_across_workers(rng):
@@ -158,10 +160,10 @@ def test_variants_agree_on_random_inputs(rng):
         gd, gi = random_grid_pair(rng)
         plan = build_gather_plan(gd, gi)
         r = VectorField3(gi, rng.standard_normal((3,) + gi.shape))
-        a = apply_Pt_gather(r, plan).field
+        a = apply_Pt(r, plan, "gather").field
         scale = np.abs(a).max() + 1
-        for out in (apply_Pt_scatter_atomic(r, gd, workers=4),
-                    apply_Pt_redblack(r, gd, workers=4)):
+        for variant in ("scatter", "redblack"):
+            out = apply_Pt(r, plan, variant, workers=4)
             assert np.max(np.abs(out.field - a)) <= 1e-12 * scale
 
 
@@ -185,5 +187,14 @@ def test_pt_rejects_mismatched_plan(rng):
     plan = build_gather_plan(gd, gi)
     other = Grid3(tuple(d + 1 for d in gi.dims), gi.spacing, gi.origin)
     r = VectorField3(other, np.zeros((3,) + other.shape))
-    with pytest.raises(GridError):
-        apply_Pt_gather(r, plan)
+    for variant in PT_VARIANTS:
+        with pytest.raises(GridError):
+            apply_Pt(r, plan, variant)
+
+
+def test_pt_rejects_unknown_variant(rng):
+    gd, gi = random_grid_pair(rng)
+    plan = build_gather_plan(gd, gi)
+    r = VectorField3(gi, np.zeros((3,) + gi.shape))
+    with pytest.raises(ValueError, match="bogus"):
+        apply_Pt(r, plan, "bogus")
