@@ -6,6 +6,8 @@ deformation the solver should recover. We register, then score the result
 by evaluating the recovered deformation on a probe lattice against m.
 """
 
+import os
+
 import numpy as np
 
 from ngfreg import (
@@ -29,14 +31,14 @@ before = np.linalg.norm(truth - pts, axis=1)
 print(f"probe error before registration: mean {before.mean():.3f} mm, "
       f"max {before.max():.3f} mm")
 
-cfg = MultilevelConfig(coarsest_min_dim=12, alpha=1.0, workers=4)
+cfg = MultilevelConfig(coarsest_min_dim=12, alpha=1.0, workers=os.cpu_count() or 1)
 y, report = register(R, T, cfg)
 
 print(f"\nregistered in {report.seconds_total:.1f} s over {len(report.levels)} levels:")
 for lv in report.levels:
     print(f"  level {lv.level_index}: image {lv.image_dims}, "
           f"deformation {lv.def_dims}, {lv.iterations} iterations, "
-          f"stopped: {lv.stop_reason}")
+          f"{lv.evaluations} evaluations, stopped: {lv.stop_reason}")
     if lv.J_trace:
         J0, D0, S0 = lv.J_trace[0]
         J1, D1, S1 = lv.J_trace[-1]

@@ -103,36 +103,39 @@ def _write_report(path: str, report: RegistrationReport) -> None:
             f"image_dims = {lv.image_dims[0]} {lv.image_dims[1]} {lv.image_dims[2]}",
             f"def_dims = {lv.def_dims[0]} {lv.def_dims[1]} {lv.def_dims[2]}",
             f"iterations = {lv.iterations}",
+            f"evaluations = {lv.evaluations}",
             f"stop_reason = {lv.stop_reason}",
             f"line_search_failed = {lv.line_search_failed}",
             f"seconds_setup = {lv.seconds_setup:.6f}",
             f"seconds_optimize = {lv.seconds_optimize:.6f}",
-            "iter\tJ\tD\tS\tgrad_inf\tstep",
+            "iter\tJ\tD\tS\tgrad_inf\tstep\tls_evals",
         ]
         for rec, (J, D, S) in zip(lv.records, lv.J_trace):
             lines.append(
                 f"{rec.iteration}\t{J:.10e}\t{D:.10e}\t{S:.10e}\t"
-                f"{rec.grad_inf:.6e}\t{rec.step:.3e}"
+                f"{rec.grad_inf:.6e}\t{rec.step:.3e}\t{rec.ls_evals}"
             )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _cmd_register(args) -> int:
-    dtype = precision_dtype(args.precision)
+    try:
+        cfg = MultilevelConfig(
+            num_levels=None if args.levels == "auto" else int(args.levels),
+            grid_ratio=args.grid_ratio,
+            alpha=args.alpha,
+            ngf=NgfParams(tau=args.tau, rho=args.rho),
+            lbfgs=LbfgsConfig(max_iterations=args.max_iter),
+            precision=args.precision,
+            workers=args.threads,
+            pt_variant=args.pt_variant,
+        )
+    except ValueError as e:
+        raise _UsageExit(str(e)) from None
+    dtype = precision_dtype(cfg.precision)
     R = fileio.read_volume(args.reference, promote_dtype=dtype)
     T = fileio.read_volume(args.template, promote_dtype=dtype)
-    levels = None if args.levels == "auto" else int(args.levels)
-    cfg = MultilevelConfig(
-        num_levels=levels,
-        grid_ratio=args.grid_ratio,
-        alpha=args.alpha,
-        ngf=NgfParams(tau=args.tau, rho=args.rho),
-        lbfgs=LbfgsConfig(max_iterations=args.max_iter),
-        precision=args.precision,
-        workers=args.threads,
-        pt_variant=args.pt_variant,
-    )
     y, report = register(R, T, cfg)
     fileio.write_deformation(y, args.out_deformation)
     if args.out_warped:

@@ -3,10 +3,17 @@
 Drives one multilevel level. History pairs are filtered for positive
 curvature so the two-loop recursion always produces a descent direction;
 a failed line search ends the level gracefully with the best iterate.
+
+The line search backtracks from ``initial_step`` by ``step_shrink`` and
+stops at the first trial that satisfies the Armijo condition; it never
+tries a step longer than ``initial_step`` (Nocedal & Wright, Numerical
+Optimization, Alg. 3.1). The accepted trial is therefore always the last
+objective evaluation of its iteration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +38,12 @@ class LbfgsConfig:
             raise ValueError("c1 must be in (0, 1)")
         if not (0 < self.step_shrink < 1):
             raise ValueError("step_shrink must be in (0, 1)")
+        if not (math.isfinite(self.initial_step) and self.initial_step > 0):
+            raise ValueError("initial_step must be finite and > 0")
+        if self.max_ls_steps < 1:
+            raise ValueError("max_ls_steps must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -116,31 +129,16 @@ def lbfgs_minimize(f, x0: np.ndarray, cfg: LbfgsConfig = LbfgsConfig(),
             history.clear()
 
         t = cfg.initial_step
-        accepted = False
-        ls_evals = 0
-        for _ in range(cfg.max_ls_steps):
+        for ls_evals in range(1, cfg.max_ls_steps + 1):
             x_new = x + x.dtype.type(t) * d
             J_new, g_new = f(x_new)
-            ls_evals += 1
             if np.isfinite(J_new) and J_new <= J + cfg.c1 * t * slope:
-                accepted = True
                 break
             t *= cfg.step_shrink
-        if not accepted:
+        else:
             trace.stop_reason = "line search failed"
             trace.line_search_failed = True
             return x, trace
-        if t == cfg.initial_step:
-            # forward expansion: grow the step while Armijo keeps holding
-            while ls_evals < cfg.max_ls_steps:
-                t_try = t / cfg.step_shrink
-                x_try = x + x.dtype.type(t_try) * d
-                J_try, g_try = f(x_try)
-                ls_evals += 1
-                if np.isfinite(J_try) and J_try <= J + cfg.c1 * t_try * slope and J_try < J_new:
-                    t, x_new, J_new, g_new = t_try, x_try, J_try, g_try
-                else:
-                    break
 
         s = x_new - x
         yv = np.asarray(g_new) - g
@@ -175,7 +173,5 @@ def lbfgs_minimize(f, x0: np.ndarray, cfg: LbfgsConfig = LbfgsConfig(),
                 trace.stop_reason = "step below tolerance"
                 break
     else:
-        trace.stop_reason = "max iterations"
-    if not trace.stop_reason:
         trace.stop_reason = "max iterations"
     return x, trace

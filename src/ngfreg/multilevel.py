@@ -8,7 +8,7 @@ solved with L-BFGS and the solution is prolonged to the next finer grid.
 
 from __future__ import annotations
 
-import math
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -79,6 +79,7 @@ class LevelReport:
     image_dims: tuple[int, int, int]
     def_dims: tuple[int, int, int]
     iterations: int
+    evaluations: int  # objective evaluations; 1 + sum(ls_evals) unless the line search failed
     stop_reason: str
     line_search_failed: bool
     records: list[IterationRecord]
@@ -223,15 +224,16 @@ def register(R: Image3, T: Image3, cfg: MultilevelConfig = MultilevelConfig()):
         y = DeformationField(def_grid, x.reshape((3,) + def_grid.shape))
         opt_s = time.perf_counter() - t0
 
-        # rebuild the accepted-iterate (J, D, S) rows from the evaluation log
-        j_rows = {J: (J, D, S) for (J, D, S) in traceJ}
-        accepted = [j_rows.get(r.J, (r.J, math.nan, math.nan)) for r in trace.records]
+        # the accepted trial is the last evaluation of its iteration and row 0
+        # of the log is the start point
+        accepted = [traceJ[k] for k in itertools.accumulate(r.ls_evals for r in trace.records)]
         final_g = trace.records[-1].grad_inf if trace.records else 0.0
         report.levels.append(LevelReport(
             level_index=lvl,
             image_dims=image_grid.dims,
             def_dims=def_grid.dims,
             iterations=trace.iterations,
+            evaluations=len(traceJ),
             stop_reason=trace.stop_reason,
             line_search_failed=trace.line_search_failed,
             records=trace.records,

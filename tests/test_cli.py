@@ -26,6 +26,14 @@ def test_usage_errors():
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag", [["--max-iter", "0"], ["--max-iter", "-3"], ["--alpha", "0"]])
+def test_register_bad_config_is_usage_error_before_reading(tmp_path, flag):
+    # the inputs do not exist: a usage error shows the config was checked first
+    assert main(["register", "--reference", str(tmp_path / "no.mha"),
+                 "--template", str(tmp_path / "no2.mha"),
+                 "--out-deformation", str(tmp_path / "y.mha")] + flag) == EXIT_USAGE
+
+
 def test_missing_input_is_io_error(tmp_path):
     out = str(tmp_path / "y.mha")
     assert main(["register", "--reference", str(tmp_path / "no.mha"),
@@ -60,6 +68,13 @@ def test_register_warp_evaluate_roundtrip(pair, tmp_path, capsys):
     assert warped.grid == g
     rep_text = open(report).read()
     assert "[level 0]" in rep_text and "iterations" in rep_text
+    # each level's evaluation count is the start point plus its ls_evals column
+    for block in rep_text.split("[level ")[1:]:
+        lines = block.splitlines()
+        evals = int(next(ln for ln in lines if ln.startswith("evaluations = ")).split()[-1])
+        head = lines.index("iter\tJ\tD\tS\tgrad_inf\tstep\tls_evals")
+        rows = [ln.split("\t") for ln in lines[head + 1:] if ln]
+        assert rows and evals == 1 + sum(int(r[6]) for r in rows)
 
     # warp again via the CLI and compare against the register output
     w2 = str(tmp_path / "warped2.mha")

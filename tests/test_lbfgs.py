@@ -38,6 +38,44 @@ def test_config_validation():
         StoppingRules(tol_J=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"initial_step": 0.0}, {"initial_step": -1.0}, {"initial_step": float("nan")},
+    {"initial_step": float("inf")}, {"max_ls_steps": 0}, {"max_iterations": 0},
+    {"max_iterations": -3},
+])
+def test_config_rejects_what_the_line_search_cannot_honour(kwargs):
+    # initial_step=0 used to return the start point as "converged"
+    with pytest.raises(ValueError):
+        LbfgsConfig(**kwargs)
+
+
+@pytest.mark.parametrize("eig_max", [1.5, 40.0])
+def test_line_search_backtracks_from_initial_step_only(rng, eig_max):
+    # every unit step passes Armijo on the well-scaled quadratic; the badly
+    # scaled one makes some iterations backtrack
+    n = 20
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (Q * rng.uniform(0.5, eig_max, n)) @ Q.T
+    b = rng.standard_normal(n)
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 0.5 * float(x @ (A @ x)) - float(b @ x), A @ x - b
+
+    cfg = LbfgsConfig()
+    _, trace = lbfgs_minimize(f, np.zeros(n), cfg)
+    assert trace.iterations >= 3
+    assert len(calls) == 1 + sum(r.ls_evals for r in trace.records)
+    for r in trace.records:
+        assert r.step == cfg.initial_step * cfg.step_shrink ** (r.ls_evals - 1)
+        assert r.step <= cfg.initial_step
+    if eig_max < 2:
+        assert all(r.ls_evals == 1 for r in trace.records)
+    else:
+        assert any(r.ls_evals > 1 for r in trace.records)
+
+
 def test_two_loop_empty_history_is_steepest_descent(rng):
     g = rng.standard_normal(8)
     assert np.array_equal(two_loop_direction([], g), -g)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ngfreg import multilevel
 from ngfreg.geometry import DeformationField, Grid3, GridError, Image3, make_identity
 from ngfreg.lbfgs import LbfgsConfig
 from ngfreg.multilevel import (
@@ -188,3 +189,35 @@ def test_identical_images_stay_near_identity_in_interior():
     drift = np.linalg.norm(sample_deformation(y, pts) - pts, axis=1)
     assert drift.mean() < 1.0  # half a voxel
     assert drift.max() < 2.0
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_report_counts_evaluations_and_records_each_accepted_iterate(monkeypatch, precision):
+    calls = []
+
+    class CountingObjective(multilevel.LevelObjective):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            calls.append(0)
+
+        def __call__(self, x):
+            calls[-1] += 1
+            return super().__call__(x)
+
+    monkeypatch.setattr(multilevel, "LevelObjective", CountingObjective)
+    g = _grid((16, 16, 16), (2.0, 2.0, 2.0))
+    center = tuple(o + e / 2 for o, e in zip(g.origin, g.extent))
+    R, T = make_registration_pair(
+        g, gaussian_bump_mapping(center, sigma_mm=8.0, amplitude_mm=(1.5, -1.0, 0.5)))
+    cfg = MultilevelConfig(coarsest_min_dim=8, precision=precision,
+                           lbfgs=LbfgsConfig(max_iterations=20))
+    _, report = register(R, T, cfg)
+
+    assert calls == [lv.evaluations for lv in report.levels]
+    for lv in report.levels:
+        assert not lv.line_search_failed
+        assert lv.evaluations == 1 + sum(r.ls_evals for r in lv.records)
+        assert len(lv.J_trace) == len(lv.records) == lv.iterations >= 1
+        for rec, (J, D, S) in zip(lv.records, lv.J_trace):
+            assert not np.isnan([J, D, S]).any()
+            assert float(J) == rec.J
