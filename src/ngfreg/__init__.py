@@ -31,7 +31,7 @@ from .multilevel import (
     prolong_deformation,
     register,
 )
-from .ngf import NgfParams, distance_and_gradient, ngf_value, precompute_reference_terms
+from .ngf import NgfParams, distance_and_gradient, precompute_reference_terms
 from .transfer import (
     GatherPlan,
     apply_P,
@@ -86,7 +86,6 @@ __all__ = [
     "make_identity",
     "make_registration_pair",
     "make_volume",
-    "ngf_value",
     "precision_dtype",
     "precompute_reference_terms",
     "probe_lattice",

@@ -36,6 +36,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(message)
 
 
+def _option(convert, config_cls, field: str):
+    """argparse type of a register option: the text converted, then checked by
+    the config class that holds it, so a value the solver cannot honour is a
+    usage error that names the flag, raised before any file is read."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
+        try:
+            config_cls(**{field: value})
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        return value
+    return parse
+
+
+def _levels(text: str):
+    return None if text == "auto" else int(text)
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="ngfreg", description="Matrix-free variational deformable 3D registration")
     sub = p.add_subparsers(dest="command", required=True)
@@ -45,15 +66,16 @@ def _build_parser() -> _Parser:
     reg.add_argument("--template", required=True)
     reg.add_argument("--out-deformation", required=True)
     reg.add_argument("--out-warped")
-    reg.add_argument("--alpha", type=float, default=1.0)
-    reg.add_argument("--tau", type=float, default=10.0)
-    reg.add_argument("--rho", type=float, default=10.0)
-    reg.add_argument("--levels", default="auto", help="number of levels or 'auto'")
-    reg.add_argument("--grid-ratio", type=int, default=4)
+    reg.add_argument("--alpha", type=_option(float, MultilevelConfig, "alpha"), default=1.0)
+    reg.add_argument("--tau", type=_option(float, NgfParams, "tau"), default=10.0)
+    reg.add_argument("--rho", type=_option(float, NgfParams, "rho"), default=10.0)
+    reg.add_argument("--levels", type=_option(_levels, MultilevelConfig, "num_levels"),
+                     default=None, help="number of levels or 'auto' (the default)")
+    reg.add_argument("--grid-ratio", type=_option(int, MultilevelConfig, "grid_ratio"), default=4)
     reg.add_argument("--precision", choices=("f32", "f64"), default="f64")
-    reg.add_argument("--threads", type=int, default=1)
+    reg.add_argument("--threads", type=_option(int, MultilevelConfig, "workers"), default=1)
     reg.add_argument("--pt-variant", choices=PT_VARIANTS, default="gather")
-    reg.add_argument("--max-iter", type=int, default=100)
+    reg.add_argument("--max-iter", type=_option(int, LbfgsConfig, "max_iterations"), default=100)
     reg.add_argument("--report", help="write a structured text report of traces/timings")
 
     warp = sub.add_parser("warp", help="apply a stored deformation to a volume")
@@ -122,7 +144,7 @@ def _write_report(path: str, report: RegistrationReport) -> None:
 def _cmd_register(args) -> int:
     try:
         cfg = MultilevelConfig(
-            num_levels=None if args.levels == "auto" else int(args.levels),
+            num_levels=args.levels,
             grid_ratio=args.grid_ratio,
             alpha=args.alpha,
             ngf=NgfParams(tau=args.tau, rho=args.rho),

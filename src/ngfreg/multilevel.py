@@ -27,7 +27,7 @@ from .lbfgs import IterationRecord, LbfgsConfig, OptimizeTrace, StoppingRules, l
 from .ngf import NgfParams, precompute_reference_terms
 from .objective import LevelObjective
 from .parallel import run_tasks
-from .transfer import _axis_transfer, _interp_block, build_gather_plan
+from .transfer import _interp_xy, _interp_z, _transfers, _z_schedule, build_gather_plan
 
 __all__ = [
     "MultilevelConfig",
@@ -58,10 +58,16 @@ class MultilevelConfig:
     def __post_init__(self):
         if self.num_levels is not None and self.num_levels < 1:
             raise ValueError("num_levels must be >= 1")
+        if self.coarsest_min_dim < 1:
+            raise ValueError("coarsest_min_dim must be >= 1")
         if self.grid_ratio < 1:
             raise ValueError("grid_ratio must be >= 1")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
+        precision_dtype(self.precision)
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        _z_schedule(self.pt_variant)
 
 
 @dataclass
@@ -165,15 +171,9 @@ def prolong_deformation(y: DeformationField, finer_def_grid: Grid3) -> Deformati
     prolongs to identity bit-exactly."""
     if not y.grid.same_extent(finer_def_grid):
         raise GridError("deformation grids must cover the same world domain")
-    u = y.displacement()
-    coeffs = [_axis_transfer(finer_def_grid, y.grid, a) for a in range(3)]
-    out = identity_field_array(finer_def_grid, y.field.dtype)
-    for c in range(3):
-        uc = _interp_block(u[c], *coeffs[0], axis=2)
-        uc = _interp_block(uc, *coeffs[1], axis=1)
-        uc = _interp_block(uc, *coeffs[2], axis=0)
-        out[c] += uc
-    return DeformationField(finer_def_grid, out)
+    transfers = _transfers(finer_def_grid, y.grid)
+    u = _interp_z(_interp_xy(y.displacement(), transfers), transfers, 0, finer_def_grid.dims[2])
+    return DeformationField(finer_def_grid, identity_field_array(finer_def_grid, y.field.dtype) + u)
 
 
 def register(R: Image3, T: Image3, cfg: MultilevelConfig = MultilevelConfig()):

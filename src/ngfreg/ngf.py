@@ -6,12 +6,16 @@ The distance compares image-gradient directions voxel by voxel,
     r_i = (<gT_i, gR_i> + tau*rho) / (||gT_i||_tau * ||gR_i||_rho),
 
 with the smoothed norm ||v||_eps = sqrt(<v,v> + eps^2). The value and the
-gradient with respect to the deformation-grid variables come from one pass:
-the warp keeps the interpolant's partial derivatives, the pointwise terms
-are computed once, and the chain of small local operators (gradient
-stencil transpose, a multiply by the stored partials, grid-transfer
-transpose) is applied without forming any matrix. Every step runs per slab
-of whole z-planes; only the stencils' one halo plane couples the slabs.
+gradient with respect to the deformation-grid variables come from one sweep
+over chunks of whole image z-planes, which forms no image-sized array: per
+chunk it interpolates the deformation onto the chunk's planes, samples the
+template there with the interpolant's partial derivatives, computes the
+image gradient and the pointwise terms once, and applies the chain of small
+local operators (gradient-stencil transpose, a multiply by the partials, the
+xy part of the grid-transfer transpose) without forming any matrix. The
+stencils couple a plane to its neighbours, so a chunk carries the few planes
+of its predecessor that it still needs, and only a slab's first and last
+chunks recompute halo planes of the neighbouring slabs.
 """
 
 from __future__ import annotations
@@ -20,18 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DeformationField, Grid3, Image3, VectorField3
-from .parallel import run_planes
-from .transfer import GatherPlan, apply_P, apply_Pt
-from .warp import (
-    WarpResult, _gradient_planes, _gradient_transpose_planes, image_gradient, warp_image,
-)
+from .geometry import DeformationField, Grid3, GridError, Image3, VectorField3
+from .parallel import plane_step, run_slabs
+from .transfer import GatherPlan, _interp_xy, _interp_z, _reduce_xy, _reduce_z, _z_schedule
+from .warp import _gradient_planes, _gradient_transpose_planes, _trilinear, image_gradient
 
 __all__ = [
     "NgfParams",
     "ReferenceTerms",
     "distance_and_gradient",
-    "ngf_value",
     "precompute_reference_terms",
 ]
 
@@ -79,28 +80,36 @@ def _ratio(gT: np.ndarray, gR: np.ndarray, norm_R: np.ndarray, params: NgfParams
     return r, norm_T
 
 
-def _ratio_terms(grad_T: VectorField3, ref: ReferenceTerms, params: NgfParams):
-    """Per-voxel r_i and smoothed template gradient norm."""
-    return _ratio(grad_T.field, ref.grad.field, ref.norm, params)
-
-
-def _distance(terms: np.ndarray, h_bar: float) -> float:
-    """(hbar/2) * sum(terms), terms = 1 - r^2; one fixed-shape pairwise
-    reduction over the whole grid, so the result is bit-stable across worker
-    counts and chunkings."""
-    return float(h_bar / 2 * np.sum(terms, dtype=terms.dtype))
-
-
 def _check_finite(values: np.ndarray, name: str) -> None:
     if not np.isfinite(values).all():
         raise FloatingPointError(f"non-finite {name} in the NGF objective")
 
 
-def ngf_value(warped: WarpResult, ref: ReferenceTerms, params: NgfParams,
-              h_bar: float, workers: int = 1) -> float:
-    """NGF distance of a warped template."""
-    r, _ = _ratio_terms(image_gradient(warped.warped, workers), ref, params)
-    return _distance(1 - r * r, h_bar)
+class _PlaneWindow:
+    """Planes base:end of one slab's sequence of z-planes, in a buffer of fixed
+    capacity (planes on axis -3): the planes a later chunk still needs are
+    carried to the front, new planes are appended after them."""
+
+    def __init__(self, lead: tuple, capacity: int, plane: tuple, dtype, start: int):
+        self.buf = np.empty(lead + (capacity,) + plane, dtype=dtype)
+        self.base = self.end = start
+
+    @property
+    def planes(self) -> np.ndarray:
+        return self.buf[..., :self.end - self.base, :, :]
+
+    def at(self, k0: int, k1: int) -> np.ndarray:
+        return self.buf[..., k0 - self.base:k1 - self.base, :, :]
+
+    def append(self, k1: int, keep_from: int) -> np.ndarray:
+        """Drop the planes below keep_from; return the slots of planes end:k1."""
+        d = keep_from - self.base
+        if d > 0:
+            m = self.end - keep_from
+            self.buf[..., :m, :, :] = self.buf[..., d:d + m, :, :]
+            self.base = keep_from
+        k0, self.end = self.end, k1
+        return self.at(k0, k1)
 
 
 def distance_and_gradient(
@@ -112,52 +121,87 @@ def distance_and_gradient(
     pt_variant: str = "gather",
     workers: int = 1,
 ) -> tuple[float, VectorField3]:
-    """NGF distance and its gradient with respect to y, in one pass of three
-    sweeps over chunks of whole z-planes:
+    """NGF distance and its gradient with respect to y, in one sweep.
 
-    1. P and the warp with partials;
-    2. per chunk: the template gradient, r, the terms 1 - r^2 of D, q and
-       the x and y parts of s = G^T q (only q_z crosses to the next sweep);
-    3. per chunk: the z part of s, then the partials times s; then P^T.
+    Each slab of the worker partition walks its chunks of whole z-planes in
+    order. Per chunk it forms yhat = P y on the new planes from y already
+    interpolated along x and y, samples the template there (values and
+    partials), takes the template gradient, r, the terms 1 - r^2 and their
+    derivative q on the planes whose neighbours are now known, then for the
+    chunk's own planes s = G^T q, the partials times s, and the xy reduction
+    of P^T. The variant's z schedule of P^T then runs once.
+
+    The stencils make the chunk's last planes depend on planes beyond it, so
+    the warp runs two planes ahead of the chunk and q one plane ahead; the
+    planes a later chunk needs (two of the warped template, two of q, the
+    partials of the planes not yet finished) are carried. Every plane gets
+    the same operations in the same order as on whole arrays, so the
+    gradient is the same for any worker count and chunk size. D is summed
+    per z-plane, then over the planes in a fixed order: it is the same for
+    any worker count and chunk size too, but a whole-array sum could differ
+    from it by reassociation.
     """
+    z_schedule = _z_schedule(pt_variant)
+    if y.grid != plan.def_grid:
+        raise GridError("deformation grid does not match the plan's deformation grid")
     image_grid: Grid3 = plan.image_grid
-    yhat = apply_P(y, image_grid, workers)
-    warped = warp_image(template, yhat, workers, partials=True)
-    T = warped.warped.values
-    dtype = T.dtype
+    dtype = y.field.dtype
+    flat = template.values.astype(dtype, copy=False).ravel()
     spacing = image_grid.spacing
     nz, ny, nx = image_grid.shape
     h_bar = image_grid.cell_volume
-    terms = np.empty((nz, ny, nx), dtype=dtype)
-    s = np.zeros((nz, ny, nx), dtype=dtype)
-    q_z = np.empty((nz, ny, nx), dtype=dtype)
+    step = plane_step(ny * nx)
+    y_xy = _interp_xy(y.field, plan.transfers)
+    xy = np.empty((3, nz) + plan.def_grid.shape[1:], dtype=dtype)  # P^T's xy reduction
+    d_planes = np.empty(nz, dtype=dtype)                          # D's per-plane sums
 
-    def terms_and_q(k0, k1):
-        gT = np.empty((3, k1 - k0, ny, nx), dtype=dtype)
-        _gradient_planes(T, spacing, k0, k1, gT)
-        _check_finite(gT, "template gradient")
-        gR, norm_R = ref.grad.field[:, k0:k1], ref.norm[k0:k1]
-        r, norm_T = _ratio(gT, gR, norm_R, params)
-        terms[k0:k1] = 1 - r * r
-        # d[(hbar/2)(1 - r^2)]/d(grad T) = -hbar * r * (gR/(nT*nR) - r*gT/nT^2)
-        coef = dtype.type(-h_bar) * r
-        inv_prod = 1 / (norm_T * norm_R)
-        inv_nt2 = 1 / (norm_T * norm_T)
-        q = gT  # overwritten component by component
-        for a in range(3):
-            q[a] = coef * (gR[a] * inv_prod - r * gT[a] * inv_nt2)
-        _check_finite(q, "NGF derivative q")
-        _gradient_transpose_planes(q[:2], spacing, (0, 1), k0, k1, s[k0:k1])
-        q_z[k0:k1] = q[2]
+    def do_slab(lo, hi):
+        T = _PlaneWindow((), step + 4, (ny, nx), dtype, max(lo - 2, 0))
+        partials = _PlaneWindow((3,), step + 2, (ny, nx), dtype, lo)
+        Q = _PlaneWindow((3,), step + 2, (ny, nx), dtype, max(lo - 1, 0))
+        for k0 in range(lo, hi, step):
+            k1 = min(k0 + step, hi)
+            q1 = min(k1 + 1, nz)   # s on k0:k1 needs q one plane beyond,
+            t1 = min(q1 + 1, nz)   # and q the template one plane beyond that
+            w0 = T.end
+            new_T = T.append(t1, keep_from=max(Q.end - 1, 0))
+            new_partials = partials.append(min(t1, hi), keep_from=k0)
+            # partials only on the slab's own planes, values alone on the halo
+            pieces = ((w0, lo, False), (max(w0, lo), min(t1, hi), True), (max(w0, hi), t1, False))
+            for p0, p1, own in pieces:
+                if p0 < p1:
+                    value, inside, d = _trilinear(flat, template.grid,
+                                                  _interp_z(y_xy, plan.transfers, p0, p1), own)
+                    np.copyto(value, 0, where=~inside)
+                    new_T[p0 - w0:p1 - w0] = value
+                    if own:
+                        new_partials[...] = d
 
-    g_hat = warped.partials
+            qa = Q.end
+            gT = np.empty((3, q1 - qa, ny, nx), dtype=dtype)
+            _gradient_planes(T.planes, spacing, qa, q1, gT, T.base, nz)
+            _check_finite(gT, "template gradient")
+            gR, norm_R = ref.grad.field[:, qa:q1], ref.norm[qa:q1]
+            r, norm_T = _ratio(gT, gR, norm_R, params)
+            terms = 1 - r * r
+            for k in range(max(qa, lo), min(q1, hi)):
+                d_planes[k] = np.sum(terms[k - qa], dtype=dtype)
+            # d[(hbar/2)(1 - r^2)]/d(grad T) = -hbar * r * (gR/(nT*nR) - r*gT/nT^2)
+            coef = dtype.type(-h_bar) * r
+            inv_prod = 1 / (norm_T * norm_R)
+            inv_nt2 = 1 / (norm_T * norm_T)
+            q = Q.append(q1, keep_from=max(k0 - 1, 0))
+            for a in range(3):
+                q[a] = coef * (gR[a] * inv_prod - r * gT[a] * inv_nt2)
+            _check_finite(q, "NGF derivative q")
 
-    def gradient_chain(k0, k1):
-        _gradient_transpose_planes((q_z,), spacing, (2,), k0, k1, s[k0:k1])
-        g_hat[:, k0:k1] *= s[k0:k1]
+            s = np.zeros((k1 - k0, ny, nx), dtype=dtype)
+            _gradient_transpose_planes(Q.at(k0, k1)[:2], spacing, (0, 1), k0, k1, s)
+            _gradient_transpose_planes(Q.planes[2:], spacing, (2,), k0, k1, s, Q.base, nz)
+            g_hat = partials.at(k0, k1)
+            g_hat *= s
+            xy[:, k0:k1] = _reduce_xy(g_hat, plan)
 
-    run_planes(terms_and_q, nz, ny * nx, workers)
-    D = _distance(terms, h_bar)
-    run_planes(gradient_chain, nz, ny * nx, workers)
-    grad_y = apply_Pt(VectorField3(image_grid, g_hat), plan, pt_variant, workers)
-    return D, grad_y
+    run_slabs(do_slab, nz, workers)
+    D = float(h_bar / 2 * np.sum(d_planes, dtype=dtype))
+    return D, _reduce_z(xy, plan, z_schedule, workers)

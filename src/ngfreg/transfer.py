@@ -3,6 +3,8 @@
 The conversion operator P is separable trilinear interpolation from
 deformation-grid cell centers to image-grid cell centers, with clamp-to-edge
 extrapolation outside the coarse cell-center hull (weights always sum to 1).
+It runs in two steps, along x and y on the coarse field, then along z per
+chunk of image z-planes, so the NGF sweep can form P y chunk by chunk.
 
 Its exact transpose P^T has one plan per grid pair (GatherPlan) and one xy
 reduction: the input is contracted along x, then y, per chunk of whole image
@@ -17,6 +19,9 @@ scheme compares:
                  planes it feeds under a lock (the atomic-add style).
 * redblack    -- image planes grouped by the lower output plane they feed;
                  groups of alternating parity run without write conflicts.
+
+The NGF sweep reduces its own chunks into that buffer and then runs the
+variant's schedule once.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ class GatherPlan:
     def_grid: Grid3
     image_grid: Grid3
     axes: tuple[AxisPlan, AxisPlan, AxisPlan]  # x, y, z
-    z_transfer: tuple[np.ndarray, np.ndarray]  # (i0, w1) of _axis_transfer along z
+    transfers: tuple  # per axis x, y, z: (i0, w1) of _axis_transfer, the weights of P
 
 
 def _build_axis_plan(i0: np.ndarray, w1: np.ndarray, nd: int) -> AxisPlan:
@@ -99,14 +104,18 @@ def _build_axis_plan(i0: np.ndarray, w1: np.ndarray, nd: int) -> AxisPlan:
     return AxisPlan(start=start, counts=counts, weights=weights)
 
 
+def _transfers(image_grid: Grid3, def_grid: Grid3) -> tuple:
+    return tuple(_axis_transfer(image_grid, def_grid, a) for a in range(3))
+
+
 def build_gather_plan(def_grid: Grid3, image_grid: Grid3) -> GatherPlan:
     check_compatible(def_grid, image_grid)
-    transfers = [_axis_transfer(image_grid, def_grid, a) for a in range(3)]
+    transfers = _transfers(image_grid, def_grid)
     return GatherPlan(
         def_grid=def_grid,
         image_grid=image_grid,
         axes=tuple(_build_axis_plan(*t, def_grid.dims[a]) for a, t in enumerate(transfers)),
-        z_transfer=transfers[2],
+        transfers=transfers,
     )
 
 
@@ -117,34 +126,39 @@ _ARRAY_AXIS = (2, 1, 0)
 def _interp_block(arr: np.ndarray, i0: np.ndarray, w1: np.ndarray, axis: int) -> np.ndarray:
     """Interpolate along one array axis: out has len(i0) entries on that axis."""
     n = arr.shape[axis]
-    i1 = np.minimum(i0 + 1, n - 1)
-    a0 = np.take(arr, i0, axis=axis)
-    a1 = np.take(arr, i1, axis=axis)
     shape = [1] * arr.ndim
     shape[axis] = len(i0)
     w = w1.astype(arr.dtype).reshape(shape)
-    return a0 * (1 - w) + a1 * w
+    out = np.take(arr, i0, axis=axis)
+    out *= 1 - w
+    upper = np.take(arr, np.minimum(i0 + 1, n - 1), axis=axis)
+    upper *= w
+    out += upper  # a0 * (1 - w) + a1 * w, with two temporaries
+    return out
+
+
+def _interp_xy(field: np.ndarray, transfers) -> np.ndarray:
+    """A field (3, nz_d, ny_d, nx_d) interpolated along x, then y: (3, nz_d, ny, nx)."""
+    return _interp_block(_interp_block(field, *transfers[0], axis=3), *transfers[1], axis=2)
+
+
+def _interp_z(xy: np.ndarray, transfers, k0: int, k1: int) -> np.ndarray:
+    """Image z-planes k0:k1 of P y from y interpolated along x and y (_interp_xy)."""
+    i0, w1 = transfers[2]
+    return _interp_block(xy, i0[k0:k1], w1[k0:k1], axis=1)
 
 
 def apply_P(y: DeformationField, image_grid: Grid3, workers: int = 1) -> VectorField3:
     """Convert a deformation from its (coarse) grid to the image grid."""
     check_compatible(y.grid, image_grid)
-    coeffs = [_axis_transfer(image_grid, y.grid, a) for a in range(3)]
+    transfers = _transfers(image_grid, y.grid)
+    xy = _interp_xy(y.field, transfers)
     out = np.empty((3,) + image_grid.shape, dtype=y.field.dtype)
-    nz_img = image_grid.shape[0]
 
-    def do_comp(c):
-        arr = _interp_block(y.field[c], *coeffs[0], axis=2)
-        arr = _interp_block(arr, *coeffs[1], axis=1)
-        i0z, w1z = coeffs[2]
+    def do_slab(lo, hi):
+        out[:, lo:hi] = _interp_z(xy, transfers, lo, hi)
 
-        def do_slab(lo, hi):
-            out[c, lo:hi] = _interp_block(arr, i0z[lo:hi], w1z[lo:hi], axis=0)
-
-        run_slabs(do_slab, nz_img, workers)
-
-    for c in range(3):
-        do_comp(c)
+    run_slabs(do_slab, image_grid.shape[0], workers)
     return VectorField3(image_grid, out)
 
 
@@ -178,7 +192,7 @@ def _z_gather(xy: np.ndarray, out: np.ndarray, plan: GatherPlan, workers: int) -
 def _add_plane(out: np.ndarray, xy: np.ndarray, k: int, plan: GatherPlan) -> None:
     """Add image plane k of xy into the two output z-planes it interpolates
     from, weighted (1 - w1, w1)."""
-    i0, w1z = plan.z_transfer
+    i0, w1z = plan.transfers[2]
     d0 = i0[k]
     w1 = out.dtype.type(w1z[k])
     out[:, d0] += (out.dtype.type(1) - w1) * xy[:, k]
@@ -202,7 +216,7 @@ def _z_redblack(xy: np.ndarray, out: np.ndarray, plan: GatherPlan, workers: int)
     """Image planes grouped by the lower output plane d0 they feed; a group
     writes planes d0 and d0 + 1 only, so groups of one parity of d0 run
     concurrently, even ones first."""
-    i0 = plan.z_transfer[0]
+    i0 = plan.transfers[2][0]
     for parity in (0, 1):
         color = [d for d in np.unique(i0) if d % 2 == parity]
 
@@ -218,24 +232,41 @@ _Z_SCHEDULES = {"gather": _z_gather, "scatter": _z_scatter, "redblack": _z_redbl
 PT_VARIANTS = tuple(_Z_SCHEDULES)
 
 
-def apply_Pt(r: VectorField3, plan: GatherPlan, variant: str = "gather", workers: int = 1) -> VectorField3:
-    """P^T r: the plan's xy reduction, then the variant's z schedule."""
+def _z_schedule(variant: str):
+    """The z schedule of a P^T variant; raises ValueError for an unknown one."""
     z_schedule = _Z_SCHEDULES.get(variant)
     if z_schedule is None:
         raise ValueError(f"unknown P^T variant {variant!r}, expected one of {PT_VARIANTS}")
+    return z_schedule
+
+
+def _reduce_xy(r: np.ndarray, plan: GatherPlan) -> np.ndarray:
+    """The xy reduction of P^T on image z-planes r (3, m, ny, nx): (3, m, ny_d, nx_d).
+    Each plane is contracted on its own, so any chunking gives the same bytes."""
+    xp, yp, _ = plan.axes
+    return _gather_block(_gather_block(r, xp, axis=3), yp, axis=2)
+
+
+def _reduce_z(xy: np.ndarray, plan: GatherPlan, z_schedule, workers: int) -> VectorField3:
+    """P^T from the xy-reduced buffer (3, nz_image, ny_d, nx_d): the z schedule."""
+    out = np.zeros((3,) + plan.def_grid.shape, dtype=xy.dtype)
+    z_schedule(xy, out, plan, workers)
+    return VectorField3(plan.def_grid, out)
+
+
+def apply_Pt(r: VectorField3, plan: GatherPlan, variant: str = "gather", workers: int = 1) -> VectorField3:
+    """P^T r: the plan's xy reduction, then the variant's z schedule."""
+    z_schedule = _z_schedule(variant)
     if r.grid != plan.image_grid:
         raise GridError("input field grid does not match the plan's image grid")
-    xp, yp, _ = plan.axes
     nz, ny, nx = plan.image_grid.shape
     xy = np.empty((3, nz) + plan.def_grid.shape[1:], dtype=r.field.dtype)
 
     def reduce_xy(k0, k1):
-        xy[:, k0:k1] = _gather_block(_gather_block(r.field[:, k0:k1], xp, axis=3), yp, axis=2)
+        xy[:, k0:k1] = _reduce_xy(r.field[:, k0:k1], plan)
 
     run_planes(reduce_xy, nz, ny * nx, workers)
-    out = np.zeros((3,) + plan.def_grid.shape, dtype=r.field.dtype)
-    z_schedule(xy, out, plan, workers)
-    return VectorField3(plan.def_grid, out)
+    return _reduce_z(xy, plan, z_schedule, workers)
 
 
 def dense_P_oracle(def_grid: Grid3, image_grid: Grid3) -> np.ndarray:

@@ -26,12 +26,15 @@ def test_usage_errors():
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("flag", [["--max-iter", "0"], ["--max-iter", "-3"], ["--alpha", "0"]])
-def test_register_bad_config_is_usage_error_before_reading(tmp_path, flag):
+@pytest.mark.parametrize("flag", [["--max-iter", "0"], ["--max-iter", "-3"], ["--alpha", "0"],
+                                  ["--threads", "0"], ["--threads", "-2"], ["--levels", "abc"],
+                                  ["--levels", "0"], ["--grid-ratio", "0"], ["--tau", "0"]])
+def test_register_bad_config_is_usage_error_before_reading(tmp_path, capsys, flag):
     # the inputs do not exist: a usage error shows the config was checked first
     assert main(["register", "--reference", str(tmp_path / "no.mha"),
                  "--template", str(tmp_path / "no2.mha"),
                  "--out-deformation", str(tmp_path / "y.mha")] + flag) == EXIT_USAGE
+    assert f"argument {flag[0]}:" in capsys.readouterr().err
 
 
 def test_missing_input_is_io_error(tmp_path):

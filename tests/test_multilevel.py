@@ -117,6 +117,12 @@ def test_config_validation():
         MultilevelConfig(alpha=0.0)
     with pytest.raises(ValueError):
         MultilevelConfig(grid_ratio=0)
+    # values register used to run differently (workers < 1 ran 1 worker) or
+    # reject only deep inside the run
+    for bad in ({"workers": 0}, {"workers": -2}, {"pt_variant": "bogus"},
+                {"precision": "f16"}, {"coarsest_min_dim": 0}, {"alpha": float("nan")}):
+        with pytest.raises(ValueError):
+            MultilevelConfig(**bad)
 
 
 def test_register_requires_matching_grids():

@@ -1,16 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ngfreg.geometry import DeformationField, Grid3, Image3, make_identity
+from ngfreg import parallel
+from ngfreg.geometry import DeformationField, Grid3, Image3, VectorField3, make_identity
 from ngfreg.ngf import (
     NgfParams,
+    _ratio,
     distance_and_gradient,
-    ngf_value,
     precompute_reference_terms,
 )
 from ngfreg.synthetic import make_volume, smooth_random_volume
-from ngfreg.transfer import build_gather_plan
-from ngfreg.warp import warp_image
+from ngfreg.transfer import PT_VARIANTS, apply_P, apply_Pt, build_gather_plan
+from ngfreg.warp import _trilinear, image_gradient, image_gradient_apply_transpose
 
 
 def _grid(dims, spacing=(1, 1, 1), origin=(0, 0, 0)):
@@ -23,6 +26,14 @@ def _ramps(g):
     T = Image3(g, x + np.zeros(g.shape))
     R = Image3(g, y + np.zeros(g.shape))
     return T, R
+
+
+def _distance_at_identity(T, R, params):
+    """D from distance_and_gradient at the identity, deformation grid = image grid."""
+    g = T.grid
+    ref = precompute_reference_terms(R, params)
+    D, _ = distance_and_gradient(make_identity(g), ref, T, build_gather_plan(g, g), params)
+    return D
 
 
 def test_params_validation():
@@ -38,12 +49,10 @@ def test_value_on_orthogonal_ramps():
     g = _grid((6, 6, 6))
     T, R = _ramps(g)
     params = NgfParams(tau=0.1, rho=0.1)
-    ref = precompute_reference_terms(R, params)
-    warped = warp_image(T, make_identity(g))
     h_bar = g.cell_volume
     per_voxel = 1.0 - (0.01 / 1.01) ** 2
     expected = h_bar / 2 * per_voxel * g.num_points
-    assert abs(ngf_value(warped, ref, params, h_bar) - expected) < 1e-10 * expected
+    assert abs(_distance_at_identity(T, R, params) - expected) < 1e-10 * expected
 
 
 def test_matched_images_give_zero_distance():
@@ -51,9 +60,7 @@ def test_matched_images_give_zero_distance():
     g = _grid((8, 7, 6), (1.1, 0.9, 1.2))
     T = smooth_random_volume(g, seed=21)
     params = NgfParams(tau=5.0, rho=5.0)
-    ref = precompute_reference_terms(T, params)
-    warped = warp_image(T, make_identity(g))
-    assert abs(ngf_value(warped, ref, params, g.cell_volume)) < 1e-12
+    assert abs(_distance_at_identity(T, T, params)) < 1e-12
 
 
 def test_matched_images_identity_is_stationary():
@@ -71,17 +78,11 @@ def test_intensity_scale_invariance_with_scaled_parameters():
     g = _grid((6, 6, 6), (1.3, 1.0, 0.8))
     T = smooth_random_volume(g, seed=31)
     R = smooth_random_volume(g, seed=32)
-    yid = make_identity(g)
-    h_bar = g.cell_volume
-    base = ngf_value(warp_image(T, yid),
-                     precompute_reference_terms(R, NgfParams(10.0, 10.0)),
-                     NgfParams(10.0, 10.0), h_bar)
+    base = _distance_at_identity(T, R, NgfParams(10.0, 10.0))
     c = 7.5
     Tc = Image3(g, c * T.values)
     Rc = Image3(g, c * R.values)
-    scaled = ngf_value(warp_image(Tc, yid),
-                       precompute_reference_terms(Rc, NgfParams(10.0 * c, 10.0 * c)),
-                       NgfParams(10.0 * c, 10.0 * c), h_bar)
+    scaled = _distance_at_identity(Tc, Rc, NgfParams(10.0 * c, 10.0 * c))
     assert abs(base - scaled) < 1e-9 * (abs(base) + 1)
 
 
@@ -90,10 +91,17 @@ def test_distance_bounded_by_domain_volume():
     g = _grid((7, 6, 5), (1.0, 1.4, 0.9))
     T = smooth_random_volume(g, seed=41)
     R = smooth_random_volume(g, seed=42)
-    params = NgfParams(1.0, 1.0)
-    ref = precompute_reference_terms(R, params)
-    D = ngf_value(warp_image(T, make_identity(g)), ref, params, g.cell_volume)
+    D = _distance_at_identity(T, R, NgfParams(1.0, 1.0))
     assert 0.0 <= D <= g.cell_volume / 2 * g.num_points + 1e-12
+
+
+def _def_grid(image_grid, def_dims):
+    """Deformation grid of def_dims cells over the image grid's domain."""
+    gi = image_grid
+    return Grid3(def_dims,
+                 tuple(n * s / m for n, s, m in zip(gi.dims, gi.spacing, def_dims)),
+                 tuple(o - s / 2 + n * s / m / 2
+                       for o, s, n, m in zip(gi.origin, gi.spacing, gi.dims, def_dims)))
 
 
 def _extended_template(image_grid, pad=2):
@@ -202,3 +210,79 @@ def test_nonfinite_intermediate_is_floating_point_error(workers):
     with pytest.raises(FloatingPointError, match="template gradient"):
         distance_and_gradient(make_identity(g, np.float32), ref, T, plan, params,
                               workers=workers)
+
+
+def _layered_chain(y, ref, T, plan, params, variant, workers):
+    """D and its gradient from the layers composed on whole image-grid arrays:
+    P, the trilinear kernel with partials, G, r, q, G^T, the multiply, P^T."""
+    g = plan.image_grid
+    yhat = apply_P(y, g, workers).field
+    dtype = yhat.dtype
+    warped, inside, partials = _trilinear(T.values.astype(dtype).ravel(), T.grid, yhat,
+                                          partials=True)
+    np.copyto(warped, 0, where=~inside)
+    gT = image_gradient(Image3(g, warped), workers).field
+    gR, norm_R = ref.grad.field, ref.norm
+    r, norm_T = _ratio(gT, gR, norm_R, params)
+    D = g.cell_volume / 2 * float(np.sum(1 - r * r))
+    coef = dtype.type(-g.cell_volume) * r
+    q = np.stack([coef * (gR[a] * (1 / (norm_T * norm_R)) - r * gT[a] * (1 / (norm_T * norm_T)))
+                  for a in range(3)])
+    s = image_gradient_apply_transpose(VectorField3(g, q), g)
+    return D, apply_Pt(VectorField3(g, partials * s), plan, variant, workers).field
+
+
+@pytest.mark.parametrize("dims, def_dims", [((9, 8, 1), (3, 3, 1)), ((9, 8, 2), (3, 3, 2)),
+                                            ((9, 8, 3), (3, 3, 2)), ((37, 41, 29), (10, 11, 8))])
+def test_sweep_equals_layer_by_layer_chain(rng, monkeypatch, dims, def_dims):
+    # at the module's chunk size and at chunks of 2 and 1 planes, where every
+    # chunk inside a slab uses the planes carried from the previous one; with
+    # 3 workers on nz <= 3 every slab is one plane and all its halo is recomputed
+    gi = _grid(dims, (1.0, 1.1, 0.9))
+    gd = _def_grid(gi, def_dims)
+    T = _extended_template(gi)
+    R = make_volume(gi)
+    field = make_identity(gd).field + 1.5 * rng.standard_normal((3,) + gd.shape)
+    params = NgfParams()
+    plan = build_gather_plan(gd, gi)
+    plane = dims[0] * dims[1]
+    chunks = (parallel._CHUNK_VOXELS, 2 * plane, plane)
+    for dtype, d_tol, scatter_tol in ((np.float64, 1e-13, 1e-12), (np.float32, 1e-6, 1e-5)):
+        ref = precompute_reference_terms(R.astype(dtype), params)
+        Td = T.astype(dtype)
+        y = DeformationField(gd, field.astype(dtype))
+        for variant in PT_VARIANTS:
+            D_ref, g_ref = _layered_chain(y, ref, Td, plan, params, variant, 1)
+            scale = np.abs(g_ref).max()
+            for chunk in chunks:
+                monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunk)
+                for w in (1, 2, 3):
+                    D, g = distance_and_gradient(y, ref, Td, plan, params, variant, w)
+                    assert abs(D - D_ref) <= d_tol * abs(D_ref)
+                    if variant == "scatter" and w > 1:  # its lock order reassociates
+                        assert np.abs(g.field - g_ref).max() <= scatter_tol * scale
+                    else:
+                        assert g.field.tobytes() == g_ref.tobytes()
+
+
+def test_evaluation_allocates_no_image_sized_temporaries(rng):
+    # One 128^3 f64 evaluation with 2 workers. Composed on whole arrays the
+    # chain allocated 176 MiB, eleven image-sized arrays of 16 MiB; the sweep
+    # measured 50 MiB: y interpolated along x and y (12 MiB), the P^T buffer
+    # (3 MiB) and per slab its windows and one chunk's temporaries.
+    g = _grid((128, 128, 128))
+    gd = _def_grid(g, (32, 32, 32))
+    T = Image3(g, rng.standard_normal(g.shape))
+    R = Image3(g, rng.standard_normal(g.shape))
+    params = NgfParams()
+    ref = precompute_reference_terms(R, params, 2)
+    plan = build_gather_plan(gd, g)
+    y = DeformationField(gd, make_identity(gd).field + 2 * rng.standard_normal((3,) + gd.shape))
+    distance_and_gradient(y, ref, T, plan, params, workers=2)  # the pool exists before tracing
+    tracemalloc.start()
+    try:
+        distance_and_gradient(y, ref, T, plan, params, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
