@@ -15,7 +15,7 @@ from .geometry import (
     precision_dtype,
 )
 from .benchmark import BenchmarkRecord, format_table, run_benchmark
-from .curvature import apply_laplacian, curvature_gradient, curvature_value
+from .curvature import apply_laplacian, curvature_value_and_gradient
 from .evaluation import (
     LandmarkSet,
     field_difference_stats,
@@ -70,8 +70,7 @@ __all__ = [
     "apply_laplacian",
     "build_gather_plan",
     "build_pyramid",
-    "curvature_gradient",
-    "curvature_value",
+    "curvature_value_and_gradient",
     "dense_P_oracle",
     "distance_and_gradient",
     "downsample_image",

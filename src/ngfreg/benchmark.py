@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Grid3, make_identity, precision_dtype
+from .geometry import Grid3, precision_dtype
 from .lbfgs import LbfgsConfig
 from .multilevel import MultilevelConfig, deformation_grid_for, register
 from .ngf import NgfParams, distance_and_gradient, precompute_reference_terms
@@ -81,6 +81,11 @@ def verify_variant_agreement(dims, seed: int = 0, rel_tol: float = 1e-12, *,
                 )
 
 
+def _check_reps(reps: int) -> None:
+    if reps < 3:
+        raise ValueError(f"repetitions must be >= 3, got {reps}")
+
+
 def run_benchmark(
     dims=(64, 64, 64),
     workers_list=None,
@@ -96,8 +101,7 @@ def run_benchmark(
     workers_list defaults to 1 and os.cpu_count(): more workers than cores
     would only measure oversubscription.
     """
-    if reps < 3:
-        raise ValueError("repetitions must be >= 3")
+    _check_reps(reps)
     if workers_list is None:
         workers_list = tuple(dict.fromkeys((1, os.cpu_count() or 1)))
     verify_variant_agreement(dims, seed, workers_list=workers_list)

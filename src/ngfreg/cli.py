@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from . import fileio
-from .benchmark import VariantDisagreement, format_table, run_benchmark
+from .benchmark import VariantDisagreement, _check_reps, format_table, run_benchmark
 from .evaluation import field_difference_stats, landmark_error
 from .geometry import (
     Grid3, GridError, Image3, VectorField3, identity_field_array, precision_dtype,
@@ -17,7 +17,7 @@ from .geometry import (
 from .lbfgs import LbfgsConfig
 from .multilevel import MultilevelConfig, RegistrationReport, register
 from .ngf import NgfParams
-from .transfer import PT_VARIANTS, apply_P, build_gather_plan
+from .transfer import PT_VARIANTS, apply_P
 from .warp import _clamp_to_hull, warp_image
 
 EXIT_OK = 0
@@ -36,21 +36,36 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(message)
 
 
-def _option(convert, config_cls, field: str):
-    """argparse type of a register option: the text converted, then checked by
-    the config class that holds it, so a value the solver cannot honour is a
-    usage error that names the flag, raised before any file is read."""
+def _checked(convert, check):
+    """argparse type: the text converted, then passed to check, which raises
+    ValueError for a value the program cannot honour. Either failure is a
+    usage error that names the flag, raised before any file is read or any
+    work is done."""
     def parse(text):
         try:
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
         try:
-            config_cls(**{field: value})
+            check(value)
         except ValueError as e:
             raise argparse.ArgumentTypeError(str(e)) from None
         return value
     return parse
+
+
+def _option(convert, config_cls, field: str, many: bool = False):
+    """argparse type of an option that config_cls holds in `field`, checked by
+    that class; with many, a comma-separated list of such values."""
+    if many:
+        return _checked(lambda text: [convert(v.strip()) for v in text.split(",")],
+                        lambda values: [config_cls(**{field: v}) for v in values])
+    return _checked(convert, lambda value: config_cls(**{field: value}))
+
+
+def _dims(text: str) -> tuple[int, int, int]:
+    nx, ny, nz = (int(v) for v in text.replace("x", ",").split(","))  # ValueError unless 3
+    return nx, ny, nz
 
 
 def _levels(text: str):
@@ -96,12 +111,16 @@ def _build_parser() -> _Parser:
                     help="second deformation: report field difference statistics")
 
     bm = sub.add_parser("benchmark", help="time grid-transfer variants and the pipeline")
-    bm.add_argument("--dims", default="64,64,64")
-    bm.add_argument("--threads", default=None,
+    bm.add_argument("--dims", type=_checked(_dims, lambda d: Grid3(d, (1.0,) * 3, (0.0,) * 3)),
+                    default="64,64,64")
+    bm.add_argument("--threads", type=_option(int, MultilevelConfig, "workers", many=True),
+                    default=None,
                     help="comma-separated worker counts (default: 1 and the number of cores)")
-    bm.add_argument("--precision", default="f64", help="comma-separated: f32,f64")
-    bm.add_argument("--pt-variant", default="gather,scatter,redblack")
-    bm.add_argument("--reps", type=int, default=3)
+    bm.add_argument("--precision", type=_option(str, MultilevelConfig, "precision", many=True),
+                    default="f64", help="comma-separated: f32,f64")
+    bm.add_argument("--pt-variant", type=_option(str, MultilevelConfig, "pt_variant", many=True),
+                    default="gather,scatter,redblack")
+    bm.add_argument("--reps", type=_checked(int, _check_reps), default=3)
     bm.add_argument("--out", help="write the table to a file instead of stdout")
 
     rs = sub.add_parser("resample", help="resample a volume onto another volume's grid")
@@ -174,10 +193,10 @@ def _cmd_register(args) -> int:
 
 
 def _cmd_warp(args) -> int:
-    T = fileio.read_volume(args.template)
-    y = fileio.read_deformation(args.deformation)
     if args.out_difference and not args.reference:
         raise _UsageExit("--out-difference requires --reference")
+    T = fileio.read_volume(args.template)
+    y = fileio.read_deformation(args.deformation)
     # the deformation may live on a coarser grid; P is the identity when grids match
     yhat = apply_P(y, T.grid)
     warped = warp_image(T, yhat).warped
@@ -218,21 +237,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    dims = tuple(int(v) for v in args.dims.replace("x", ",").split(","))
-    if len(dims) != 3:
-        raise _UsageExit("--dims must have three comma-separated entries")
-    variants = [v.strip() for v in args.pt_variant.split(",")]
-    unknown = [v for v in variants if v not in PT_VARIANTS]
-    if unknown:
-        raise _UsageExit(f"unknown --pt-variant {', '.join(unknown)}; expected some of "
-                         f"{','.join(PT_VARIANTS)}")
-    records = run_benchmark(
-        dims=dims,
-        workers_list=None if args.threads is None else [int(v) for v in args.threads.split(",")],
-        precisions=[v.strip() for v in args.precision.split(",")],
-        variants=variants,
-        reps=args.reps,
-    )
+    records = run_benchmark(dims=args.dims, workers_list=args.threads, precisions=args.precision,
+                            variants=args.pt_variant, reps=args.reps)
     table = format_table(records)
     if args.out:
         with open(args.out, "w") as fh:

@@ -2,8 +2,9 @@
 
 The 7-point Laplacian uses linear extrapolation at the boundary
 (u[-1] := 2u[0] - u[1]), which makes the stencil output exactly zero on
-affine inputs everywhere, boundaries included. The gradient applies the
-stencil and its exact transpose, no biharmonic matrix is assembled.
+affine inputs everywhere, boundaries included. The value and the
+gradient share one application of the stencil per component; the gradient
+adds its exact transpose, no biharmonic matrix is assembled.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 
 from .geometry import DeformationField, Grid3
 
-__all__ = ["apply_laplacian", "apply_laplacian_transpose", "curvature_value", "curvature_gradient"]
+__all__ = ["apply_laplacian", "apply_laplacian_transpose", "curvature_value_and_gradient"]
 
 _NP_AXIS = (2, 1, 0)  # geometric x,y,z -> numpy axes
 
@@ -60,22 +61,16 @@ def apply_laplacian_transpose(w: np.ndarray, grid: Grid3) -> np.ndarray:
     return out
 
 
-def curvature_value(y: DeformationField) -> float:
-    """S = (cell_volume/2) * sum over components and points of (Laplacian u)^2,
-    where u is the displacement y - identity."""
+def curvature_value_and_gradient(y: DeformationField) -> tuple[float, np.ndarray]:
+    """S = (cell_volume/2) * sum over components and points of (L u)^2, where u
+    is the displacement y - identity, and its gradient cell_volume * L^T (L u)
+    per component."""
     u = y.displacement()
+    grad = np.empty_like(u)
+    vol = u.dtype.type(y.grid.cell_volume)
     total = u.dtype.type(0)
     for c in range(3):
         lap = apply_laplacian(u[c], y.grid)
         total = total + np.sum(lap * lap, dtype=lap.dtype)
-    return float(y.grid.cell_volume / 2 * total)
-
-
-def curvature_gradient(y: DeformationField) -> np.ndarray:
-    """Gradient of curvature_value: cell_volume * L^T (L u) per component."""
-    u = y.displacement()
-    out = np.empty_like(u)
-    vol = u.dtype.type(y.grid.cell_volume)
-    for c in range(3):
-        out[c] = vol * apply_laplacian_transpose(apply_laplacian(u[c], y.grid), y.grid)
-    return out
+        grad[c] = vol * apply_laplacian_transpose(lap, y.grid)
+    return float(y.grid.cell_volume / 2 * total), grad

@@ -69,26 +69,6 @@ class Grid3:
         """World coordinates of the cell centers along one axis (0=x,1=y,2=z)."""
         return self.origin[axis] + self.spacing[axis] * np.arange(self.dims[axis], dtype=np.float64)
 
-    def world_of_index(self, index) -> tuple[float, float, float]:
-        i, j, k = index
-        if not (0 <= i < self.dims[0] and 0 <= j < self.dims[1] and 0 <= k < self.dims[2]):
-            raise GridError(f"index {index!r} out of range for dims {self.dims}")
-        return (
-            self.origin[0] + i * self.spacing[0],
-            self.origin[1] + j * self.spacing[1],
-            self.origin[2] + k * self.spacing[2],
-        )
-
-    def linearize(self, i: int, j: int, k: int) -> int:
-        return i + self.dims[0] * (j + self.dims[1] * k)
-
-    def delinearize(self, idx: int) -> tuple[int, int, int]:
-        nx, ny, _ = self.dims
-        i = idx % nx
-        j = (idx // nx) % ny
-        k = idx // (nx * ny)
-        return (i, j, k)
-
     def same_extent(self, other: "Grid3", tol: float = 1e-9) -> bool:
         """True if both grids cover the same world domain (cell-edge to cell-edge)."""
         for a in range(3):
@@ -99,10 +79,6 @@ class Grid3:
             if abs(lo_s + self.extent[a] - (lo_o + other.extent[a])) > tol:
                 return False
         return True
-
-
-def world_of_index(grid: Grid3, index) -> tuple[float, float, float]:
-    return grid.world_of_index(index)
 
 
 def _check_values(grid: Grid3, values: np.ndarray, name: str) -> np.ndarray:
@@ -167,10 +143,7 @@ def make_identity(grid: Grid3, dtype=np.float64) -> DeformationField:
     return DeformationField(grid, identity_field_array(grid, dtype))
 
 
-F32 = np.float32
-F64 = np.float64
-
-_PRECISIONS = {"f32": F32, "f64": F64}
+_PRECISIONS = {"f32": np.float32, "f64": np.float64}
 
 
 def precision_dtype(name: str):

@@ -23,7 +23,7 @@ from .geometry import (
     make_identity,
     precision_dtype,
 )
-from .lbfgs import IterationRecord, LbfgsConfig, OptimizeTrace, StoppingRules, lbfgs_minimize
+from .lbfgs import IterationRecord, LbfgsConfig, StoppingRules, lbfgs_minimize
 from .ngf import NgfParams, precompute_reference_terms
 from .objective import LevelObjective
 from .parallel import run_tasks
@@ -31,7 +31,6 @@ from .transfer import _interp_xy, _interp_z, _transfers, _z_schedule, build_gath
 
 __all__ = [
     "MultilevelConfig",
-    "PyramidLevel",
     "RegistrationReport",
     "build_pyramid",
     "deformation_grid_for",
@@ -68,15 +67,6 @@ class MultilevelConfig:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         _z_schedule(self.pt_variant)
-
-
-@dataclass
-class PyramidLevel:
-    R: Image3
-    T: Image3
-    image_grid: Grid3
-    def_grid: Grid3
-    level_index: int  # 0 = coarsest
 
 
 @dataclass
@@ -213,27 +203,20 @@ def register(R: Image3, T: Image3, cfg: MultilevelConfig = MultilevelConfig()):
         setup_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        traceJ: list[tuple[float, float, float]] = []
-
-        def f(x, _obj=obj, _traceJ=traceJ):
-            J, g = _obj(x)
-            _traceJ.append((J, _obj.last_D, _obj.last_S))
-            return J, g
-
-        x, trace = lbfgs_minimize(f, y.field.ravel(), cfg.lbfgs, cfg.stopping)
+        x, trace = lbfgs_minimize(obj, y.field.ravel(), cfg.lbfgs, cfg.stopping)
         y = DeformationField(def_grid, x.reshape((3,) + def_grid.shape))
         opt_s = time.perf_counter() - t0
 
         # the accepted trial is the last evaluation of its iteration and row 0
         # of the log is the start point
-        accepted = [traceJ[k] for k in itertools.accumulate(r.ls_evals for r in trace.records)]
+        accepted = [obj.log[k] for k in itertools.accumulate(r.ls_evals for r in trace.records)]
         final_g = trace.records[-1].grad_inf if trace.records else 0.0
         report.levels.append(LevelReport(
             level_index=lvl,
             image_dims=image_grid.dims,
             def_dims=def_grid.dims,
             iterations=trace.iterations,
-            evaluations=len(traceJ),
+            evaluations=len(obj.log),
             stop_reason=trace.stop_reason,
             line_search_failed=trace.line_search_failed,
             records=trace.records,

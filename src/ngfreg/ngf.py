@@ -15,7 +15,9 @@ local operators (gradient-stencil transpose, a multiply by the partials, the
 xy part of the grid-transfer transpose) without forming any matrix. The
 stencils couple a plane to its neighbours, so a chunk carries the few planes
 of its predecessor that it still needs, and only a slab's first and last
-chunks recompute halo planes of the neighbouring slabs.
+chunks recompute halo planes of the neighbouring slabs. The warped template
+and its partials share one window of planes, so each chunk samples the
+template once.
 """
 
 from __future__ import annotations
@@ -132,14 +134,14 @@ def distance_and_gradient(
     of P^T. The variant's z schedule of P^T then runs once.
 
     The stencils make the chunk's last planes depend on planes beyond it, so
-    the warp runs two planes ahead of the chunk and q one plane ahead; the
-    planes a later chunk needs (two of the warped template, two of q, the
-    partials of the planes not yet finished) are carried. Every plane gets
-    the same operations in the same order as on whole arrays, so the
-    gradient is the same for any worker count and chunk size. D is summed
-    per z-plane, then over the planes in a fixed order: it is the same for
-    any worker count and chunk size too, but a whole-array sum could differ
-    from it by reassociation.
+    the warp runs two planes ahead of the chunk and q one plane ahead. The
+    warped template and its partials share one window of 4-channel planes,
+    q has another, and each window carries the two planes a later chunk
+    needs. Every plane gets the same operations in the same order as on
+    whole arrays, so the gradient is the same for any worker count and chunk
+    size. D is summed per z-plane, then over the planes in a fixed order: it
+    is the same for any worker count and chunk size too, but a whole-array
+    sum could differ from it by reassociation.
     """
     z_schedule = _z_schedule(pt_variant)
     if y.grid != plan.def_grid:
@@ -156,30 +158,22 @@ def distance_and_gradient(
     d_planes = np.empty(nz, dtype=dtype)                          # D's per-plane sums
 
     def do_slab(lo, hi):
-        T = _PlaneWindow((), step + 4, (ny, nx), dtype, max(lo - 2, 0))
-        partials = _PlaneWindow((3,), step + 2, (ny, nx), dtype, lo)
+        W = _PlaneWindow((4,), step + 4, (ny, nx), dtype, max(lo - 2, 0))  # T, then its partials
         Q = _PlaneWindow((3,), step + 2, (ny, nx), dtype, max(lo - 1, 0))
         for k0 in range(lo, hi, step):
             k1 = min(k0 + step, hi)
             q1 = min(k1 + 1, nz)   # s on k0:k1 needs q one plane beyond,
             t1 = min(q1 + 1, nz)   # and q the template one plane beyond that
-            w0 = T.end
-            new_T = T.append(t1, keep_from=max(Q.end - 1, 0))
-            new_partials = partials.append(min(t1, hi), keep_from=k0)
-            # partials only on the slab's own planes, values alone on the halo
-            pieces = ((w0, lo, False), (max(w0, lo), min(t1, hi), True), (max(w0, hi), t1, False))
-            for p0, p1, own in pieces:
-                if p0 < p1:
-                    value, inside, d = _trilinear(flat, template.grid,
-                                                  _interp_z(y_xy, plan.transfers, p0, p1), own)
-                    np.copyto(value, 0, where=~inside)
-                    new_T[p0 - w0:p1 - w0] = value
-                    if own:
-                        new_partials[...] = d
+            w0 = W.end
+            new_W = W.append(t1, keep_from=max(Q.end - 1, 0))
+            value, inside, d = _trilinear(flat, template.grid,
+                                          _interp_z(y_xy, plan.transfers, w0, t1), True)
+            np.copyto(value, 0, where=~inside)
+            new_W[0], new_W[1:] = value, d
 
             qa = Q.end
             gT = np.empty((3, q1 - qa, ny, nx), dtype=dtype)
-            _gradient_planes(T.planes, spacing, qa, q1, gT, T.base, nz)
+            _gradient_planes(W.planes[0], spacing, qa, q1, gT, W.base, nz)
             _check_finite(gT, "template gradient")
             gR, norm_R = ref.grad.field[:, qa:q1], ref.norm[qa:q1]
             r, norm_T = _ratio(gT, gR, norm_R, params)
@@ -198,7 +192,7 @@ def distance_and_gradient(
             s = np.zeros((k1 - k0, ny, nx), dtype=dtype)
             _gradient_transpose_planes(Q.at(k0, k1)[:2], spacing, (0, 1), k0, k1, s)
             _gradient_transpose_planes(Q.planes[2:], spacing, (2,), k0, k1, s, Q.base, nz)
-            g_hat = partials.at(k0, k1)
+            g_hat = W.at(k0, k1)[1:]
             g_hat *= s
             xy[:, k0:k1] = _reduce_xy(g_hat, plan)
 

@@ -7,12 +7,12 @@ ravel of the (3, nz, ny, nx) field array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import curvature_gradient, curvature_value
-from .geometry import DeformationField, Grid3, Image3
+from .curvature import curvature_value_and_gradient
+from .geometry import DeformationField, Image3
 from .ngf import NgfParams, ReferenceTerms, distance_and_gradient
 from .transfer import GatherPlan
 
@@ -21,7 +21,8 @@ __all__ = ["LevelObjective"]
 
 @dataclass
 class LevelObjective:
-    """Callable objective for one multilevel level; records the last D/S split."""
+    """Callable objective for one multilevel level. Each call appends (J, D, S)
+    to `log`, (inf, nan, nan) for a non-finite trial point."""
 
     template: Image3
     ref: ReferenceTerms
@@ -30,31 +31,21 @@ class LevelObjective:
     alpha: float
     pt_variant: str = "gather"
     workers: int = 1
-    last_D: float = 0.0
-    last_S: float = 0.0
-
-    @property
-    def def_grid(self) -> Grid3:
-        return self.plan.def_grid
-
-    def field_from_flat(self, x: np.ndarray) -> DeformationField:
-        return DeformationField(self.def_grid, x.reshape((3,) + self.def_grid.shape))
-
-    def evaluate(self, y: DeformationField):
-        """Returns (J, D, S, flat gradient)."""
-        D, grad_D = distance_and_gradient(
-            y, self.ref, self.template, self.plan, self.params,
-            self.pt_variant, self.workers,
-        )
-        S = curvature_value(y)
-        grad = grad_D.field + y.field.dtype.type(self.alpha) * curvature_gradient(y)
-        J = D + self.alpha * S
-        return J, D, S, grad.ravel()
+    log: list = field(default_factory=list)
 
     def __call__(self, x: np.ndarray):
         if not np.all(np.isfinite(x)):
             # overflowed line-search trial point; force a backtrack
+            self.log.append((float("inf"), float("nan"), float("nan")))
             return float("inf"), np.zeros_like(x)
-        J, D, S, g = self.evaluate(self.field_from_flat(x))
-        self.last_D, self.last_S = D, S
-        return J, g
+        grid = self.plan.def_grid
+        y = DeformationField(grid, x.reshape((3,) + grid.shape))
+        D, grad_D = distance_and_gradient(
+            y, self.ref, self.template, self.plan, self.params,
+            self.pt_variant, self.workers,
+        )
+        S, grad_S = curvature_value_and_gradient(y)
+        grad = grad_D.field + y.field.dtype.type(self.alpha) * grad_S
+        J = D + self.alpha * S
+        self.log.append((J, D, S))
+        return J, grad.ravel()

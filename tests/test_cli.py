@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ngfreg import cli
 from ngfreg.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from ngfreg.fileio import read_deformation, read_volume, write_deformation, write_volume
 from ngfreg.geometry import Grid3, Image3, make_identity
@@ -113,6 +114,11 @@ def test_warp_out_difference_requires_reference(pair, tmp_path):
                "--out", str(tmp_path / "w.mha"),
                "--out-difference", str(tmp_path / "d.mha")])
     assert rc == EXIT_USAGE
+    # inputs that do not exist: a usage error shows the options were checked first
+    rc = main(["warp", "--template", str(tmp_path / "no.mha"),
+               "--deformation", str(tmp_path / "no2.mha"),
+               "--out", str(tmp_path / "w.mha"), "--out-difference", str(tmp_path / "d.mha")])
+    assert rc == EXIT_USAGE
 
 
 def test_register_grid_mismatch_is_numeric_error_with_hint(tmp_path, capsys):
@@ -202,4 +208,16 @@ def test_benchmark_unknown_variant_is_usage_error(tmp_path, capsys):
                "--reps", "3", "--out", str(out)])
     assert rc == EXIT_USAGE
     assert "bogus" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--reps", "2"], ["--threads", "0"], ["--threads", "x"],
+                                  ["--precision", "f16"], ["--dims", "a,b,c"],
+                                  ["--dims", "0,8,8"]])
+def test_benchmark_bad_option_is_usage_error_before_work(tmp_path, capsys, monkeypatch, flag):
+    monkeypatch.setattr(cli, "run_benchmark", lambda **_: pytest.fail("the benchmark ran"))
+    out = tmp_path / "bench.tsv"
+    rc = main(["benchmark", "--dims", "8,8,8", "--out", str(out)] + flag)
+    assert rc == EXIT_USAGE
+    assert f"argument {flag[0]}:" in capsys.readouterr().err
     assert not out.exists()

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from ngfreg.geometry import (
     DeformationField,
@@ -10,7 +9,6 @@ from ngfreg.geometry import (
     identity_field_array,
     make_identity,
     precision_dtype,
-    world_of_index,
 )
 
 
@@ -32,34 +30,6 @@ def test_two_cell_identity():
 def test_identity_displacement_is_exactly_zero():
     g = Grid3((4, 3, 5), (0.7, 1.3, 2.1), (-1.0, 2.0, 0.5))
     assert np.all(make_identity(g).displacement() == 0)
-
-
-def test_world_of_index():
-    g = Grid3((4, 4, 4), (1, 1, 1), (0, 0, 0))
-    assert world_of_index(g, (0, 0, 0)) == (0, 0, 0)
-    g2 = Grid3((4, 4, 4), (2, 3, 4), (1, 1, 1))
-    assert world_of_index(g2, (1, 1, 1)) == (3, 4, 5)
-    with pytest.raises(GridError):
-        world_of_index(g, (4, 0, 0))
-    with pytest.raises(GridError):
-        world_of_index(g, (0, -1, 0))
-
-
-@given(
-    dims=st.tuples(*[st.integers(1, 6)] * 3),
-    idx=st.tuples(*[st.integers(0, 5)] * 3),
-)
-def test_linearize_bijection(dims, idx):
-    idx = tuple(min(i, d - 1) for i, d in zip(idx, dims))
-    g = Grid3(dims, (1, 1, 1), (0, 0, 0))
-    assert g.delinearize(g.linearize(*idx)) == idx
-
-
-def test_linearization_is_x_fastest():
-    g = Grid3((3, 2, 2), (1, 1, 1), (0, 0, 0))
-    assert g.linearize(1, 0, 0) == 1
-    assert g.linearize(0, 1, 0) == 3
-    assert g.linearize(0, 0, 1) == 6
 
 
 def test_grid_validation():
@@ -85,7 +55,8 @@ def test_identity_field_matches_world_coordinates():
     for k in range(2):
         for j in range(4):
             for i in range(3):
-                assert tuple(f[:, k, j, i]) == g.world_of_index((i, j, k))
+                world = tuple(o + n * h for o, n, h in zip(g.origin, (i, j, k), g.spacing))
+                assert tuple(f[:, k, j, i]) == world
 
 
 def test_deformation_rejects_nonfinite():

@@ -4,6 +4,8 @@ import pytest
 from ngfreg import multilevel
 from ngfreg.geometry import DeformationField, Grid3, GridError, Image3, make_identity
 from ngfreg.lbfgs import LbfgsConfig
+from ngfreg.ngf import NgfParams, precompute_reference_terms
+from ngfreg.objective import LevelObjective
 from ngfreg.multilevel import (
     MultilevelConfig,
     build_pyramid,
@@ -20,6 +22,7 @@ from ngfreg.synthetic import (
     smooth_random_field,
     smooth_random_volume,
 )
+from ngfreg.transfer import build_gather_plan
 
 
 def _grid(dims, spacing=(1, 1, 1), origin=(0, 0, 0)):
@@ -227,3 +230,28 @@ def test_report_counts_evaluations_and_records_each_accepted_iterate(monkeypatch
         for rec, (J, D, S) in zip(lv.records, lv.J_trace):
             assert not np.isnan([J, D, S]).any()
             assert float(J) == rec.J
+
+
+def test_objective_logs_every_call_and_a_nonfinite_trial_as_inf():
+    g = _grid((12, 12, 12))
+    dg = deformation_grid_for(g, 4)
+    params = NgfParams()
+    obj = LevelObjective(
+        template=smooth_random_volume(g, seed=1),
+        ref=precompute_reference_terms(smooth_random_volume(g, seed=2), params),
+        plan=build_gather_plan(dg, g), params=params, alpha=0.5,
+    )
+    x = smooth_random_field(dg, seed=3, amplitude_mm=1.0).field.ravel()
+    bad = x.copy()
+    bad[5] = np.nan
+
+    J_bad, g_bad = obj(bad)
+    J, grad = obj(x)
+
+    assert J_bad == np.inf
+    assert g_bad.shape == x.shape and np.all(g_bad == 0)
+    assert len(obj.log) == 2
+    assert obj.log[0][0] == np.inf and np.isnan(obj.log[0][1:]).all()
+    J_log, D, S = obj.log[1]
+    assert J_log == J == D + 0.5 * S
+    assert D > 0 and S > 0 and np.all(np.isfinite(grad))
