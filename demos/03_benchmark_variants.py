@@ -9,6 +9,10 @@ identical checksum means identical bits across runs and worker counts.
 scatter adds under a lock in thread order, so its checksums can differ
 between worker counts and between runs; it is only guaranteed to agree
 with gather up to floating-point reassociation, which the gate checks.
+
+The worker count is a cap: no slab gets less work than one chunk of whole
+z-planes (about 32k voxels). The 32^3 case here is one such chunk per
+operation, so every slab call runs one slab, inline, at every worker count.
 """
 
 from ngfreg import format_table, run_benchmark

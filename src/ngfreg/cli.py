@@ -197,14 +197,15 @@ def _cmd_warp(args) -> int:
         raise _UsageExit("--out-difference requires --reference")
     T = fileio.read_volume(args.template)
     y = fileio.read_deformation(args.deformation)
+    if args.out_difference:  # read and check it before any output is written
+        ref = fileio.read_volume(args.reference)
+        if ref.grid != T.grid:
+            raise GridError("reference grid does not match the warped output grid")
     # the deformation may live on a coarser grid; P is the identity when grids match
     yhat = apply_P(y, T.grid)
     warped = warp_image(T, yhat).warped
     fileio.write_volume(warped, args.out)
     if args.out_difference:
-        ref = fileio.read_volume(args.reference)
-        if ref.grid != warped.grid:
-            raise GridError("reference grid does not match the warped output grid")
         fileio.write_volume(Image3(warped.grid, warped.values - ref.values),
                             args.out_difference)
     return EXIT_OK

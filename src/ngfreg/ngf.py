@@ -196,6 +196,6 @@ def distance_and_gradient(
             g_hat *= s
             xy[:, k0:k1] = _reduce_xy(g_hat, plan)
 
-    run_slabs(do_slab, nz, workers)
+    run_slabs(do_slab, nz, ny * nx, workers)
     D = float(h_bar / 2 * np.sum(d_planes, dtype=dtype))
     return D, _reduce_z(xy, plan, z_schedule, workers)

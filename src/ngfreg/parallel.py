@@ -5,6 +5,10 @@ Each slab computation is a pure function writing to a disjoint output region,
 so results are independent of the worker count; for the gather-style
 operations they are bit-identical by construction.
 
+`workers` is a cap, not a demand: no slab gets less work than one chunk of
+about _CHUNK_VOXELS voxels, so a range of one chunk or less (a whole 32^3
+grid, say) runs inline on the caller's thread and never reaches the pool.
+
 run_planes splits each slab further into chunks of whole z-planes of a fixed
 size (plane_step planes); the warp, the image gradient and P^T chunk their
 work through it, and the NGF sweep walks its slabs' chunks itself.
@@ -71,9 +75,12 @@ def slab_ranges(n: int, workers: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def run_slabs(fn, n: int, workers: int) -> None:
-    """Run fn(lo, hi) over a slab partition of range(n), possibly threaded."""
-    _run_all([(fn, r) for r in slab_ranges(n, workers)], workers)
+def run_slabs(fn, n: int, voxels: int, workers: int) -> None:
+    """Run fn(lo, hi) over a slab partition of range(n), possibly threaded,
+    where each index is about `voxels` voxels of work: at most `workers`
+    slabs, and no more than there are chunks of _CHUNK_VOXELS voxels."""
+    slabs = min(workers, -(-n // plane_step(voxels)))
+    _run_all([(fn, r) for r in slab_ranges(n, slabs)], workers)
 
 
 def run_tasks(tasks, workers: int) -> list:
@@ -95,4 +102,4 @@ def run_planes(fn, nz: int, plane_voxels: int, workers: int) -> None:
         for k0 in range(lo, hi, step):
             fn(k0, min(k0 + step, hi))
 
-    run_slabs(do_slab, nz, workers)
+    run_slabs(do_slab, nz, plane_voxels, workers)

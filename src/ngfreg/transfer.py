@@ -158,24 +158,29 @@ def apply_P(y: DeformationField, image_grid: Grid3, workers: int = 1) -> VectorF
     def do_slab(lo, hi):
         out[:, lo:hi] = _interp_z(xy, transfers, lo, hi)
 
-    run_slabs(do_slab, image_grid.shape[0], workers)
+    nz, ny, nx = image_grid.shape
+    run_slabs(do_slab, nz, ny * nx, workers)
     return VectorField3(image_grid, out)
 
 
 def _gather_block(arr: np.ndarray, ap: AxisPlan, axis: int, rows: slice | None = None) -> np.ndarray:
-    """Apply the transposed 1D weights along one array axis, fixed ascending order."""
+    """Apply the transposed 1D weights along one array axis. Each output index
+    sums its window columns in ascending order, starting from the first
+    column's term; zero-weight padding columns read the clamped last index.
+    Each column is taken straight from arr, with no copy of the window."""
     start = ap.start if rows is None else ap.start[rows]
-    W = ap.weights if rows is None else ap.weights[rows]
+    W = (ap.weights if rows is None else ap.weights[rows]).astype(arr.dtype)
     ni = arr.shape[axis]
-    width = W.shape[1]
-    idx = np.minimum(start[:, None] + np.arange(width)[None, :], ni - 1)
-    g = np.take(arr, idx, axis=axis)  # axis replaced by (nd, width)
     shape = [1] * arr.ndim
     shape[axis] = len(start)
     out = None
-    for j in range(width):  # ascending index order keeps summation deterministic
-        term = np.take(g, j, axis=axis + 1) * W[:, j].astype(arr.dtype).reshape(shape)
-        out = term if out is None else out + term
+    for j in range(W.shape[1]):  # ascending index order keeps summation deterministic
+        term = np.take(arr, np.minimum(start + j, ni - 1), axis=axis)
+        term *= W[:, j].reshape(shape)
+        if out is None:
+            out = term
+        else:
+            out += term
     return out
 
 
@@ -186,7 +191,7 @@ def _z_gather(xy: np.ndarray, out: np.ndarray, plan: GatherPlan, workers: int) -
     def do_slab(lo, hi):
         out[:, lo:hi] = _gather_block(xy, zp, axis=1, rows=slice(lo, hi))
 
-    run_slabs(do_slab, out.shape[1], workers)
+    run_slabs(do_slab, out.shape[1], xy[0, 0].size, workers)
 
 
 def _add_plane(out: np.ndarray, xy: np.ndarray, k: int, plan: GatherPlan) -> None:
@@ -209,7 +214,7 @@ def _z_scatter(xy: np.ndarray, out: np.ndarray, plan: GatherPlan, workers: int) 
             with lock:
                 _add_plane(out, xy, k, plan)
 
-    run_slabs(do_slab, xy.shape[1], workers)
+    run_slabs(do_slab, xy.shape[1], xy[0, 0].size, workers)
 
 
 def _z_redblack(xy: np.ndarray, out: np.ndarray, plan: GatherPlan, workers: int) -> None:
@@ -225,7 +230,7 @@ def _z_redblack(xy: np.ndarray, out: np.ndarray, plan: GatherPlan, workers: int)
                 for k in np.flatnonzero(i0 == d0):
                     _add_plane(out, xy, k, plan)
 
-        run_slabs(do_slab, len(color), workers)
+        run_slabs(do_slab, len(color), xy[0, 0].size, workers)
 
 
 _Z_SCHEDULES = {"gather": _z_gather, "scatter": _z_scatter, "redblack": _z_redblack}
@@ -242,9 +247,14 @@ def _z_schedule(variant: str):
 
 def _reduce_xy(r: np.ndarray, plan: GatherPlan) -> np.ndarray:
     """The xy reduction of P^T on image z-planes r (3, m, ny, nx): (3, m, ny_d, nx_d).
-    Each plane is contracted on its own, so any chunking gives the same bytes."""
+    Each plane is contracted on its own, so any chunking gives the same bytes.
+    Each contraction runs on a copy with its axis first, where a window column
+    is whole contiguous rows rather than single elements; the sums are the
+    same, so are the bytes."""
     xp, yp, _ = plan.axes
-    return _gather_block(_gather_block(r, xp, axis=3), yp, axis=2)
+    rx = _gather_block(np.ascontiguousarray(r.transpose(3, 0, 1, 2)), xp, axis=0)
+    rxy = _gather_block(np.ascontiguousarray(rx.transpose(3, 1, 2, 0)), yp, axis=0)
+    return rxy.transpose(1, 2, 0, 3)
 
 
 def _reduce_z(xy: np.ndarray, plan: GatherPlan, z_schedule, workers: int) -> VectorField3:

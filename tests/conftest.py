@@ -1,12 +1,31 @@
 import numpy as np
 import pytest
 
+from ngfreg import parallel
 from ngfreg.geometry import Grid3
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def one_plane_chunks(monkeypatch):
+    """Chunks of one z-plane, so that grids of one chunk or less still split
+    into several slabs and take the threaded paths; returns the number of
+    slabs of every run_slabs call made while the fixture is active."""
+    monkeypatch.setattr(parallel, "_CHUNK_VOXELS", 1)
+    counts = []
+    slab_ranges = parallel.slab_ranges
+
+    def counting_slab_ranges(n, workers):
+        ranges = slab_ranges(n, workers)
+        counts.append(len(ranges))
+        return ranges
+
+    monkeypatch.setattr(parallel, "slab_ranges", counting_slab_ranges)
+    return counts
 
 
 def random_grid_pair(rng, max_dim=9):

@@ -47,7 +47,7 @@ def test_verify_variant_agreement_checks_every_worker_count(monkeypatch):
         verify_variant_agreement((12, 10, 8), workers_list=(1, 2))
 
 
-def test_run_benchmark_smoke_and_checksums():
+def test_run_benchmark_smoke_and_checksums(one_plane_chunks):
     records = run_benchmark(dims=(10, 10, 10), workers_list=(1, 2),
                             precisions=("f64",), variants=("gather", "scatter", "redblack"),
                             reps=3, register_max_iter=2)
@@ -69,6 +69,7 @@ def test_run_benchmark_smoke_and_checksums():
     assert {key[1] for key in by_key if key[0] == "apply_Pt"} == {"gather", "redblack"}
     for key, sums in by_key.items():
         assert len(sums) == 1, f"{key} not deterministic across workers: {sums}"
+    assert max(one_plane_chunks) >= 2
 
 
 def test_run_benchmark_rejects_too_few_reps():

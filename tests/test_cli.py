@@ -121,6 +121,25 @@ def test_warp_out_difference_requires_reference(pair, tmp_path):
     assert rc == EXIT_USAGE
 
 
+def test_warp_bad_reference_writes_no_output(pair, tmp_path):
+    # --reference is read and checked before --out is written: a missing one
+    # is an I/O error, one on another grid a numeric error, and neither
+    # leaves a file behind
+    g, rp, tp = pair
+    ypath = str(tmp_path / "id.mha")
+    write_deformation(make_identity(g), ypath)
+    other = str(tmp_path / "other.mha")
+    write_volume(smooth_random_volume(Grid3((8, 8, 8), (4.0, 4.0, 4.0), (0.0, 0.0, 0.0)),
+                                      seed=1), other)
+    before = sorted(tmp_path.iterdir())
+    for reference, code in ((str(tmp_path / "no.mha"), EXIT_IO), (other, EXIT_NUMERIC)):
+        rc = main(["warp", "--template", tp, "--deformation", ypath,
+                   "--out", str(tmp_path / "w.mha"), "--reference", reference,
+                   "--out-difference", str(tmp_path / "d.mha")])
+        assert rc == code
+        assert sorted(tmp_path.iterdir()) == before
+
+
 def test_register_grid_mismatch_is_numeric_error_with_hint(tmp_path, capsys):
     g1 = Grid3((8, 8, 8), (1, 1, 1), (0, 0, 0))
     g2 = Grid3((8, 8, 8), (1.5, 1, 1), (0, 0, 0))

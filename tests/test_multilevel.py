@@ -155,7 +155,7 @@ def test_register_recovers_synthetic_bump():
     assert all(lvl.iterations >= 1 for lvl in report.levels)
 
 
-def test_register_deterministic_across_workers():
+def test_register_deterministic_across_workers(one_plane_chunks):
     g = _grid((16, 16, 16), (2.0, 2.0, 2.0))
     center = tuple(o + e / 2 for o, e in zip(g.origin, g.extent))
     R, T = make_registration_pair(
@@ -167,6 +167,7 @@ def test_register_deterministic_across_workers():
     y1, _ = register(R, T, cfg1)
     y4, _ = register(R, T, cfg4)
     assert np.array_equal(y1.field, y4.field)
+    assert max(one_plane_chunks) >= 2
 
 
 def test_register_f32_runs_and_matches_f64_roughly():

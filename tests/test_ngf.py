@@ -141,7 +141,7 @@ def test_gradient_matches_fd(rng):
         assert abs(fd - grad.field[c, k, j, i]) < 2e-5 * gnorm
 
 
-def test_variants_and_workers_agree(rng):
+def test_variants_and_workers_agree(rng, one_plane_chunks):
     gi = _grid((9, 8, 7))
     gd = Grid3((3, 4, 2),
                tuple(n * s / m for n, s, m in zip(gi.dims, gi.spacing, (3, 4, 2))),
@@ -164,6 +164,7 @@ def test_variants_and_workers_agree(rng):
                 assert np.array_equal(gv.field, g0.field)
             else:
                 assert np.max(np.abs(gv.field - g0.field)) <= 1e-12 * scale
+    assert max(one_plane_chunks) >= 2
 
 
 def test_bytes_identical_across_workers_and_chunks(rng, monkeypatch):
@@ -197,9 +198,12 @@ def test_bytes_identical_across_workers_and_chunks(rng, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("workers", [1, 2])
-def test_nonfinite_intermediate_is_floating_point_error(workers):
-    # planes of +-3e38 are finite in f32, but their differences overflow
+def test_nonfinite_intermediate_is_floating_point_error(workers, one_plane_chunks):
+    # planes of +-3e38 are finite in f32, but their differences overflow; in
+    # one-plane chunks a slab reduces the overflowed partials of its inner
+    # planes (0 * inf) before its face plane's template gradient raises
     g = _grid((8, 7, 6))
     sign = np.where(np.arange(6) % 2 == 0, 1.0, -1.0)[:, None, None]
     T = Image3(g, (3e38 * sign + np.zeros(g.shape)).astype(np.float32))
@@ -210,6 +214,7 @@ def test_nonfinite_intermediate_is_floating_point_error(workers):
     with pytest.raises(FloatingPointError, match="template gradient"):
         distance_and_gradient(make_identity(g, np.float32), ref, T, plan, params,
                               workers=workers)
+    assert max(one_plane_chunks) == workers
 
 
 def _layered_chain(y, ref, T, plan, params, variant, workers):

@@ -6,17 +6,32 @@ import numpy as np
 import pytest
 
 from ngfreg import parallel
+from ngfreg.geometry import Grid3, make_identity
+from ngfreg.multilevel import deformation_grid_for
+from ngfreg.ngf import NgfParams, distance_and_gradient, precompute_reference_terms
+from ngfreg.synthetic import smooth_random_volume
+from ngfreg.transfer import build_gather_plan
+
+# voxels per index that make every index one chunk, so the slab count is
+# min(workers, n) as the pool tests expect
+CHUNK = parallel._CHUNK_VOXELS
 
 
 @pytest.fixture
 def fresh_pools(monkeypatch):
-    """Start from no pools and count the executors created; shut them down after."""
+    """Start from no pools and count the executors created and the calls
+    submitted to each (`submitted`); shut them down after."""
     created = []
 
     class CountingPool(parallel.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             created.append(self)
+            self.submitted = 0
             super().__init__(*args, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            self.submitted += 1
+            return super().submit(*args, **kwargs)
 
     monkeypatch.setattr(parallel, "_pools", {})
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", CountingPool)
@@ -32,7 +47,7 @@ def test_one_pool_per_worker_count(fresh_pools):
         out[lo:hi] += np.arange(lo, hi)
 
     for i in range(50):
-        parallel.run_slabs(fill, 20, 2 + i % 2)
+        parallel.run_slabs(fill, 20, CHUNK, 2 + i % 2)
     assert np.array_equal(out, 50 * np.arange(20))
     assert parallel.run_tasks([lambda: 1, lambda: 2, lambda: 3], 2) == [1, 2, 3]
     assert len(fresh_pools) == 2
@@ -46,10 +61,10 @@ def test_nested_call_runs_inline(fresh_pools):
         def inner(c0, c1):
             out[lo:hi, c0:c1] = np.arange(lo, hi)[:, None] * 10 + np.arange(c0, c1)
 
-        parallel.run_slabs(inner, 8, 2)
+        parallel.run_slabs(inner, 8, CHUNK, 2)
 
     # a deadlock would hang the caller, so it runs on a thread with a deadline
-    caller = threading.Thread(target=parallel.run_slabs, args=(outer, 6, 2), daemon=True)
+    caller = threading.Thread(target=parallel.run_slabs, args=(outer, 6, CHUNK, 2), daemon=True)
     caller.start()
     caller.join(timeout=20)
     assert not caller.is_alive(), "nested run_slabs deadlocked"
@@ -69,10 +84,10 @@ def test_error_waits_for_every_slab(fresh_pools):
             finished.append(lo)
 
     with pytest.raises(RuntimeError, match="slab 0 failed"):
-        parallel.run_slabs(fn, 3, 3)
+        parallel.run_slabs(fn, 3, CHUNK, 3)
     assert sorted(finished) == [1, 2]
     out = np.zeros(3)
-    parallel.run_slabs(lambda lo, hi: out.__setitem__(slice(lo, hi), 1.0), 3, 3)
+    parallel.run_slabs(lambda lo, hi: out.__setitem__(slice(lo, hi), 1.0), 3, CHUNK, 3)
     assert np.all(out == 1.0)
     assert len(fresh_pools) == 1
 
@@ -84,7 +99,8 @@ def test_concurrent_callers_share_one_pool(fresh_pools):
 
     def caller(out):
         for _ in range(20):
-            parallel.run_slabs(lambda lo, hi: out.__setitem__(slice(lo, hi), out[lo:hi] + 1), 60, 3)
+            parallel.run_slabs(lambda lo, hi: out.__setitem__(slice(lo, hi), out[lo:hi] + 1),
+                               60, CHUNK, 3)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -99,3 +115,29 @@ def test_concurrent_callers_share_one_pool(fresh_pools):
     assert not any(t.is_alive() for t in threads)
     assert all(np.all(o == 20) for o in outs)
     assert len(fresh_pools) == 1
+
+
+def test_grid_of_one_chunk_runs_inline(fresh_pools):
+    # a whole 16^3 evaluation is less than one chunk: with workers=2 every
+    # slab call of the sweep and of P^T runs on the caller's thread
+    g = Grid3((16, 16, 16), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    params = NgfParams()
+    ref = precompute_reference_terms(smooth_random_volume(g, seed=1), params, workers=2)
+    plan = build_gather_plan(deformation_grid_for(g, 2), g)
+    distance_and_gradient(make_identity(plan.def_grid), ref, smooth_random_volume(g, seed=2),
+                          plan, params, workers=2)
+    assert sum(p.submitted for p in fresh_pools) == 0
+
+
+def test_workers_are_a_cap(fresh_pools):
+    plane = 64 * 64
+    step = parallel.plane_step(plane)
+    chunks = []
+    parallel.run_planes(lambda k0, k1: chunks.append((k0, k1)), 64, plane, 2)
+    assert sorted(chunks) == [(k, k + step) for k in range(0, 64, step)]
+    assert sum(p.submitted for p in fresh_pools) == 2  # a 64^3 sweep: 2 slabs
+
+    slabs = []
+    parallel.run_slabs(lambda lo, hi: slabs.append((lo, hi)), 3 * step, plane, 8)
+    assert sorted(slabs) == [(0, step), (step, 2 * step), (2 * step, 3 * step)]
+    assert sum(p.submitted for p in fresh_pools) == 5

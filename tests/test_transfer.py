@@ -3,7 +3,14 @@ import pytest
 
 from ngfreg.geometry import DeformationField, Grid3, GridError, VectorField3, make_identity
 from ngfreg import parallel
-from ngfreg.transfer import PT_VARIANTS, apply_P, apply_Pt, build_gather_plan, dense_P_oracle
+from ngfreg.transfer import (
+    PT_VARIANTS,
+    _gather_block,
+    apply_P,
+    apply_Pt,
+    build_gather_plan,
+    dense_P_oracle,
+)
 
 from conftest import random_grid_pair
 
@@ -128,9 +135,10 @@ def test_adjoint_identity(rng):
             assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + 1)
 
 
-def test_gather_bit_identical_across_workers(rng, monkeypatch):
+def test_gather_bit_identical_across_workers(rng, monkeypatch, one_plane_chunks):
     # gather and redblack are bit-identical for any worker count (README);
-    # a one-plane chunk size also splits the xy reduction at every z-plane.
+    # a one-plane chunk size also splits the xy reduction at every z-plane,
+    # and lets these grids of less than one module chunk run several slabs.
     # The second pair feeds about 6 image planes into each output plane, so
     # a summation order that followed the worker partition would show.
     chunks = (parallel._CHUNK_VOXELS, 1)
@@ -145,17 +153,58 @@ def test_gather_bit_identical_across_workers(rng, monkeypatch):
                 for w in (1, 2, 8):
                     out = apply_Pt(r, plan, variant, workers=w).field
                     assert out.tobytes() == base.tobytes()
+    assert max(one_plane_chunks) >= 2
 
 
-def test_apply_P_bit_identical_across_workers(rng):
+def test_apply_P_bit_identical_across_workers(rng, one_plane_chunks):
     gd, gi = random_grid_pair(rng)
     y = DeformationField(gd, make_identity(gd).field + rng.standard_normal((3,) + gd.shape))
     base = apply_P(y, gi, workers=1).field
     for w in (2, 8):
         assert np.array_equal(apply_P(y, gi, workers=w).field, base)
+    assert max(one_plane_chunks) >= 2
 
 
-def test_variants_agree_on_random_inputs(rng):
+def _sequential_gather(arr, ap, axis, rows):
+    """The transposed 1D weights along one array axis as a plain loop: each
+    output index adds its window columns in ascending order, padding included,
+    starting from the first column's term."""
+    a = np.moveaxis(arr, axis, 0)
+    out = []
+    for d in range(len(ap.start))[rows or slice(None)]:
+        acc = None
+        for j in range(ap.weights.shape[1]):
+            term = a[min(ap.start[d] + j, len(a) - 1)] * ap.weights[d, j].astype(arr.dtype)
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return np.moveaxis(np.stack(out), 0, axis)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_block_sums_window_columns_in_ascending_order(rng, dtype):
+    # Byte equality with the loop pins the summation order: magnitudes over
+    # twelve decades make any reassociation show, and a component of -0.0
+    # sums to -0.0 only when the first term starts the sum (0.0 + -0.0 is
+    # +0.0). Its edge planes are negative, so the zero-weight padding
+    # columns, which read the clamped last index, add -0.0 there too.
+    gi = _grid((23, 19, 29))
+    plan = build_gather_plan(_def_grid_like(gi, (5, 7, 4)), gi)
+    arr = rng.standard_normal((3,) + gi.shape) * 10.0 ** rng.uniform(-6, 6, (3,) + gi.shape)
+    arr[0] = -0.0
+    arr[0, -1], arr[0, :, -1], arr[0, :, :, -1] = -1.0, -2.0, -3.0
+    arr[2, -1], arr[2, :, -1], arr[2, :, :, -1] = 1e6, -1e6, 1e-6
+    arr = arr.astype(dtype)
+    for axis, ap in zip((3, 2, 1), plan.axes):
+        width = ap.weights.shape[1]
+        assert (ap.counts < width).any() and (ap.start + width > arr.shape[axis]).any()
+        for rows in (None, slice(1, 3), slice(len(ap.start) - 1, None)):
+            got = _gather_block(arr, ap, axis, rows)
+            assert got.dtype == dtype
+            assert got.tobytes() == _sequential_gather(arr, ap, axis, rows).tobytes()
+    assert np.signbit(_gather_block(arr, plan.axes[0], 3)[0, 1:-1, 1:-1]).all()
+
+
+def test_variants_agree_on_random_inputs(rng, one_plane_chunks):
     for _ in range(10):
         gd, gi = random_grid_pair(rng)
         plan = build_gather_plan(gd, gi)
@@ -165,6 +214,7 @@ def test_variants_agree_on_random_inputs(rng):
         for variant in ("scatter", "redblack"):
             out = apply_Pt(r, plan, variant, workers=4)
             assert np.max(np.abs(out.field - a)) <= 1e-12 * scale
+    assert max(one_plane_chunks) >= 2
 
 
 def test_dense_oracle_identity_and_rows():

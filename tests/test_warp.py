@@ -49,7 +49,7 @@ def test_warp_outside_hull_is_zero_with_mask():
     assert res.inside_mask.sum() == g.num_points - 1
 
 
-def test_warp_bit_identical_across_workers(rng):
+def test_warp_bit_identical_across_workers(rng, one_plane_chunks):
     g = _grid((9, 8, 7), (1.1, 0.9, 1.3))
     T = smooth_random_volume(g, seed=3)
     y = smooth_random_field(g, seed=4, amplitude_mm=0.8)
@@ -58,6 +58,7 @@ def test_warp_bit_identical_across_workers(rng):
         out = warp_image(T, y, workers=w)
         assert np.array_equal(out.warped.values, base.warped.values)
         assert np.array_equal(out.inside_mask, base.inside_mask)
+    assert max(one_plane_chunks) >= 2
 
 
 def test_warp_jacobian_matches_fd(rng):
