@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,19 @@ from ngfreg.geometry import Grid3
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+# the module's chunk size, read before any test patches it
+DEFAULT_CHUNK = parallel._CHUNK_VOXELS
+
+
+@contextmanager
+def default_chunks():
+    """The module's own chunk size for a block inside a one_plane_chunks test,
+    where a grid of one chunk or less runs whole, in one slab."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parallel, "_CHUNK_VOXELS", DEFAULT_CHUNK)
+        yield
 
 
 @pytest.fixture

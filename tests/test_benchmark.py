@@ -9,6 +9,8 @@ from ngfreg.benchmark import (
     verify_variant_agreement,
 )
 
+from conftest import default_chunks
+
 
 def test_verify_variant_agreement_passes_on_small_volume():
     verify_variant_agreement((12, 10, 8))
@@ -48,9 +50,11 @@ def test_verify_variant_agreement_checks_every_worker_count(monkeypatch):
 
 
 def test_run_benchmark_smoke_and_checksums(one_plane_chunks):
-    records = run_benchmark(dims=(10, 10, 10), workers_list=(1, 2),
-                            precisions=("f64",), variants=("gather", "scatter", "redblack"),
-                            reps=3, register_max_iter=2)
+    case = dict(dims=(10, 10, 10), precisions=("f64",),
+                variants=("gather", "scatter", "redblack"), reps=3, register_max_iter=2)
+    with default_chunks():  # the whole grid in one chunk
+        whole = run_benchmark(workers_list=(1,), **case)
+    records = run_benchmark(workers_list=(1, 2), **case)
     ops = {r.operation for r in records}
     assert ops == {"apply_P", "apply_Pt", "ngf_value_grad", "register"}
     # Worker count must not change any result, at the strength each P^T
@@ -60,10 +64,11 @@ def test_run_benchmark_smoke_and_checksums(one_plane_chunks):
     # scatter's lock order fixes no summation order, so its bytes may change
     # with the thread schedule; run_benchmark has already checked it against
     # gather to 1e-12 x scale at every count in workers_list (it raises
-    # VariantDisagreement otherwise).
+    # VariantDisagreement otherwise). The bytes of the whole-grid run must
+    # match those of the one-plane chunks too.
     assert {r.workers for r in records if r.variant == "scatter"} == {1, 2}
     by_key = {}
-    for r in records:
+    for r in whole + records:
         if r.variant != "scatter":
             by_key.setdefault((r.operation, r.variant, r.precision), set()).add(r.checksum)
     assert {key[1] for key in by_key if key[0] == "apply_Pt"} == {"gather", "redblack"}

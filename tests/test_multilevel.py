@@ -24,6 +24,8 @@ from ngfreg.synthetic import (
 )
 from ngfreg.transfer import build_gather_plan
 
+from conftest import default_chunks
+
 
 def _grid(dims, spacing=(1, 1, 1), origin=(0, 0, 0)):
     return Grid3(dims, spacing, origin)
@@ -164,7 +166,8 @@ def test_register_deterministic_across_workers(one_plane_chunks):
                             lbfgs=LbfgsConfig(max_iterations=20))
     cfg4 = MultilevelConfig(coarsest_min_dim=8, workers=4,
                             lbfgs=LbfgsConfig(max_iterations=20))
-    y1, _ = register(R, T, cfg1)
+    with default_chunks():  # the whole grid in one chunk
+        y1, _ = register(R, T, cfg1)
     y4, _ = register(R, T, cfg4)
     assert np.array_equal(y1.field, y4.field)
     assert max(one_plane_chunks) >= 2

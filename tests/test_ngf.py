@@ -15,6 +15,8 @@ from ngfreg.synthetic import make_volume, smooth_random_volume
 from ngfreg.transfer import PT_VARIANTS, apply_P, apply_Pt, build_gather_plan
 from ngfreg.warp import _trilinear, image_gradient, image_gradient_apply_transpose
 
+from conftest import default_chunks
+
 
 def _grid(dims, spacing=(1, 1, 1), origin=(0, 0, 0)):
     return Grid3(dims, spacing, origin)
@@ -154,7 +156,8 @@ def test_variants_and_workers_agree(rng, one_plane_chunks):
     plan = build_gather_plan(gd, gi)
     y = DeformationField(gd, make_identity(gd).field
                          + 0.5 * rng.standard_normal((3,) + gd.shape))
-    D0, g0 = distance_and_gradient(y, ref, T, plan, params, "gather", workers=1)
+    with default_chunks():  # the whole grid in one chunk
+        D0, g0 = distance_and_gradient(y, ref, T, plan, params, "gather", workers=1)
     for variant in ("gather", "scatter", "redblack"):
         for w in (1, 4):
             D, gv = distance_and_gradient(y, ref, T, plan, params, variant, workers=w)
@@ -200,10 +203,13 @@ def test_bytes_identical_across_workers_and_chunks(rng, monkeypatch):
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("workers", [1, 2])
-def test_nonfinite_intermediate_is_floating_point_error(workers, one_plane_chunks):
-    # planes of +-3e38 are finite in f32, but their differences overflow; in
-    # one-plane chunks a slab reduces the overflowed partials of its inner
-    # planes (0 * inf) before its face plane's template gradient raises
+def test_nonfinite_intermediate_is_floating_point_error(workers, request):
+    # planes of +-3e38 are finite in f32, but their differences overflow.
+    # One worker runs the grid whole, in one chunk; more run one-plane chunks
+    # so that the grid splits into slabs, and then a slab reduces the
+    # overflowed partials of its inner planes (0 * inf) before its face
+    # plane's template gradient raises
+    slab_counts = request.getfixturevalue("one_plane_chunks") if workers > 1 else None
     g = _grid((8, 7, 6))
     sign = np.where(np.arange(6) % 2 == 0, 1.0, -1.0)[:, None, None]
     T = Image3(g, (3e38 * sign + np.zeros(g.shape)).astype(np.float32))
@@ -214,7 +220,8 @@ def test_nonfinite_intermediate_is_floating_point_error(workers, one_plane_chunk
     with pytest.raises(FloatingPointError, match="template gradient"):
         distance_and_gradient(make_identity(g, np.float32), ref, T, plan, params,
                               workers=workers)
-    assert max(one_plane_chunks) == workers
+    if slab_counts is not None:
+        assert max(slab_counts) == workers
 
 
 def _layered_chain(y, ref, T, plan, params, variant, workers):

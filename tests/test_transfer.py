@@ -12,7 +12,7 @@ from ngfreg.transfer import (
     dense_P_oracle,
 )
 
-from conftest import random_grid_pair
+from conftest import DEFAULT_CHUNK, default_chunks, random_grid_pair
 
 
 def _grid(dims, spacing=(1, 1, 1), origin=(0, 0, 0)):
@@ -137,18 +137,19 @@ def test_adjoint_identity(rng):
 
 def test_gather_bit_identical_across_workers(rng, monkeypatch, one_plane_chunks):
     # gather and redblack are bit-identical for any worker count (README);
-    # a one-plane chunk size also splits the xy reduction at every z-plane,
-    # and lets these grids of less than one module chunk run several slabs.
+    # the base runs whole, in one chunk of the module's size, and a one-plane
+    # chunk size also splits the xy reduction at every z-plane and lets these
+    # grids of less than one module chunk run several slabs.
     # The second pair feeds about 6 image planes into each output plane, so
     # a summation order that followed the worker partition would show.
-    chunks = (parallel._CHUNK_VOXELS, 1)
     gi = _grid((9, 7, 31))
     for gd, gi in (random_grid_pair(rng), (_def_grid_like(gi, (3, 2, 5)), gi)):
         plan = build_gather_plan(gd, gi)
         r = VectorField3(gi, rng.standard_normal((3,) + gi.shape))
         for variant in ("gather", "redblack"):
-            base = apply_Pt(r, plan, variant, workers=1).field
-            for chunk in chunks:
+            with default_chunks():
+                base = apply_Pt(r, plan, variant, workers=1).field
+            for chunk in (DEFAULT_CHUNK, 1):
                 monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunk)
                 for w in (1, 2, 8):
                     out = apply_Pt(r, plan, variant, workers=w).field
@@ -209,7 +210,8 @@ def test_variants_agree_on_random_inputs(rng, one_plane_chunks):
         gd, gi = random_grid_pair(rng)
         plan = build_gather_plan(gd, gi)
         r = VectorField3(gi, rng.standard_normal((3,) + gi.shape))
-        a = apply_Pt(r, plan, "gather").field
+        with default_chunks():
+            a = apply_Pt(r, plan, "gather").field
         scale = np.abs(a).max() + 1
         for variant in ("scatter", "redblack"):
             out = apply_Pt(r, plan, variant, workers=4)
