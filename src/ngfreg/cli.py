@@ -8,17 +8,18 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import fileio
 from .benchmark import VariantDisagreement, _check_reps, format_table, run_benchmark
 from .evaluation import field_difference_stats, landmark_error
-from .geometry import (
-    Grid3, GridError, Image3, VectorField3, identity_field_array, precision_dtype,
-)
+from .geometry import Grid3, GridError, Image3, identity_field_array, precision_dtype
 from .lbfgs import LbfgsConfig
 from .multilevel import MultilevelConfig, RegistrationReport, register
 from .ngf import NgfParams
-from .transfer import PT_VARIANTS, apply_P
-from .warp import _clamp_to_hull, warp_image
+from .parallel import plane_step
+from .transfer import PT_VARIANTS
+from .warp import _trilinear, warp_image
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,10 +181,7 @@ def _cmd_register(args) -> int:
     y, report = register(R, T, cfg)
     fileio.write_deformation(y, args.out_deformation)
     if args.out_warped:
-        plan_grid = R.grid
-        yhat = apply_P(y, plan_grid, cfg.workers)
-        warped = warp_image(T.astype(dtype), yhat, cfg.workers).warped
-        fileio.write_volume(warped, args.out_warped)
+        fileio.write_volume(warp_image(T, y, cfg.workers), args.out_warped)
     if args.report:
         _write_report(args.report, report)
     print(f"registered {args.template} -> {args.reference}: "
@@ -202,8 +200,7 @@ def _cmd_warp(args) -> int:
         if ref.grid != T.grid:
             raise GridError("reference grid does not match the warped output grid")
     # the deformation may live on a coarser grid; P is the identity when grids match
-    yhat = apply_P(y, T.grid)
-    warped = warp_image(T, yhat).warped
+    warped = warp_image(T, y)
     fileio.write_volume(warped, args.out)
     if args.out_difference:
         fileio.write_volume(Image3(warped.grid, warped.values - ref.values),
@@ -252,10 +249,12 @@ def _cmd_benchmark(args) -> int:
 def _cmd_resample(args) -> int:
     src = fileio.read_volume(args.input)
     like = fileio.read_volume(args.like)
-    # clamp-to-edge resampling: clip target positions into the source hull
-    positions = _clamp_to_hull(src.grid, identity_field_array(like.grid, src.values.dtype))
-    out = warp_image(src, VectorField3(like.grid, positions)).warped
-    fileio.write_volume(out, args.out)
+    # clamp-to-edge resampling at the cell centres of like, per chunk of z-planes
+    pos = identity_field_array(like.grid, src.values.dtype)
+    step = plane_step(pos[0, 0].size)
+    chunks = [_trilinear(src.values.ravel(), src.grid, pos[:, k:k + step])[0]
+              for k in range(0, like.grid.shape[0], step)]
+    fileio.write_volume(Image3(like.grid, np.concatenate(chunks)), args.out)
     return EXIT_OK
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DeformationField, Grid3, GridError, Image3
-from .warp import _clamp_to_hull, _trilinear
+from .warp import _trilinear
 
 __all__ = ["LandmarkSet", "LandmarkErrorResult", "landmark_error",
            "field_difference_stats", "sample_deformation"]
@@ -40,10 +40,8 @@ class LandmarkErrorResult:
 def sample_deformation(y: DeformationField, points: np.ndarray) -> np.ndarray:
     """Trilinear evaluation of the deformation at world points (clamp-to-edge)."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    pos = _clamp_to_hull(y.grid, pts.T.copy())
     fld = y.field.astype(np.float64, copy=False).reshape(3, -1)
-    value, _, _ = _trilinear(fld, y.grid, pos)
-    return value.T
+    return _trilinear(fld, y.grid, pts.T)[0].T
 
 
 def landmark_error(

@@ -78,6 +78,12 @@ class OptimizeTrace:
         return len(self.records)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> summed by numpy in a fixed order: a BLAS dot product splits long
+    vectors over its threads, so its last bits would vary with their count."""
+    return float(np.sum(a * b))
+
+
 def two_loop_direction(history: list[tuple[np.ndarray, np.ndarray]], g: np.ndarray) -> np.ndarray:
     """Approximate -H*g from stored (s, y) pairs via the two-loop recursion.
 
@@ -90,16 +96,16 @@ def two_loop_direction(history: list[tuple[np.ndarray, np.ndarray]], g: np.ndarr
     alphas = []
     rhos = []
     for s, yv in reversed(history):
-        rho = 1.0 / float(yv @ s)
-        alpha = rho * float(s @ q)
+        rho = 1.0 / _dot(yv, s)
+        alpha = rho * _dot(s, q)
         q -= alpha * yv
         alphas.append(alpha)
         rhos.append(rho)
     s_last, y_last = history[-1]
-    gamma = float(s_last @ y_last) / float(y_last @ y_last)
+    gamma = _dot(s_last, y_last) / _dot(y_last, y_last)
     q *= q.dtype.type(gamma)
     for (s, yv), alpha, rho in zip(history, reversed(alphas), reversed(rhos)):
-        beta = rho * float(yv @ q)
+        beta = rho * _dot(yv, q)
         q += (alpha - beta) * s
     return -q
 
@@ -117,15 +123,15 @@ def lbfgs_minimize(f, x0: np.ndarray, cfg: LbfgsConfig = LbfgsConfig(),
         return x, trace
 
     history: list[tuple[np.ndarray, np.ndarray]] = []
-    x_scale = max(float(np.linalg.norm(x)), 1.0)
+    x_scale = max(math.sqrt(_dot(x, x)), 1.0)
     rejected_streak = 0
 
     for it in range(cfg.max_iterations):
         d = two_loop_direction(history, g)
-        slope = float(g @ d)
+        slope = _dot(g, d)
         if slope >= 0:  # safeguard: fall back to steepest descent
             d = -g
-            slope = float(g @ d)
+            slope = _dot(g, d)
             history.clear()
 
         t = cfg.initial_step
@@ -142,8 +148,9 @@ def lbfgs_minimize(f, x0: np.ndarray, cfg: LbfgsConfig = LbfgsConfig(),
 
         s = x_new - x
         yv = np.asarray(g_new) - g
-        sy = float(s @ yv)
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
+        sy = _dot(s, yv)
+        step_norm = math.sqrt(_dot(s, s))
+        if sy > 1e-10 * step_norm * math.sqrt(_dot(yv, yv)):
             history.append((s, yv))
             if len(history) > cfg.memory:
                 history.pop(0)
@@ -156,7 +163,6 @@ def lbfgs_minimize(f, x0: np.ndarray, cfg: LbfgsConfig = LbfgsConfig(),
             if rejected_streak >= cfg.memory:
                 history.clear()
 
-        step_norm = float(np.linalg.norm(s))
         J_prev = J
         x, J, g = x_new, float(J_new), np.asarray(g_new)
         g_inf = float(np.max(np.abs(g)))

@@ -19,6 +19,7 @@ from .geometry import (
     Grid3,
     GridError,
     Image3,
+    VectorField3,
     identity_field_array,
     make_identity,
     precision_dtype,
@@ -27,7 +28,7 @@ from .lbfgs import IterationRecord, LbfgsConfig, StoppingRules, lbfgs_minimize
 from .ngf import NgfParams, precompute_reference_terms
 from .objective import LevelObjective
 from .parallel import run_tasks
-from .transfer import _interp_xy, _interp_z, _transfers, _z_schedule, build_gather_plan
+from .transfer import _z_schedule, apply_P, build_gather_plan
 
 __all__ = [
     "MultilevelConfig",
@@ -157,12 +158,9 @@ def deformation_grid_for(image_grid: Grid3, grid_ratio: int) -> Grid3:
 
 
 def prolong_deformation(y: DeformationField, finer_def_grid: Grid3) -> DeformationField:
-    """Interpolate the displacement onto a finer deformation grid; identity
-    prolongs to identity bit-exactly."""
-    if not y.grid.same_extent(finer_def_grid):
-        raise GridError("deformation grids must cover the same world domain")
-    transfers = _transfers(finer_def_grid, y.grid)
-    u = _interp_z(_interp_xy(y.displacement(), transfers), transfers, 0, finer_def_grid.dims[2])
+    """Interpolate the displacement onto a finer deformation grid (P from the
+    coarse grid to the finer one); identity prolongs to identity bit-exactly."""
+    u = apply_P(VectorField3(y.grid, y.displacement()), finer_def_grid).field
     return DeformationField(finer_def_grid, identity_field_array(finer_def_grid, y.field.dtype) + u)
 
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from .geometry import DeformationField, Grid3, GridError, Image3, VectorField3
 from .parallel import plane_step, run_slabs
-from .transfer import GatherPlan, _interp_xy, _interp_z, _reduce_xy, _reduce_z, _z_schedule
-from .warp import _gradient_planes, _gradient_transpose_planes, _trilinear, image_gradient
+from .transfer import GatherPlan, _interp_xy, _reduce_xy, _reduce_z, _z_schedule
+from .warp import _gradient_planes, _gradient_transpose_planes, _sample_planes, image_gradient
 
 __all__ = [
     "NgfParams",
@@ -166,9 +166,10 @@ def distance_and_gradient(
             t1 = min(q1 + 1, nz)   # and q the template one plane beyond that
             w0 = W.end
             new_W = W.append(t1, keep_from=max(Q.end - 1, 0))
-            value, inside, d = _trilinear(flat, template.grid,
-                                          _interp_z(y_xy, plan.transfers, w0, t1), True)
-            np.copyto(value, 0, where=~inside)
+            # value and d live until the next chunk: freed here, their heap pages go back
+            # to the system and fault in again (a 48^3 registration: 147k faults, not 68k)
+            value, d = _sample_planes(flat, template.grid, y_xy, plan.transfers,
+                                      w0, t1, partials=True)
             new_W[0], new_W[1:] = value, d
 
             qa = Q.end

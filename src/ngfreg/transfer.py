@@ -4,7 +4,7 @@ The conversion operator P is separable trilinear interpolation from
 deformation-grid cell centers to image-grid cell centers, with clamp-to-edge
 extrapolation outside the coarse cell-center hull (weights always sum to 1).
 It runs in two steps, along x and y on the coarse field, then along z per
-chunk of image z-planes, so the NGF sweep can form P y chunk by chunk.
+chunk of image z-planes, so the NGF sweep and the warp form P y chunk by chunk.
 
 Its exact transpose P^T has one plan per grid pair (GatherPlan) and one xy
 reduction: the input is contracted along x, then y, per chunk of whole image
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DeformationField, Grid3, GridError, VectorField3
+from .geometry import Grid3, GridError, VectorField3
 from .parallel import run_planes, run_slabs
 
 __all__ = [
@@ -148,8 +148,8 @@ def _interp_z(xy: np.ndarray, transfers, k0: int, k1: int) -> np.ndarray:
     return _interp_block(xy, i0[k0:k1], w1[k0:k1], axis=1)
 
 
-def apply_P(y: DeformationField, image_grid: Grid3, workers: int = 1) -> VectorField3:
-    """Convert a deformation from its (coarse) grid to the image grid."""
+def apply_P(y: VectorField3, image_grid: Grid3, workers: int = 1) -> VectorField3:
+    """Convert a field, a deformation say, from its (coarse) grid to the image grid."""
     check_compatible(y.grid, image_grid)
     transfers = _transfers(image_grid, y.grid)
     xy = _interp_xy(y.field, transfers)

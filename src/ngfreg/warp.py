@@ -1,9 +1,9 @@
 """Template sampling at deformed positions and image-grid finite differences.
 
 One trilinear kernel serves every interpolation of grid samples at world
-positions: the warp, its derivative with respect to the positions (the NGF
-sweep takes both per chunk of z-planes, so the backward pass is one
-multiply) and the evaluation of deformation fields at landmarks. The
+positions: the warp at P y and its derivative, which one helper takes per
+chunk of z-planes for the NGF sweep and for warp_image alike, resampling
+and the evaluation of deformation fields at landmarks. The
 gradient stencil comes with its exact transpose, so the distance gradient is
 assembled by the chain rule without materializing any operator matrix; both
 run on whole arrays or on windows of z-planes.
@@ -11,25 +11,17 @@ run on whole arrays or on windows of z-planes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .geometry import Grid3, Image3, VectorField3
+from .geometry import DeformationField, Grid3, Image3, VectorField3
 from .parallel import run_planes
+from .transfer import _interp_xy, _interp_z, _transfers, check_compatible
 
 __all__ = [
-    "WarpResult",
     "image_gradient",
     "image_gradient_apply_transpose",
     "warp_image",
 ]
-
-
-@dataclass
-class WarpResult:
-    warped: Image3
-    inside_mask: np.ndarray  # True where the sample fell inside the template hull
 
 
 def _trilinear(flat: np.ndarray, grid: Grid3, pos: np.ndarray, partials: bool = False):
@@ -81,34 +73,35 @@ def _trilinear(flat: np.ndarray, grid: Grid3, pos: np.ndarray, partials: bool = 
     return value, inside, grads
 
 
-def warp_image(template: Image3, yhat: VectorField3, workers: int = 1) -> WarpResult:
-    """Trilinear sampling of the template at world positions yhat.
+def _sample_planes(flat: np.ndarray, grid: Grid3, y_xy: np.ndarray, transfers,
+                   k0: int, k1: int, partials: bool = False):
+    """The template samples flat of `grid` at image z-planes k0:k1 of P y, from y
+    interpolated along x and y (_interp_xy): the value, 0 outside the template's
+    cell-center hull, and the partials when asked for (0 there too), else None."""
+    value, inside, d = _trilinear(flat, grid, _interp_z(y_xy, transfers, k0, k1), partials)
+    np.copyto(value, 0, where=~inside)
+    return value, d
 
-    Positions outside the template cell-center hull produce value 0 with
-    inside_mask False (Dirichlet-zero outside).
+
+def warp_image(template: Image3, y: DeformationField, workers: int = 1) -> Image3:
+    """The template sampled at P y on its own grid, 0 outside its cell-center hull.
+
+    y lives on a deformation grid covering the template's domain; as in the
+    NGF sweep, it is interpolated along x and y once and P y is formed per
+    chunk of z-planes, so no image-sized array of positions is held.
     """
-    dtype = yhat.field.dtype
-    flat = template.values.astype(dtype, copy=False).ravel()
-    nz, ny, nx = yhat.grid.shape
-    out = np.empty((nz, ny, nx), dtype=dtype)
-    mask = np.empty((nz, ny, nx), dtype=bool)
+    grid = template.grid
+    check_compatible(y.grid, grid)
+    transfers = _transfers(grid, y.grid)
+    flat = template.values.astype(y.field.dtype, copy=False).ravel()
+    y_xy = _interp_xy(y.field, transfers)
+    out = np.empty(grid.shape, dtype=flat.dtype)
 
     def do_chunk(k0, k1):
-        value, inside, _ = _trilinear(flat, template.grid, yhat.field[:, k0:k1])
-        np.copyto(value, 0, where=~inside)
-        out[k0:k1] = value
-        mask[k0:k1] = inside
+        out[k0:k1] = _sample_planes(flat, grid, y_xy, transfers, k0, k1)[0]
 
-    run_planes(do_chunk, nz, ny * nx, workers)
-    return WarpResult(warped=Image3(yhat.grid, out), inside_mask=mask)
-
-
-def _clamp_to_hull(grid: Grid3, pos: np.ndarray) -> np.ndarray:
-    """Clip world positions (3, ...) into the cell-center hull of grid, in place."""
-    for a in range(3):
-        lo = grid.origin[a]
-        np.clip(pos[a], lo, lo + (grid.dims[a] - 1) * grid.spacing[a], out=pos[a])
-    return pos
+    run_planes(do_chunk, grid.dims[2], grid.dims[0] * grid.dims[1], workers)
+    return Image3(grid, out)
 
 
 def _diff_rows(v: np.ndarray, h: float, k0: int, k1: int, out: np.ndarray,

@@ -4,7 +4,7 @@ import pytest
 from ngfreg import cli
 from ngfreg.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from ngfreg.fileio import read_deformation, read_volume, write_deformation, write_volume
-from ngfreg.geometry import Grid3, Image3, make_identity
+from ngfreg.geometry import Grid3, Image3, identity_field_array, make_identity
 from ngfreg.synthetic import gaussian_bump_mapping, make_registration_pair, smooth_random_volume
 
 
@@ -155,14 +155,25 @@ def test_register_grid_mismatch_is_numeric_error_with_hint(tmp_path, capsys):
 def test_resample_bridges_grid_mismatch(tmp_path):
     g1 = Grid3((8, 8, 8), (2, 2, 2), (0, 0, 0))
     g2 = Grid3((10, 10, 10), (1.6, 1.6, 1.6), (0.2, 0.2, 0.2))
+
+    def trilinear_exact(x, y, z):  # reproduced exactly by trilinear interpolation
+        return 2.0 * x - 3.0 * y + 0.5 * z + 0.25 * x * y * z + 1.0
+
     write_volume(smooth_random_volume(g1, seed=3), str(tmp_path / "a.mha"))
-    write_volume(smooth_random_volume(g2, seed=4), str(tmp_path / "b.mha"))
+    centers = identity_field_array(g2)
+    write_volume(Image3(g2, trilinear_exact(*centers)), str(tmp_path / "b.mha"))
     rc = main(["resample", "--input", str(tmp_path / "b.mha"),
                "--like", str(tmp_path / "a.mha"),
                "--out", str(tmp_path / "b_on_a.mha")])
     assert rc == EXIT_OK
     out = read_volume(str(tmp_path / "b_on_a.mha"))
     assert out.grid == g1
+    # centres of g1 outside the hull of g2 take the value at the nearest hull point
+    pos = identity_field_array(g1)
+    lo, hi = g2.origin[0], g2.origin[0] + 9 * g2.spacing[0]
+    assert (pos < lo).any()
+    expected = trilinear_exact(*np.clip(pos, lo, hi))
+    assert np.abs(out.values - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_evaluate_compare_deformation(pair, tmp_path, capsys):

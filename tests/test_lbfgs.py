@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ngfreg
 from ngfreg.lbfgs import (
     LbfgsConfig,
     StoppingRules,
@@ -154,3 +160,32 @@ def test_respects_max_iterations(rng):
         stop=StoppingRules(tol_grad=1e-16, tol_J=1e-18, tol_step=1e-16, min_iterations=1),
     )
     assert trace.iterations <= 2
+
+
+_BLAS_PROBE = """
+import numpy as np
+from ngfreg.lbfgs import lbfgs_minimize
+rng = np.random.default_rng(0)
+d = rng.uniform(1.0, 100.0, 3 * 16**3)
+b = rng.standard_normal(d.size)
+x, _ = lbfgs_minimize(lambda x: (float(np.sum(0.5 * d * x * x - b * x)), d * x - b),
+                      np.zeros_like(d))
+print(x.tobytes().hex())
+"""
+
+
+def test_iterates_do_not_depend_on_blas_threads():
+    # a BLAS dot product of a vector this long (a 16^3 deformation grid) is
+    # split across the BLAS threads, which changes its last bits
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(ngfreg.__file__).parents[1]), env.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

@@ -1,8 +1,13 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ngfreg.geometry import DeformationField, Grid3, Image3, VectorField3, make_identity
+from ngfreg.multilevel import deformation_grid_for
 from ngfreg.synthetic import smooth_random_field, smooth_random_volume
+from ngfreg.transfer import apply_P
 from ngfreg.warp import (
     _gradient_planes, _gradient_transpose_planes, _trilinear, image_gradient,
     image_gradient_apply_transpose, warp_image,
@@ -18,9 +23,9 @@ def _grid(dims, spacing=(1, 1, 1), origin=(0, 0, 0)):
 def test_warp_identity_reproduces_template():
     g = _grid((6, 5, 4), (0.8, 1.1, 1.5), (-2.0, 1.0, 0.5))
     T = smooth_random_volume(g, seed=7)
-    res = warp_image(T, make_identity(g))
-    assert np.allclose(res.warped.values, T.values, atol=1e-12)
-    assert res.inside_mask.all()
+    y = make_identity(g)
+    assert np.allclose(warp_image(T, y).values, T.values, atol=1e-12)
+    assert _trilinear(T.values.ravel(), g, y.field)[1].all()
 
 
 def test_warp_is_exact_on_trilinear_images(rng):
@@ -32,12 +37,13 @@ def test_warp_is_exact_on_trilinear_images(rng):
     vals = 2.0 * x - 3.0 * y + 0.5 * z + 0.25 * x * y + 1.0
     T = Image3(g, vals + np.zeros(g.shape))
     field = make_identity(g).field + rng.uniform(-0.3, 0.3, (3,) + g.shape)
-    yv = DeformationField(g, field)
-    res = warp_image(T, yv)
+    warped = warp_image(T, DeformationField(g, field)).values
     expected = (2.0 * field[0] - 3.0 * field[1] + 0.5 * field[2]
                 + 0.25 * field[0] * field[1] + 1.0)
-    inside = res.inside_mask
-    assert np.allclose(res.warped.values[inside], expected[inside], atol=1e-10)
+    inside = _trilinear(T.values.ravel(), g, field)[1]
+    assert inside.any() and not inside.all()
+    assert np.allclose(warped[inside], expected[inside], atol=1e-10)
+    assert np.all(warped[~inside] == 0)
 
 
 def test_warp_outside_hull_is_zero_with_mask():
@@ -45,10 +51,11 @@ def test_warp_outside_hull_is_zero_with_mask():
     T = Image3(g, np.ones(g.shape))
     field = make_identity(g).field.copy()
     field[0, 0, 0, 0] = -10.0  # far outside in x
-    res = warp_image(T, DeformationField(g, field))
-    assert res.warped.values[0, 0, 0] == 0.0
-    assert not res.inside_mask[0, 0, 0]
-    assert res.inside_mask.sum() == g.num_points - 1
+    warped = warp_image(T, DeformationField(g, field)).values
+    inside = _trilinear(T.values.ravel(), g, field)[1]
+    assert warped[0, 0, 0] == 0.0
+    assert not inside[0, 0, 0]
+    assert inside.sum() == g.num_points - 1
 
 
 def test_warp_bit_identical_across_workers(rng, one_plane_chunks):
@@ -59,9 +66,42 @@ def test_warp_bit_identical_across_workers(rng, one_plane_chunks):
         base = warp_image(T, y, workers=1)
     for w in (2, 8):
         out = warp_image(T, y, workers=w)
-        assert np.array_equal(out.warped.values, base.warped.values)
-        assert np.array_equal(out.inside_mask, base.inside_mask)
+        assert out.values.tobytes() == base.values.tobytes()
     assert max(one_plane_chunks) >= 2
+
+
+def test_warp_at_P_y_matches_layered_reference(one_plane_chunks):
+    # y on a coarse grid: the chunked warp against P y on the whole image
+    # grid, then the kernel, then zero outside the hull
+    g = _grid((23, 19, 17), (1.1, 0.9, 1.3), (-3.0, 2.0, 0.5))
+    T = smooth_random_volume(g, seed=8)
+    y = smooth_random_field(deformation_grid_for(g, 4), seed=9, amplitude_mm=2.5)
+    value, inside, _ = _trilinear(T.values.ravel(), g, apply_P(y, g).field)
+    assert inside.any() and not inside.all()
+    expected = np.where(inside, value, 0).tobytes()
+    for chunks in (default_chunks, contextlib.nullcontext):  # one chunk, then one plane
+        with chunks():
+            for w in (1, 2, 3):
+                assert warp_image(T, y, workers=w).values.tobytes() == expected
+    assert max(one_plane_chunks) >= 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_warp_memory_is_chunk_sized(rng, workers):
+    # a 128^3 f64 warp holds the template, the output, y interpolated along
+    # x and y and one chunk's temporaries per worker; an image-sized P y
+    # alone would be 48 MiB
+    g = _grid((128, 128, 128))
+    T = Image3(g, rng.standard_normal(g.shape))
+    y = smooth_random_field(deformation_grid_for(g, 4), seed=2, amplitude_mm=2.0)
+    warp_image(T, y, workers)  # the pool exists before the measurement
+    tracemalloc.start()
+    try:
+        warp_image(T, y, workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_warp_jacobian_matches_fd(rng):
@@ -85,8 +125,8 @@ def test_warp_jacobian_matches_fd(rng):
             fp[a, k, j, i] += eps
             fm = field.copy()
             fm[a, k, j, i] -= eps
-            vp = warp_image(T, DeformationField(g, fp)).warped.values
-            vm = warp_image(T, DeformationField(g, fm)).warped.values
+            vp = warp_image(T, DeformationField(g, fp)).values
+            vm = warp_image(T, DeformationField(g, fm)).values
             fd = np.sum(w * (vp - vm)) / (2 * eps)
             assert abs(fd - grad[a, k, j, i]) < 1e-5 * (abs(fd) + 1)
 
@@ -103,7 +143,9 @@ def test_warp_jacobian_zero_outside_and_degenerate_axis():
 
 def _reference_trilinear(T, pos):
     """The 8-corner weighted sum and its derivative, one corner at a time:
-    the formula the fused kernel replaced, kept here as its oracle."""
+    the formula the fused kernel replaced, kept here as its oracle. Outside
+    the hull the value is extrapolated as the kernel's is (clamp-to-edge)
+    and the derivative is zero."""
     g = T.grid
     dtype = pos.dtype
     inside = np.ones(pos.shape[1:], dtype=bool)
@@ -134,7 +176,7 @@ def _reference_trilinear(T, pos):
     for a in range(3):
         scale = 1 / dtype.type(g.spacing[a]) if g.dims[a] > 1 else 0.0
         grads[a] = np.where(inside, grads[a] * scale, 0)
-    return np.where(inside, value, 0), inside, grads
+    return value, inside, grads
 
 
 def test_kernel_matches_reference_formula(rng):
@@ -155,24 +197,46 @@ def test_kernel_matches_reference_formula(rng):
             p = pos.astype(dtype)
             ref_value, ref_inside, ref_grads = _reference_trilinear(T, p)
             assert ref_inside.any() and not ref_inside.all()
-            res = warp_image(T.astype(dtype), VectorField3(gp, p))
-            partials = _trilinear(T.values.astype(dtype).ravel(), gt, p, partials=True)[2]
-            assert res.warped.values.dtype == dtype and partials.dtype == dtype
-            assert np.array_equal(res.inside_mask, ref_inside)
+            value, inside, partials = _trilinear(T.values.astype(dtype).ravel(), gt, p,
+                                                 partials=True)
+            assert value.dtype == dtype and partials.dtype == dtype
+            assert np.array_equal(inside, ref_inside)
             vscale = np.abs(T.values).max()
             gscale = np.abs(ref_grads).max()
-            assert np.abs(res.warped.values - ref_value).max() <= tol * vscale
+            assert np.abs(value - ref_value).max() <= tol * vscale
             assert np.abs(partials - ref_grads).max() <= tol * gscale
-            assert np.all(res.warped.values[~ref_inside] == 0)
             assert np.all(partials[:, ~ref_inside] == 0)
             if dims[2] == 1:
                 assert np.all(partials[2] == 0)
         # the kernel interpolates every channel of a multi-channel input alike
         flat = np.stack([T.values.ravel(), 2 * T.values.ravel()])
-        value, inside, _ = _trilinear(flat, gt, pos)
+        value, _, _ = _trilinear(flat, gt, pos)
         ref_value, _, _ = _reference_trilinear(T, pos)
-        assert np.abs(value[0][inside] - ref_value[inside]).max() <= 1e-13 * vscale
+        assert np.abs(value[0] - ref_value).max() <= 1e-13 * vscale
         assert np.array_equal(value[1], 2 * value[0])
+
+
+@pytest.mark.parametrize("dims, spacing, origin", [
+    ((7, 6, 5), (1.1, 0.8, 1.3), (-2.0, 1.0, 0.5)),
+    ((5, 9, 4), (0.7, 1.9, 0.3), (10.0, -4.0, 7.1)),
+    ((6, 1, 5), (0.9, 2.0, 1.2), (1.0, -1.0, 3.0)),  # a degenerate y axis
+])
+def test_kernel_outside_hull_is_value_at_clamped_position(rng, dims, spacing, origin):
+    # the clamp-to-edge extrapolation that landmark sampling and resampling
+    # rely on: a position outside the hull gives the value at that position
+    # clipped into the hull, up to rounding of the clipped coordinate
+    gt = _grid(dims, spacing, origin)
+    T = smooth_random_volume(gt, seed=6)
+    pos = np.empty((3, 5000))
+    clamped = np.empty_like(pos)
+    for a in range(3):
+        lo, h, n = origin[a], spacing[a], dims[a]
+        pos[a] = rng.uniform(lo - 3 * h, lo + (n + 2) * h, pos.shape[1:])
+        clamped[a] = np.clip(pos[a], lo, lo + (n - 1) * h)
+    value, inside, _ = _trilinear(T.values.ravel(), gt, pos)
+    assert (~inside).sum() > 1000
+    ref_value, _, _ = _reference_trilinear(T, clamped)
+    assert np.abs(value - ref_value).max() <= 1e-15 * np.abs(T.values).max()
 
 
 def test_image_gradient_exact_on_linear_ramp():
