@@ -17,7 +17,7 @@ from .geometry import Grid3, GridError, Image3, identity_field_array, precision_
 from .lbfgs import LbfgsConfig
 from .multilevel import MultilevelConfig, RegistrationReport, register
 from .ngf import NgfParams
-from .parallel import plane_step
+from .parallel import run_planes
 from .transfer import PT_VARIANTS
 from .warp import _trilinear, warp_image
 
@@ -251,10 +251,15 @@ def _cmd_resample(args) -> int:
     like = fileio.read_volume(args.like)
     # clamp-to-edge resampling at the cell centres of like, per chunk of z-planes
     pos = identity_field_array(like.grid, src.values.dtype)
-    step = plane_step(pos[0, 0].size)
-    chunks = [_trilinear(src.values.ravel(), src.grid, pos[:, k:k + step])[0]
-              for k in range(0, like.grid.shape[0], step)]
-    fileio.write_volume(Image3(like.grid, np.concatenate(chunks)), args.out)
+    flat = src.values.ravel()
+    out = np.empty(like.grid.shape, dtype=pos.dtype)
+
+    def do_chunk(k0, k1):  # returned for run_planes to hold, as in warp_image
+        out[k0:k1] = value = _trilinear(flat, src.grid, pos[:, k0:k1])[0]
+        return value
+
+    run_planes(do_chunk, like.grid.shape[0], pos[0, 0].size, 1)
+    fileio.write_volume(Image3(like.grid, out), args.out)
     return EXIT_OK
 
 

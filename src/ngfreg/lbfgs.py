@@ -79,8 +79,7 @@ class OptimizeTrace:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """<a, b> summed by numpy in a fixed order: a BLAS dot product splits long
-    vectors over its threads, so its last bits would vary with their count."""
+    """<a, b> in numpy's fixed order; BLAS's last bits vary with its thread count."""
     return float(np.sum(a * b))
 
 

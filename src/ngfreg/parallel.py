@@ -95,11 +95,13 @@ def plane_step(plane_voxels: int) -> int:
 
 def run_planes(fn, nz: int, plane_voxels: int, workers: int) -> None:
     """Run fn(k0, k1) over chunks of whole z-planes of about _CHUNK_VOXELS
-    voxels; the slabs of the worker partition are split into such chunks."""
+    voxels; the slabs of the worker partition are split into such chunks. What
+    fn returns is held until the slab's next chunk is done (see warp_image)."""
     step = plane_step(plane_voxels)
 
     def do_slab(lo, hi):
+        held = None  # the previous chunk's result, freed once the next one is in
         for k0 in range(lo, hi, step):
-            fn(k0, min(k0 + step, hi))
+            held = fn(k0, min(k0 + step, hi))
 
     run_slabs(do_slab, nz, plane_voxels, workers)

@@ -84,12 +84,8 @@ def _sample_planes(flat: np.ndarray, grid: Grid3, y_xy: np.ndarray, transfers,
 
 
 def warp_image(template: Image3, y: DeformationField, workers: int = 1) -> Image3:
-    """The template sampled at P y on its own grid, 0 outside its cell-center hull.
-
-    y lives on a deformation grid covering the template's domain; as in the
-    NGF sweep, it is interpolated along x and y once and P y is formed per
-    chunk of z-planes, so no image-sized array of positions is held.
-    """
+    """The template sampled at P y on its own grid, 0 outside its cell-center hull;
+    P y is formed per chunk of z-planes, as in the NGF sweep, never image-sized."""
     grid = template.grid
     check_compatible(y.grid, grid)
     transfers = _transfers(grid, y.grid)
@@ -97,8 +93,10 @@ def warp_image(template: Image3, y: DeformationField, workers: int = 1) -> Image
     y_xy = _interp_xy(y.field, transfers)
     out = np.empty(grid.shape, dtype=flat.dtype)
 
-    def do_chunk(k0, k1):
-        out[k0:k1] = _sample_planes(flat, grid, y_xy, transfers, k0, k1)[0]
+    def do_chunk(k0, k1):  # the samples are returned for run_planes to hold: freed at
+        # once, glibc hands their pages back and they fault in again (64^3: 7x the faults)
+        out[k0:k1] = value = _sample_planes(flat, grid, y_xy, transfers, k0, k1)[0]
+        return value
 
     run_planes(do_chunk, grid.dims[2], grid.dims[0] * grid.dims[1], workers)
     return Image3(grid, out)

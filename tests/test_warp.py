@@ -70,19 +70,26 @@ def test_warp_bit_identical_across_workers(rng, one_plane_chunks):
     assert max(one_plane_chunks) >= 2
 
 
-def test_warp_at_P_y_matches_layered_reference(one_plane_chunks):
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_warp_at_P_y_matches_layered_reference(one_plane_chunks, dtype):
     # y on a coarse grid: the chunked warp against P y on the whole image
-    # grid, then the kernel, then zero outside the hull
+    # grid, then the kernel, then zero outside the hull; an f32 y warps the
+    # f64 template in f32
     g = _grid((23, 19, 17), (1.1, 0.9, 1.3), (-3.0, 2.0, 0.5))
     T = smooth_random_volume(g, seed=8)
     y = smooth_random_field(deformation_grid_for(g, 4), seed=9, amplitude_mm=2.5)
-    value, inside, _ = _trilinear(T.values.ravel(), g, apply_P(y, g).field)
+    y = DeformationField(y.grid, y.field.astype(dtype))
+    value, inside, _ = _trilinear(T.values.astype(dtype).ravel(), g, apply_P(y, g).field)
+    assert value.dtype == dtype
     assert inside.any() and not inside.all()
-    expected = np.where(inside, value, 0).tobytes()
+    expected = np.where(inside, value, 0)
     for chunks in (default_chunks, contextlib.nullcontext):  # one chunk, then one plane
         with chunks():
             for w in (1, 2, 3):
-                assert warp_image(T, y, workers=w).values.tobytes() == expected
+                warped = warp_image(T, y, workers=w).values
+                assert warped.dtype == dtype
+                assert np.all(warped[~inside] == 0)
+                assert warped.tobytes() == expected.tobytes()
     assert max(one_plane_chunks) >= 2
 
 
