@@ -20,6 +20,7 @@ from .evaluation import (
     LandmarkSet,
     field_difference_stats,
     landmark_error,
+    min_jacobian_det,
     sample_deformation,
 )
 from .lbfgs import LbfgsConfig, StoppingRules, lbfgs_minimize
@@ -85,6 +86,7 @@ __all__ = [
     "make_identity",
     "make_registration_pair",
     "make_volume",
+    "min_jacobian_det",
     "precision_dtype",
     "precompute_reference_terms",
     "probe_lattice",

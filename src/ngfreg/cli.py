@@ -148,6 +148,7 @@ def _write_report(path: str, report: RegistrationReport) -> None:
             f"evaluations = {lv.evaluations}",
             f"stop_reason = {lv.stop_reason}",
             f"line_search_failed = {lv.line_search_failed}",
+            f"min_det = {lv.min_det:.6f}",
             f"seconds_setup = {lv.seconds_setup:.6f}",
             f"seconds_optimize = {lv.seconds_optimize:.6f}",
             "iter\tJ\tD\tS\tgrad_inf\tstep\tls_evals",

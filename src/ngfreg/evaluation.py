@@ -1,4 +1,4 @@
-"""Landmark error and precision-divergence diagnostics."""
+"""Landmark error, fold check and precision-divergence diagnostics."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from .geometry import DeformationField, Grid3, GridError, Image3
 from .warp import _trilinear
 
 __all__ = ["LandmarkSet", "LandmarkErrorResult", "landmark_error",
-           "field_difference_stats", "sample_deformation"]
+           "field_difference_stats", "min_jacobian_det", "sample_deformation"]
 
 
 @dataclass
@@ -76,3 +76,14 @@ def field_difference_stats(a: DeformationField, b: DeformationField):
     d = a.field.astype(np.float64, copy=False) - b.field.astype(np.float64, copy=False)
     mag = np.sqrt(np.sum(d * d, axis=0))
     return float(mag.max()), float(mag.mean()), Image3(a.grid, mag)
+
+
+def min_jacobian_det(y: DeformationField) -> float:
+    """min det grad y over the deformation grid; a value <= 0 means the mapping
+    folds. d y_c / d x_a is taken by central differences, one-sided at the
+    faces; along an axis of one point the displacement is constant, so it is
+    [c == a] there. World axis a is numpy axis 2 - a of a component."""
+    g = y.grid
+    jac = [[np.gradient(y.field[c], g.spacing[a], axis=2 - a) if g.dims[a] > 1
+            else np.full(g.shape, float(c == a)) for a in range(3)] for c in range(3)]
+    return float(np.linalg.det(np.moveaxis(np.array(jac, np.float64), (0, 1), (3, 4))).min())

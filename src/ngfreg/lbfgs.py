@@ -4,11 +4,13 @@ Drives one multilevel level. History pairs are filtered for positive
 curvature so the two-loop recursion always produces a descent direction;
 a failed line search ends the level gracefully with the best iterate.
 
-The line search backtracks from ``initial_step`` by ``step_shrink`` and
-stops at the first trial that satisfies the Armijo condition; it never
-tries a step longer than ``initial_step`` (Nocedal & Wright, Numerical
-Optimization, Alg. 3.1). The accepted trial is therefore always the last
-objective evaluation of its iteration.
+The line search starts at ``initial_step``, never tries a longer step and
+stops at the first trial that satisfies the Armijo condition, so the
+accepted trial is the last objective evaluation of its iteration. After a
+rejected trial t it tries the minimizer of the parabola through phi(0),
+phi'(0) and phi(t), phi(t) = J(x + t d), kept within [0.1 t, step_shrink t];
+a non-finite phi(t) gives step_shrink t (Nocedal & Wright, Numerical
+Optimization, Sec. 3.5).
 """
 
 from __future__ import annotations
@@ -137,9 +139,14 @@ def lbfgs_minimize(f, x0: np.ndarray, cfg: LbfgsConfig = LbfgsConfig(),
         for ls_evals in range(1, cfg.max_ls_steps + 1):
             x_new = x + x.dtype.type(t) * d
             J_new, g_new = f(x_new)
-            if np.isfinite(J_new) and J_new <= J + cfg.c1 * t * slope:
+            if not np.isfinite(J_new):
+                t *= cfg.step_shrink
+            elif J_new <= J + cfg.c1 * t * slope:
                 break
-            t *= cfg.step_shrink
+            else:  # the failed Armijo test makes the denominator positive; the
+                # lower safeguard is Dennis & Schnabel's (1983), Sec. 6.3.2
+                t_q = -slope * t * t / (2.0 * (J_new - J - slope * t))
+                t = min(max(t_q, 0.1 * t), cfg.step_shrink * t)
         else:
             trace.stop_reason = "line search failed"
             trace.line_search_failed = True

@@ -24,6 +24,7 @@ from .geometry import (
     make_identity,
     precision_dtype,
 )
+from .evaluation import min_jacobian_det
 from .lbfgs import IterationRecord, LbfgsConfig, StoppingRules, lbfgs_minimize
 from .ngf import NgfParams, precompute_reference_terms
 from .objective import LevelObjective
@@ -82,6 +83,7 @@ class LevelReport:
     records: list[IterationRecord]
     J_trace: list[tuple[float, float, float]]  # (J, D, S) per accepted iterate
     final_grad_inf: float
+    min_det: float  # min det grad y of the level's result; <= 0 means it folds
     seconds_setup: float
     seconds_optimize: float
 
@@ -220,6 +222,7 @@ def register(R: Image3, T: Image3, cfg: MultilevelConfig = MultilevelConfig()):
             records=trace.records,
             J_trace=accepted,
             final_grad_inf=final_g,
+            min_det=min_jacobian_det(y),
             seconds_setup=setup_s,
             seconds_optimize=opt_s,
         ))

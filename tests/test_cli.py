@@ -79,6 +79,7 @@ def test_register_warp_evaluate_roundtrip(pair, tmp_path, capsys):
         head = lines.index("iter\tJ\tD\tS\tgrad_inf\tstep\tls_evals")
         rows = [ln.split("\t") for ln in lines[head + 1:] if ln]
         assert rows and evals == 1 + sum(int(r[6]) for r in rows)
+        assert float(next(ln for ln in lines if ln.startswith("min_det = ")).split()[-1]) > 0
 
     # warp again via the CLI and compare against the register output
     w2 = str(tmp_path / "warped2.mha")

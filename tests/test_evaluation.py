@@ -6,6 +6,7 @@ from ngfreg.evaluation import (
     LandmarkSet,
     field_difference_stats,
     landmark_error,
+    min_jacobian_det,
     sample_deformation,
 )
 from ngfreg.geometry import DeformationField, Grid3, GridError, make_identity
@@ -89,3 +90,20 @@ def test_field_difference_stats():
     assert vol.values[0, 0, 0] == 5.0
     with pytest.raises(GridError):
         field_difference_stats(a, make_identity(_grid((5, 4, 4))))
+
+
+@pytest.mark.parametrize("dims", [(6, 5, 4), (6, 5, 1)])
+def test_min_jacobian_det_of_linear_maps(dims):
+    # differences are exact on a linear map, so det grad y is det A everywhere;
+    # along an axis of one point the map keeps that coordinate
+    g = _grid(dims, (1.0, 1.5, 2.0), (0.5, -1.0, 2.0))
+    A = np.array([[1.2, 0.3, 0.0], [-0.1, 0.9, 0.0], [0.0, 0.0, 1.0]])
+    if dims[2] > 1:
+        A[:, 2] = [0.2, 0.1, 0.8]
+    x = make_identity(g).field
+    y = DeformationField(g, np.einsum("ca,a...->c...", A, x))
+    assert min_jacobian_det(make_identity(g)) == pytest.approx(1.0, abs=1e-12)
+    assert min_jacobian_det(y) == pytest.approx(np.linalg.det(A), abs=1e-12)
+    flipped = y.field.copy()
+    flipped[0] *= -1.0
+    assert min_jacobian_det(DeformationField(g, flipped)) < 0

@@ -74,12 +74,65 @@ def test_line_search_backtracks_from_initial_step_only(rng, eig_max):
     assert trace.iterations >= 3
     assert len(calls) == 1 + sum(r.ls_evals for r in trace.records)
     for r in trace.records:
-        assert r.step == cfg.initial_step * cfg.step_shrink ** (r.ls_evals - 1)
+        k = r.ls_evals
+        assert (cfg.initial_step * 0.1 ** (k - 1) <= r.step
+                <= cfg.initial_step * cfg.step_shrink ** (k - 1))
         assert r.step <= cfg.initial_step
     if eig_max < 2:
         assert all(r.ls_evals == 1 for r in trace.records)
     else:
         assert any(r.ls_evals > 1 for r in trace.records)
+
+
+def _recording(f):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x.copy())
+        return f(x)
+    return wrapped, calls
+
+
+def test_backtrack_lands_on_the_minimizer_of_a_quadratic():
+    # along d the objective is exactly the parabola that the line search
+    # interpolates, so its second trial is the exact minimizer t* = g.g / g'Ag
+    A = np.diag([2.0, 3.0, 5.0])
+    x0 = np.array([1.0, -2.0, 0.5])
+    f, calls = _recording(lambda x: (0.5 * float(x @ (A @ x)), A @ x))
+    _, trace = lbfgs_minimize(f, x0, LbfgsConfig(max_iterations=1))
+    g = A @ x0
+    t_star = float(g @ g) / float(g @ (A @ g))
+    assert 0.1 < t_star < 0.5  # the unit step overshoots
+    r = trace.records[0]
+    assert r.ls_evals == 2
+    assert abs(r.step - t_star) <= 1e-12 * t_star
+    assert np.allclose(calls[2], x0 - t_star * g, rtol=1e-12, atol=0)
+
+
+def test_nonfinite_trial_shrinks_by_step_shrink():
+    # J is linear inside the box |x|_inf < 0.7 and infinite outside it
+    def boxed(x):
+        if np.max(np.abs(x)) >= 0.7:
+            return float("inf"), np.zeros_like(x)
+        return -float(np.sum(x)), -np.ones_like(x)
+
+    cfg = LbfgsConfig(step_shrink=0.3, max_iterations=1)
+    f, calls = _recording(boxed)
+    _, trace = lbfgs_minimize(f, np.zeros(3), cfg)
+    assert trace.records[0].ls_evals == 2
+    assert trace.records[0].step == cfg.step_shrink
+    assert np.array_equal(calls[2], np.full(3, cfg.step_shrink))
+
+
+def test_backtrack_is_at_least_a_tenth_of_the_rejected_step():
+    # the parabola's minimizer t* = 1/50 lies below 0.1 * t for t = 1
+    x0 = np.array([1.0, -1.0])
+    f, calls = _recording(lambda x: (25.0 * float(x @ x), 50.0 * x))
+    _, trace = lbfgs_minimize(f, x0, LbfgsConfig(max_iterations=1))
+    d = -(50.0 * x0)
+    assert np.array_equal(calls[1], x0 + 1.0 * d)
+    assert np.array_equal(calls[2], x0 + 0.1 * d)
+    assert trace.records[0].ls_evals == 3  # J(x0 + 0.1 d) > J(x0)
 
 
 def test_two_loop_empty_history_is_steepest_descent(rng):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ngfreg import multilevel
+from ngfreg.evaluation import min_jacobian_det
 from ngfreg.geometry import DeformationField, Grid3, GridError, Image3, make_identity
 from ngfreg.lbfgs import LbfgsConfig
 from ngfreg.ngf import NgfParams, precompute_reference_terms
@@ -202,6 +203,18 @@ def test_identical_images_stay_near_identity_in_interior():
     drift = np.linalg.norm(sample_deformation(y, pts) - pts, axis=1)
     assert drift.mean() < 1.0  # half a voxel
     assert drift.max() < 2.0
+
+
+def test_no_level_of_the_synthetic_64_case_folds():
+    # the acceptance case of criteria 6 to 8
+    g = _grid((64, 64, 64))
+    center = tuple(o + e / 2 for o, e in zip(g.origin, g.extent))
+    R, T = make_registration_pair(
+        g, gaussian_bump_mapping(center, sigma_mm=18.0, amplitude_mm=(3.0, -2.0, 1.5)))
+    y, report = register(R, T, MultilevelConfig(workers=2))
+    assert len(report.levels) == 3
+    assert all(lv.min_det > 0 for lv in report.levels)
+    assert report.levels[-1].min_det == min_jacobian_det(y)
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
