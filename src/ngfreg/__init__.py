@@ -32,7 +32,7 @@ from .multilevel import (
     prolong_deformation,
     register,
 )
-from .ngf import NgfParams, distance_and_gradient, precompute_reference_terms
+from .ngf import NgfParams, distance_and_gradient
 from .transfer import (
     GatherPlan,
     apply_P,
@@ -88,7 +88,6 @@ __all__ = [
     "make_volume",
     "min_jacobian_det",
     "precision_dtype",
-    "precompute_reference_terms",
     "probe_lattice",
     "prolong_deformation",
     "register",

@@ -16,7 +16,7 @@ import numpy as np
 from .geometry import Grid3, precision_dtype
 from .lbfgs import LbfgsConfig
 from .multilevel import MultilevelConfig, deformation_grid_for, register
-from .ngf import NgfParams, distance_and_gradient, precompute_reference_terms
+from .ngf import NgfParams, distance_and_gradient
 from .synthetic import smooth_random_field, smooth_random_volume
 from .transfer import PT_VARIANTS, apply_P, apply_Pt, build_gather_plan
 
@@ -118,7 +118,6 @@ def run_benchmark(
         y = smooth_random_field(def_grid, seed=seed + 2, amplitude_mm=2.0)
         y.field = y.field.astype(dtype)
         params = NgfParams(tau=10.0, rho=10.0)
-        ref = precompute_reference_terms(R, params)
 
         for w in workers_list:
             yhat, tmin, tmed = _time(lambda: apply_P(y, image_grid, workers=w), reps)
@@ -130,7 +129,7 @@ def run_benchmark(
                                                reps, tmin, tmed, _checksum(out.field)))
 
             def dist():
-                return distance_and_gradient(y, ref, T, plan, params, "gather", workers=w)
+                return distance_and_gradient(y, R, T, plan, params, "gather", workers=w)
 
             (D, g), tmin, tmed = _time(dist, reps)
             records.append(BenchmarkRecord("ngf_value_grad", "gather", precision, w, dims,

@@ -288,12 +288,6 @@ def main(argv=None) -> int:
     except (fileio.MetaImageError, fileio.LandmarkFileError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except GridError as e:
-        hint = ""
-        if args.command == "register":
-            hint = " (hint: run 'ngfreg resample' to put both volumes on one grid)"
-        print(f"error: {e}{hint}", file=sys.stderr)
-        return EXIT_NUMERIC
     except (VariantDisagreement, FloatingPointError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .geometry import DeformationField, Grid3, Image3
+from .geometry import DeformationField, Grid3, GridError, Image3
 from .evaluation import LandmarkSet
 
 __all__ = [
@@ -126,7 +126,10 @@ def _read_meta(path: str):
         )
     arr = np.frombuffer(payload[:expected], dtype=dtype)
     arr = arr.reshape(dims[2], dims[1], dims[0], channels)
-    return Grid3(dims, spacing, origin), arr, channels
+    try:
+        return Grid3(dims, spacing, origin), arr, channels
+    except GridError as e:
+        raise MetaImageError(f"{path}: {e}") from e
 
 
 def _check_identity_direction(path: str, key: str, value: str) -> None:
@@ -175,7 +178,10 @@ def read_volume(path: str, promote_dtype=np.float64) -> Image3:
     values = arr[..., 0]
     if values.dtype.kind == "i":
         values = values.astype(promote_dtype)
-    return Image3(grid, values.copy())
+    try:
+        return Image3(grid, values.copy())
+    except GridError as e:
+        raise MetaImageError(f"{path}: {e}") from e
 
 
 def write_volume(img: Image3, path: str) -> None:
@@ -193,7 +199,10 @@ def read_deformation(path: str) -> DeformationField:
         raise MetaImageError(f"{path}: expected a 3-channel deformation, got {channels} channels")
     if arr.dtype.kind != "f":
         raise MetaImageError(f"{path}: deformation fields must be floating point")
-    return DeformationField(grid, np.moveaxis(arr, -1, 0).copy())
+    try:
+        return DeformationField(grid, np.moveaxis(arr, -1, 0).copy())
+    except GridError as e:
+        raise MetaImageError(f"{path}: {e}") from e
 
 
 def read_landmarks(path: str, frame: str, image_grid: Grid3) -> LandmarkSet:
@@ -214,9 +223,12 @@ def read_landmarks(path: str, frame: str, image_grid: Grid3) -> LandmarkSet:
             if len(parts) != 3:
                 raise LandmarkFileError(f"{path}:{lineno}: expected 3 values, got {len(parts)}")
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError:
                 raise LandmarkFileError(f"{path}:{lineno}: non-numeric landmark entry") from None
+            if not np.all(np.isfinite(row)):
+                raise LandmarkFileError(f"{path}:{lineno}: non-finite landmark entry")
+            rows.append(row)
     pts = np.array(rows, dtype=np.float64).reshape(-1, 3)
     if frame != "world":
         base = 1.0 if frame == "index1" else 0.0

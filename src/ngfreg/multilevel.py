@@ -26,7 +26,7 @@ from .geometry import (
 )
 from .evaluation import min_jacobian_det
 from .lbfgs import IterationRecord, LbfgsConfig, StoppingRules, lbfgs_minimize
-from .ngf import NgfParams, precompute_reference_terms
+from .ngf import NgfParams
 from .objective import LevelObjective
 from .parallel import run_tasks
 from .transfer import _z_schedule, apply_P, build_gather_plan
@@ -191,9 +191,8 @@ def register(R: Image3, T: Image3, cfg: MultilevelConfig = MultilevelConfig()):
         image_grid = Rl.grid
         def_grid = deformation_grid_for(image_grid, cfg.grid_ratio)
         plan = build_gather_plan(def_grid, image_grid)
-        ref = precompute_reference_terms(Rl, cfg.ngf, cfg.workers)
         obj = LevelObjective(
-            template=Tl, ref=ref, plan=plan, params=cfg.ngf, alpha=cfg.alpha,
+            template=Tl, ref=Rl, plan=plan, params=cfg.ngf, alpha=cfg.alpha,
             pt_variant=cfg.pt_variant, workers=cfg.workers,
         )
         if y is None:

@@ -7,10 +7,11 @@ The distance compares image-gradient directions voxel by voxel,
 
 with the smoothed norm ||v||_eps = sqrt(<v,v> + eps^2). The value and the
 gradient with respect to the deformation-grid variables come from one sweep
-over chunks of whole image z-planes, which forms no image-sized array: per
-chunk it interpolates the deformation onto the chunk's planes, samples the
-template there with the interpolant's partial derivatives, computes the
-image gradient and the pointwise terms once, and applies the chain of small
+over chunks of whole image z-planes, which forms no image-sized array and
+keeps nothing between evaluations but the reference R and the template T:
+per chunk it interpolates the deformation onto the chunk's planes, samples
+the template there with the interpolant's partial derivatives, computes both
+image gradients and the pointwise terms once, and applies the chain of small
 local operators (gradient-stencil transpose, a multiply by the partials, the
 xy part of the grid-transfer transpose) without forming any matrix. The
 stencils couple a plane to its neighbours, so a chunk carries the few planes
@@ -29,14 +30,9 @@ import numpy as np
 from .geometry import DeformationField, Grid3, GridError, Image3, VectorField3
 from .parallel import plane_step, run_slabs
 from .transfer import GatherPlan, _interp_xy, _reduce_xy, _reduce_z, _z_schedule
-from .warp import _gradient_planes, _gradient_transpose_planes, _sample_planes, image_gradient
+from .warp import _gradient_planes, _gradient_transpose_planes, _sample_planes
 
-__all__ = [
-    "NgfParams",
-    "ReferenceTerms",
-    "distance_and_gradient",
-    "precompute_reference_terms",
-]
+__all__ = ["NgfParams", "distance_and_gradient"]
 
 
 @dataclass(frozen=True)
@@ -51,40 +47,31 @@ class NgfParams:
             raise ValueError(f"tau and rho must be > 0, got tau={self.tau}, rho={self.rho}")
 
 
-@dataclass
-class ReferenceTerms:
-    """Per-level cache of the reference image gradient and its smoothed norm."""
-
-    grad: VectorField3           # gradient of R per voxel
-    norm: np.ndarray             # ||grad R_i||_rho >= rho everywhere
+def precompute_reference_terms(R: Image3, params: NgfParams, workers: int = 1) -> Image3:
+    """Returns R, which the sweep takes as it is. Kept only for perfbench/, which
+    still calls it; ROADMAP item 1 passes R there and deletes this."""
+    return R
 
 
-def precompute_reference_terms(R: Image3, params: NgfParams, workers: int = 1) -> ReferenceTerms:
-    grad = image_gradient(R, workers)
-    dtype = R.values.dtype
-    sq = np.zeros(R.grid.shape, dtype=dtype)
-    for a in range(3):
-        sq += grad.field[a] * grad.field[a]
-    norm = np.sqrt(sq + dtype.type(params.rho) ** 2)
-    return ReferenceTerms(grad=grad, norm=norm)
+def _norm(g: np.ndarray, eps: float) -> np.ndarray:
+    """The smoothed norm ||v||_eps of gradient arrays (3, ...)."""
+    sq = g[0] * g[0]
+    for a in (1, 2):
+        sq += g[a] * g[a]
+    sq += g.dtype.type(eps) ** 2
+    return np.sqrt(sq, out=sq)
 
 
-def _ratio(gT: np.ndarray, gR: np.ndarray, norm_R: np.ndarray, params: NgfParams):
-    """r_i and the smoothed template gradient norm from gradient arrays (3, ...)."""
-    dtype = gT.dtype
-    dot = np.zeros(gT.shape[1:], dtype=dtype)
-    sq = np.zeros(gT.shape[1:], dtype=dtype)
-    for a in range(3):
-        dot += gT[a] * gR[a]
-        sq += gT[a] * gT[a]
-    norm_T = np.sqrt(sq + dtype.type(params.tau) ** 2)
-    r = (dot + dtype.type(params.tau * params.rho)) / (norm_T * norm_R)
-    return r, norm_T
-
-
-def _check_finite(values: np.ndarray, name: str) -> None:
-    if not np.isfinite(values).all():
-        raise FloatingPointError(f"non-finite {name} in the NGF objective")
+def _ratio(gT: np.ndarray, gR: np.ndarray, params: NgfParams):
+    """r_i, ||gT_i||_tau and ||gT_i||_tau * ||gR_i||_rho from gradient arrays (3, ...)."""
+    r = gT[0] * gR[0]
+    for a in (1, 2):
+        r += gT[a] * gR[a]
+    r += gT.dtype.type(params.tau * params.rho)
+    norm_T = _norm(gT, params.tau)
+    norms = norm_T * _norm(gR, params.rho)
+    r /= norms
+    return r, norm_T, norms
 
 
 class _PlaneWindow:
@@ -116,7 +103,7 @@ class _PlaneWindow:
 
 def distance_and_gradient(
     y: DeformationField,
-    ref: ReferenceTerms,
+    ref: Image3,
     template: Image3,
     plan: GatherPlan,
     params: NgfParams,
@@ -128,10 +115,11 @@ def distance_and_gradient(
     Each slab of the worker partition walks its chunks of whole z-planes in
     order. Per chunk it forms yhat = P y on the new planes from y already
     interpolated along x and y, samples the template there (values and
-    partials), takes the template gradient, r, the terms 1 - r^2 and their
-    derivative q on the planes whose neighbours are now known, then for the
-    chunk's own planes s = G^T q, the partials times s, and the xy reduction
-    of P^T. The variant's z schedule of P^T then runs once.
+    partials), takes the gradients of the warped template and of `ref` (R),
+    r, the terms 1 - r^2 and their derivative q on the planes whose
+    neighbours are now known, then for the chunk's own planes s = G^T q, the
+    partials times s, and the xy reduction of P^T. The variant's z schedule
+    of P^T then runs once. A non-finite D raises FloatingPointError.
 
     The stencils make the chunk's last planes depend on planes beyond it, so
     the warp runs two planes ahead of the chunk and q one plane ahead. The
@@ -147,6 +135,8 @@ def distance_and_gradient(
     if y.grid != plan.def_grid:
         raise GridError("deformation grid does not match the plan's deformation grid")
     image_grid: Grid3 = plan.image_grid
+    if ref.grid != image_grid:
+        raise GridError("reference grid does not match the plan's image grid")
     dtype = y.field.dtype
     flat = template.values.astype(dtype, copy=False).ravel()
     spacing = image_grid.spacing
@@ -173,21 +163,24 @@ def distance_and_gradient(
 
             qa = Q.end
             gT = np.empty((3, q1 - qa, ny, nx), dtype=dtype)
+            gR = np.empty_like(gT)
             _gradient_planes(W.planes[0], spacing, qa, q1, gT, W.base, nz)
-            _check_finite(gT, "template gradient")
-            gR, norm_R = ref.grad.field[:, qa:q1], ref.norm[qa:q1]
-            r, norm_T = _ratio(gT, gR, norm_R, params)
+            _gradient_planes(ref.values, spacing, qa, q1, gR)
+            r, norm_T, norms = _ratio(gT, gR, params)
             terms = 1 - r * r
             for k in range(max(qa, lo), min(q1, hi)):
                 d_planes[k] = np.sum(terms[k - qa], dtype=dtype)
             # d[(hbar/2)(1 - r^2)]/d(grad T) = -hbar * r * (gR/(nT*nR) - r*gT/nT^2)
             coef = dtype.type(-h_bar) * r
-            inv_prod = 1 / (norm_T * norm_R)
+            inv_prod = 1 / norms
             inv_nt2 = 1 / (norm_T * norm_T)
             q = Q.append(q1, keep_from=max(k0 - 1, 0))
             for a in range(3):
-                q[a] = coef * (gR[a] * inv_prod - r * gT[a] * inv_nt2)
-            _check_finite(q, "NGF derivative q")
+                np.multiply(gR[a], inv_prod, out=q[a])
+                gT[a] *= r  # gT is not needed after q
+                gT[a] *= inv_nt2
+                q[a] -= gT[a]
+                q[a] *= coef
 
             s = np.zeros((k1 - k0, ny, nx), dtype=dtype)
             _gradient_transpose_planes(Q.at(k0, k1)[:2], spacing, (0, 1), k0, k1, s)
@@ -198,4 +191,7 @@ def distance_and_gradient(
 
     run_slabs(do_slab, nz, ny * nx, workers)
     D = float(h_bar / 2 * np.sum(d_planes, dtype=dtype))
+    # both norms are >= tau, rho > 0: a non-finite gT, gR or q at a voxel makes r, so D, non-finite
+    if not np.isfinite(D):
+        raise FloatingPointError("non-finite template gradient or reference gradient")
     return D, _reduce_z(xy, plan, z_schedule, workers)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .curvature import curvature_value_and_gradient
 from .geometry import DeformationField, Image3
-from .ngf import NgfParams, ReferenceTerms, distance_and_gradient
+from .ngf import NgfParams, distance_and_gradient
 from .transfer import GatherPlan
 
 __all__ = ["LevelObjective"]
@@ -25,7 +25,7 @@ class LevelObjective:
     to `log`, (inf, nan, nan) for a non-finite trial point."""
 
     template: Image3
-    ref: ReferenceTerms
+    ref: Image3
     plan: GatherPlan
     params: NgfParams
     alpha: float

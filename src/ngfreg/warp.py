@@ -117,8 +117,9 @@ def _diff_rows(v: np.ndarray, h: float, k0: int, k1: int, out: np.ndarray,
     h = v.dtype.type(h)
     lo, hi = max(k0, 1), min(k1, n - 1)
     if lo < hi:
-        out[lo - k0:hi - k0] = (v[lo + 1 - base:hi + 1 - base]
-                                - v[lo - 1 - base:hi - 1 - base]) / (2 * h)
+        inner = out[lo - k0:hi - k0]
+        np.subtract(v[lo + 1 - base:hi + 1 - base], v[lo - 1 - base:hi - 1 - base], out=inner)
+        inner /= 2 * h
     if k0 == 0:
         out[0] = (v[1 - base] - v[-base]) / h
     if k1 == n:

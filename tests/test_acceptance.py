@@ -32,11 +32,7 @@ from ngfreg.geometry import (
     make_identity,
 )
 from ngfreg.multilevel import MultilevelConfig, deformation_grid_for, register
-from ngfreg.ngf import (
-    NgfParams,
-    distance_and_gradient,
-    precompute_reference_terms,
-)
+from ngfreg.ngf import NgfParams, _ratio, distance_and_gradient
 from ngfreg.objective import LevelObjective
 from ngfreg.synthetic import (
     gaussian_bump_mapping,
@@ -51,6 +47,7 @@ from ngfreg.transfer import (
     dense_P_oracle,
 )
 from ngfreg.fileio import read_deformation, write_volume
+from ngfreg.warp import image_gradient
 
 
 def _emit(capsys, line):
@@ -203,9 +200,8 @@ def test_criterion_3_gradient_correctness(capsys):
         configs += 1
 
         params = NgfParams(tau=10.0, rho=10.0)
-        ref = precompute_reference_terms(R, params)
         plan = build_gather_plan(gd, gi)
-        obj = LevelObjective(template=T, ref=ref, plan=plan, params=params,
+        obj = LevelObjective(template=T, ref=R, plan=plan, params=params,
                              alpha=1.0, pt_variant="gather", workers=1)
         x0 = field.ravel()
         _, grad = obj(x0)
@@ -236,9 +232,8 @@ def test_criterion_4_stationarity(capsys):
     g = Grid3((24, 24, 24), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     T = smooth_random_volume(g, seed=17)
     params = NgfParams(tau=10.0, rho=10.0)
-    ref = precompute_reference_terms(T, params)
     t0 = time.perf_counter()
-    D0, _ = distance_and_gradient(make_identity(g), ref, T, build_gather_plan(g, g), params)
+    D0, _ = distance_and_gradient(make_identity(g), T, T, build_gather_plan(g, g), params)
     y, _ = register(T, T, MultilevelConfig(grid_ratio=1))
     elapsed = time.perf_counter() - t0
     disp = float(np.abs(y.displacement()).max())  # 1 mm voxels
@@ -272,12 +267,8 @@ def test_criterion_5_null_space_invariants(capsys):
         R = smooth_random_volume(g, seed=700 + seed)
         params = NgfParams(tau=float(rng.uniform(0.5, 20)),
                            rho=float(rng.uniform(0.5, 20)))
-        ref = precompute_reference_terms(R, params)
-        from ngfreg.ngf import _ratio
-        from ngfreg.warp import image_gradient
-
         # per-voxel r from the pointwise function distance_and_gradient calls
-        r, _ = _ratio(image_gradient(T).field, ref.grad.field, ref.norm, params)
+        r = _ratio(image_gradient(T).field, image_gradient(R).field, params)[0]
         terms = 1 - r * r
         worst_lo = max(worst_lo, float(-terms.min()))
         worst_hi = max(worst_hi, float(terms.max() - 1))
@@ -359,7 +350,6 @@ def test_criterion_9_parallel_throughput(capsys, synthetic_case):
     at 1 worker and one per core, is emitted either way."""
     R, T, _, _ = synthetic_case
     params = NgfParams()
-    ref = precompute_reference_terms(R, params)
     def_grid = deformation_grid_for(SYN_GRID, 4)
     plan = build_gather_plan(def_grid, SYN_GRID)
     y = make_identity(def_grid)
@@ -368,7 +358,7 @@ def test_criterion_9_parallel_throughput(capsys, synthetic_case):
         times = []
         for _ in range(3):
             t0 = time.perf_counter()
-            distance_and_gradient(y, ref, T, plan, params, "gather", workers=workers)
+            distance_and_gradient(y, R, T, plan, params, "gather", workers=workers)
             times.append(time.perf_counter() - t0)
         return 1.0 / min(times)
 

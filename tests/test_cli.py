@@ -57,6 +57,26 @@ def test_rotated_volume_is_io_error(pair, tmp_path, capsys):
     assert "TransformMatrix" in capsys.readouterr().err
 
 
+def test_bad_volume_file_is_io_error_naming_it(pair, tmp_path, capsys):
+    # a non-positive spacing or a NaN or infinite voxel is a malformed file
+    g, rp, tp = pair
+    ypath = str(tmp_path / "id.mha")
+    write_deformation(make_identity(g), ypath)
+    data = open(tp, "rb").read()
+    bad = str(tmp_path / "bad.mha")
+    for content in (data.replace(b"ElementSpacing = 2.0", b"ElementSpacing = -2.0", 1),
+                    data[:-8] + np.float64(np.nan).tobytes(),
+                    data[:-8] + np.float64(np.inf).tobytes()):
+        open(bad, "wb").write(content)
+        for argv in (["register", "--reference", rp, "--template", bad,
+                      "--out-deformation", str(tmp_path / "y.mha")],
+                     ["warp", "--template", bad, "--deformation", ypath,
+                      "--out", str(tmp_path / "w.mha")],
+                     ["resample", "--input", bad, "--like", rp, "--out", str(tmp_path / "r.mha")]):
+            assert main(argv) == EXIT_IO
+            assert f"error: {bad}: " in capsys.readouterr().err
+
+
 def test_register_warp_evaluate_roundtrip(pair, tmp_path, capsys):
     g, rp, tp = pair
     ypath = str(tmp_path / "y.mha")
@@ -204,19 +224,21 @@ def test_evaluate_compare_deformation(pair, tmp_path, capsys):
     assert f"{np.sqrt(0.75):.6e}" in out
 
 
-def test_evaluate_bad_landmarks_is_io_error(pair, tmp_path):
+def test_evaluate_bad_landmarks_is_io_error(pair, tmp_path, capsys):
     g, rp, tp = pair
     ypath = str(tmp_path / "id.mha")
     from ngfreg.multilevel import deformation_grid_for
 
     write_deformation(make_identity(deformation_grid_for(g, 4)), ypath)
     lm = str(tmp_path / "lm.txt")
-    with open(lm, "w") as fh:
-        fh.write("1 2\n")
-    rc = main(["evaluate", "--deformation", ypath,
-               "--landmarks-ref", lm, "--landmarks-template", lm,
-               "--image-grid-from", rp, "--frame", "index1"])
-    assert rc == EXIT_IO
+    for content, line in (("1 2\n", 1), ("1 2 3\n1 nan 3\n", 2)):
+        with open(lm, "w") as fh:
+            fh.write(content)
+        rc = main(["evaluate", "--deformation", ypath,
+                   "--landmarks-ref", lm, "--landmarks-template", lm,
+                   "--image-grid-from", rp, "--frame", "index1"])
+        assert rc == EXIT_IO
+        assert f"error: {lm}:{line}: " in capsys.readouterr().err
 
 
 def test_benchmark_smoke(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,26 @@ def test_landmark_parse_errors(tmp_path):
     p.write_text("1 2 x\n")
     with pytest.raises(LandmarkFileError, match="non-numeric"):
         read_landmarks(str(p), "world", g)
+    for entry in ("nan", "inf", "-inf"):
+        p.write_text(f"1 2 3\n1 {entry} 3\n")
+        with pytest.raises(LandmarkFileError, match=re.escape(f"{p}:2: non-finite")):
+            read_landmarks(str(p), "world", g)
+
+
+def test_bad_grid_or_nonfinite_voxels_rejected_naming_the_file(tmp_path):
+    # what Grid3, Image3 and DeformationField reject is a malformed file
+    g = _grid((3, 3, 3))
+    vol_path, def_path = str(tmp_path / "vol.mha"), str(tmp_path / "def.mha")
+    write_volume(smooth_random_volume(g, seed=4), vol_path)
+    write_deformation(make_identity(g), def_path)
+    vol = open(vol_path, "rb").read()
+    bad = tmp_path / "bad.mha"
+    bad.write_bytes(vol.replace(b"ElementSpacing = 1.0 1.0 1.0", b"ElementSpacing = 1.0 0 1.0"))
+    with pytest.raises(MetaImageError, match=re.escape(f"{bad}: all spacings must be positive")):
+        read_volume(str(bad))
+    bad.write_bytes(vol[:-8] + np.float64(np.nan).tobytes())
+    with pytest.raises(MetaImageError, match=re.escape(f"{bad}: values contains non-finite")):
+        read_volume(str(bad))
+    bad.write_bytes(open(def_path, "rb").read()[:-8] + np.float64(-np.inf).tobytes())
+    with pytest.raises(MetaImageError, match=re.escape(f"{bad}: field contains non-finite")):
+        read_deformation(str(bad))

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from ngfreg import parallel
-from ngfreg.geometry import DeformationField, Grid3, Image3, VectorField3, make_identity
-from ngfreg.ngf import (
-    NgfParams,
-    _ratio,
-    distance_and_gradient,
-    precompute_reference_terms,
-)
+from ngfreg.geometry import DeformationField, Grid3, GridError, Image3, VectorField3, make_identity
+from ngfreg.objective import LevelObjective
+from ngfreg.ngf import NgfParams, _norm, distance_and_gradient
 from ngfreg.synthetic import make_volume, smooth_random_volume
 from ngfreg.transfer import PT_VARIANTS, apply_P, apply_Pt, build_gather_plan
 from ngfreg.warp import _trilinear, image_gradient, image_gradient_apply_transpose
@@ -33,8 +29,7 @@ def _ramps(g):
 def _distance_at_identity(T, R, params):
     """D from distance_and_gradient at the identity, deformation grid = image grid."""
     g = T.grid
-    ref = precompute_reference_terms(R, params)
-    D, _ = distance_and_gradient(make_identity(g), ref, T, build_gather_plan(g, g), params)
+    D, _ = distance_and_gradient(make_identity(g), R, T, build_gather_plan(g, g), params)
     return D
 
 
@@ -69,9 +64,8 @@ def test_matched_images_identity_is_stationary():
     g = _grid((8, 8, 8))
     T = smooth_random_volume(g, seed=22)
     params = NgfParams(tau=5.0, rho=5.0)
-    ref = precompute_reference_terms(T, params)
     plan = build_gather_plan(g, g)
-    _, grad = distance_and_gradient(make_identity(g), ref, T, plan, params)
+    _, grad = distance_and_gradient(make_identity(g), T, T, plan, params)
     assert np.max(np.abs(grad.field)) < 1e-12
 
 
@@ -123,12 +117,11 @@ def test_gradient_matches_fd(rng):
     T = _extended_template(gi)
     R = make_volume(gi)
     params = NgfParams(10.0, 10.0)
-    ref = precompute_reference_terms(R, params)
     plan = build_gather_plan(gd, gi)
     # offsets of ~0.37 cells keep the image-grid samples off trilinear knots
     field = make_identity(gd).field + 0.37 + 0.1 * rng.standard_normal((3,) + gd.shape)
     y = DeformationField(gd, field)
-    _, grad = distance_and_gradient(y, ref, T, plan, params)
+    _, grad = distance_and_gradient(y, R, T, plan, params)
     gnorm = max(float(np.max(np.abs(grad.field))), 1.0)
 
     eps = 1e-6
@@ -137,8 +130,8 @@ def test_gradient_matches_fd(rng):
         fp[c, k, j, i] += eps
         fm = field.copy()
         fm[c, k, j, i] -= eps
-        Dp, _ = distance_and_gradient(DeformationField(gd, fp), ref, T, plan, params)
-        Dm, _ = distance_and_gradient(DeformationField(gd, fm), ref, T, plan, params)
+        Dp, _ = distance_and_gradient(DeformationField(gd, fp), R, T, plan, params)
+        Dm, _ = distance_and_gradient(DeformationField(gd, fm), R, T, plan, params)
         fd = (Dp - Dm) / (2 * eps)
         assert abs(fd - grad.field[c, k, j, i]) < 2e-5 * gnorm
 
@@ -152,15 +145,14 @@ def test_variants_and_workers_agree(rng, one_plane_chunks):
     T = _extended_template(gi)
     R = make_volume(gi)
     params = NgfParams()
-    ref = precompute_reference_terms(R, params)
     plan = build_gather_plan(gd, gi)
     y = DeformationField(gd, make_identity(gd).field
                          + 0.5 * rng.standard_normal((3,) + gd.shape))
     with default_chunks():  # the whole grid in one chunk
-        D0, g0 = distance_and_gradient(y, ref, T, plan, params, "gather", workers=1)
+        D0, g0 = distance_and_gradient(y, R, T, plan, params, "gather", workers=1)
     for variant in ("gather", "scatter", "redblack"):
         for w in (1, 4):
-            D, gv = distance_and_gradient(y, ref, T, plan, params, variant, workers=w)
+            D, gv = distance_and_gradient(y, R, T, plan, params, variant, workers=w)
             assert D == D0
             scale = np.abs(g0.field).max() + 1e-30
             if variant == "gather":
@@ -186,16 +178,15 @@ def test_bytes_identical_across_workers_and_chunks(rng, monkeypatch):
         T = _extended_template(gi)
         R = make_volume(gi)
         params = NgfParams()
-        ref = precompute_reference_terms(R, params)
         plan = build_gather_plan(gd, gi)
         y = DeformationField(gd, make_identity(gd).field
                              + 1.5 * rng.standard_normal((3,) + gd.shape))
         monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunks[0])
-        D0, g0 = distance_and_gradient(y, ref, T, plan, params, workers=1)
+        D0, g0 = distance_and_gradient(y, R, T, plan, params, workers=1)
         for chunk in chunks:
             monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunk)
             for w in (1, 2, 3):
-                D, g = distance_and_gradient(y, ref, T, plan, params, workers=w)
+                D, g = distance_and_gradient(y, R, T, plan, params, workers=w)
                 assert D == D0
                 assert g.field.tobytes() == g0.field.tobytes()
 
@@ -204,27 +195,35 @@ def test_bytes_identical_across_workers_and_chunks(rng, monkeypatch):
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("workers", [1, 2])
 def test_nonfinite_intermediate_is_floating_point_error(workers, request):
-    # planes of +-3e38 are finite in f32, but their differences overflow.
-    # One worker runs the grid whole, in one chunk; more run one-plane chunks
-    # so that the grid splits into slabs, and then a slab reduces the
-    # overflowed partials of its inner planes (0 * inf) before its face
-    # plane's template gradient raises
+    # planes of +-3e38 are finite in f32, but their differences overflow, in
+    # the template or in the reference. One worker runs the grid whole, in one
+    # chunk; more run one-plane chunks so that the grid splits into slabs, and
+    # then a slab reduces the overflowed partials of its inner planes (0 * inf)
+    # before D is checked
     slab_counts = request.getfixturevalue("one_plane_chunks") if workers > 1 else None
     g = _grid((8, 7, 6))
     sign = np.where(np.arange(6) % 2 == 0, 1.0, -1.0)[:, None, None]
-    T = Image3(g, (3e38 * sign + np.zeros(g.shape)).astype(np.float32))
-    R = smooth_random_volume(g, seed=5).astype(np.float32)
+    huge = Image3(g, (3e38 * sign + np.zeros(g.shape)).astype(np.float32))
+    smooth = smooth_random_volume(g, seed=5).astype(np.float32)
     params = NgfParams()
-    ref = precompute_reference_terms(R, params)
     plan = build_gather_plan(g, g)
-    with pytest.raises(FloatingPointError, match="template gradient"):
-        distance_and_gradient(make_identity(g, np.float32), ref, T, plan, params,
-                              workers=workers)
+    for T, R, match in ((huge, smooth, "template gradient"), (smooth, huge, "reference gradient")):
+        with pytest.raises(FloatingPointError, match=match):
+            distance_and_gradient(make_identity(g, np.float32), R, T, plan, params,
+                                  workers=workers)
     if slab_counts is not None:
         assert max(slab_counts) == workers
 
 
-def _layered_chain(y, ref, T, plan, params, variant, workers):
+def test_reference_off_the_plan_grid_is_grid_error():
+    g = _grid((6, 5, 4))
+    T = smooth_random_volume(g, seed=6)
+    R = smooth_random_volume(_grid((6, 5, 4), spacing=(1.5, 1, 1)), seed=7)
+    with pytest.raises(GridError, match="reference grid"):
+        distance_and_gradient(make_identity(g), R, T, build_gather_plan(g, g), NgfParams())
+
+
+def _layered_chain(y, R, T, plan, params, variant, workers):
     """D and its gradient from the layers composed on whole image-grid arrays:
     P, the trilinear kernel with partials, G, r, q, G^T, the multiply, P^T."""
     g = plan.image_grid
@@ -234,8 +233,9 @@ def _layered_chain(y, ref, T, plan, params, variant, workers):
                                           partials=True)
     np.copyto(warped, 0, where=~inside)
     gT = image_gradient(Image3(g, warped), workers).field
-    gR, norm_R = ref.grad.field, ref.norm
-    r, norm_T = _ratio(gT, gR, norm_R, params)
+    gR = image_gradient(R, workers).field
+    norm_T, norm_R = _norm(gT, params.tau), _norm(gR, params.rho)
+    r = (np.sum(gT * gR, axis=0) + dtype.type(params.tau * params.rho)) / (norm_T * norm_R)
     D = g.cell_volume / 2 * float(np.sum(1 - r * r))
     coef = dtype.type(-g.cell_volume) * r
     q = np.stack([coef * (gR[a] * (1 / (norm_T * norm_R)) - r * gT[a] * (1 / (norm_T * norm_T)))
@@ -260,16 +260,15 @@ def test_sweep_equals_layer_by_layer_chain(rng, monkeypatch, dims, def_dims):
     plane = dims[0] * dims[1]
     chunks = (parallel._CHUNK_VOXELS, 2 * plane, plane)
     for dtype, d_tol, scatter_tol in ((np.float64, 1e-13, 1e-12), (np.float32, 1e-6, 1e-5)):
-        ref = precompute_reference_terms(R.astype(dtype), params)
-        Td = T.astype(dtype)
+        Rd, Td = R.astype(dtype), T.astype(dtype)
         y = DeformationField(gd, field.astype(dtype))
         for variant in PT_VARIANTS:
-            D_ref, g_ref = _layered_chain(y, ref, Td, plan, params, variant, 1)
+            D_ref, g_ref = _layered_chain(y, Rd, Td, plan, params, variant, 1)
             scale = np.abs(g_ref).max()
             for chunk in chunks:
                 monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunk)
                 for w in (1, 2, 3):
-                    D, g = distance_and_gradient(y, ref, Td, plan, params, variant, w)
+                    D, g = distance_and_gradient(y, Rd, Td, plan, params, variant, w)
                     assert abs(D - D_ref) <= d_tol * abs(D_ref)
                     if variant == "scatter" and w > 1:  # its lock order reassociates
                         assert np.abs(g.field - g_ref).max() <= scatter_tol * scale
@@ -278,22 +277,23 @@ def test_sweep_equals_layer_by_layer_chain(rng, monkeypatch, dims, def_dims):
 
 
 def test_evaluation_allocates_no_image_sized_temporaries(rng):
-    # One 128^3 f64 evaluation with 2 workers. Composed on whole arrays the
-    # chain allocated 176 MiB, eleven image-sized arrays of 16 MiB; the sweep
-    # measured 50 MiB: y interpolated along x and y (12 MiB), the P^T buffer
-    # (3 MiB) and per slab its windows and one chunk's temporaries.
+    # A 128^3 f64 level set-up and one evaluation with 2 workers. Composed on
+    # whole arrays the chain allocated 176 MiB, eleven image-sized arrays of
+    # 16 MiB; a set-up that stored grad R and its norm (64 MiB) peaked at
+    # 121 MiB. The sweep measured 54 MiB: the gather plan, y interpolated
+    # along x and y (12 MiB), the P^T buffer (3 MiB) and per slab its
+    # windows and one chunk's temporaries.
     g = _grid((128, 128, 128))
     gd = _def_grid(g, (32, 32, 32))
     T = Image3(g, rng.standard_normal(g.shape))
     R = Image3(g, rng.standard_normal(g.shape))
-    params = NgfParams()
-    ref = precompute_reference_terms(R, params, 2)
-    plan = build_gather_plan(gd, g)
-    y = DeformationField(gd, make_identity(gd).field + 2 * rng.standard_normal((3,) + gd.shape))
-    distance_and_gradient(y, ref, T, plan, params, workers=2)  # the pool exists before tracing
+    x = (make_identity(gd).field + 2 * rng.standard_normal((3,) + gd.shape)).ravel()
+    parallel.run_tasks([lambda: None] * 2, 2)  # the pool exists before tracing
     tracemalloc.start()
     try:
-        distance_and_gradient(y, ref, T, plan, params, workers=2)
+        obj = LevelObjective(template=T, ref=R, plan=build_gather_plan(gd, g),
+                             params=NgfParams(), alpha=1.0, workers=2)
+        obj(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

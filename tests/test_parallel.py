@@ -8,7 +8,7 @@ import pytest
 from ngfreg import parallel
 from ngfreg.geometry import Grid3, make_identity
 from ngfreg.multilevel import deformation_grid_for
-from ngfreg.ngf import NgfParams, distance_and_gradient, precompute_reference_terms
+from ngfreg.ngf import NgfParams, distance_and_gradient
 from ngfreg.synthetic import smooth_random_volume
 from ngfreg.transfer import build_gather_plan
 
@@ -121,11 +121,9 @@ def test_grid_of_one_chunk_runs_inline(fresh_pools):
     # a whole 16^3 evaluation is less than one chunk: with workers=2 every
     # slab call of the sweep and of P^T runs on the caller's thread
     g = Grid3((16, 16, 16), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-    params = NgfParams()
-    ref = precompute_reference_terms(smooth_random_volume(g, seed=1), params, workers=2)
     plan = build_gather_plan(deformation_grid_for(g, 2), g)
-    distance_and_gradient(make_identity(plan.def_grid), ref, smooth_random_volume(g, seed=2),
-                          plan, params, workers=2)
+    distance_and_gradient(make_identity(plan.def_grid), smooth_random_volume(g, seed=1),
+                          smooth_random_volume(g, seed=2), plan, NgfParams(), workers=2)
     assert sum(p.submitted for p in fresh_pools) == 0
 
 
