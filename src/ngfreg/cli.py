@@ -17,9 +17,9 @@ from .geometry import Grid3, GridError, Image3, identity_field_array, precision_
 from .lbfgs import LbfgsConfig
 from .multilevel import MultilevelConfig, RegistrationReport, register
 from .ngf import NgfParams
-from .parallel import run_planes
+from .parallel import run_planes, workspace
 from .transfer import PT_VARIANTS
-from .warp import _trilinear, warp_image
+from .warp import _trilinear_into, warp_image
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -151,6 +151,8 @@ def _write_report(path: str, report: RegistrationReport) -> None:
             f"min_det = {lv.min_det:.6f}",
             f"seconds_setup = {lv.seconds_setup:.6f}",
             f"seconds_optimize = {lv.seconds_optimize:.6f}",
+            f"seconds_distance = {lv.seconds_distance:.6f}",
+            f"seconds_curvature = {lv.seconds_curvature:.6f}",
             "iter\tJ\tD\tS\tgrad_inf\tstep\tls_evals",
         ]
         for rec, (J, D, S) in zip(lv.records, lv.J_trace):
@@ -255,9 +257,9 @@ def _cmd_resample(args) -> int:
     flat = src.values.ravel()
     out = np.empty(like.grid.shape, dtype=pos.dtype)
 
-    def do_chunk(k0, k1):  # returned for run_planes to hold, as in warp_image
-        out[k0:k1] = value = _trilinear(flat, src.grid, pos[:, k0:k1])[0]
-        return value
+    def do_chunk(k0, k1):
+        with workspace().frame() as ws:
+            _trilinear_into(flat, src.grid, pos[:, k0:k1], out[k0:k1], None, ws)
 
     run_planes(do_chunk, like.grid.shape[0], pos[0, 0].size, 1)
     fileio.write_volume(Image3(like.grid, out), args.out)

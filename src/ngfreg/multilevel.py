@@ -85,7 +85,9 @@ class LevelReport:
     final_grad_inf: float
     min_det: float  # min det grad y of the level's result; <= 0 means it folds
     seconds_setup: float
-    seconds_optimize: float
+    seconds_optimize: float  # includes the two below
+    seconds_distance: float  # in the NGF distance and its gradient
+    seconds_curvature: float  # in the curvature term and its gradient
 
 
 @dataclass
@@ -224,6 +226,8 @@ def register(R: Image3, T: Image3, cfg: MultilevelConfig = MultilevelConfig()):
             min_det=min_jacobian_det(y),
             seconds_setup=setup_s,
             seconds_optimize=opt_s,
+            seconds_distance=obj.seconds_distance,
+            seconds_curvature=obj.seconds_curvature,
         ))
         report.final_grad_inf = final_g
 

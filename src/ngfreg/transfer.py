@@ -27,12 +27,12 @@ variant's schedule once.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import Grid3, GridError, VectorField3
-from .parallel import run_planes, run_slabs
+from .parallel import Workspace, run_planes, run_slabs, workspace
 
 __all__ = [
     "GatherPlan",
@@ -74,6 +74,15 @@ class AxisPlan:
     start: np.ndarray    # (nd,) first image index feeding each deformation point
     counts: np.ndarray   # (nd,) range lengths
     weights: np.ndarray  # (nd, max(counts)) zero-padded 1D weights
+    index: np.ndarray    # (max(counts), nd) image index of each window column, clipped
+    _cast: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def weights_as(self, dtype) -> np.ndarray:
+        """The weights in dtype, cast once per dtype."""
+        w = self._cast.get(dtype)
+        if w is None:
+            w = self._cast[dtype] = self.weights.astype(dtype)
+        return w
 
 
 @dataclass(frozen=True)
@@ -82,6 +91,14 @@ class GatherPlan:
     image_grid: Grid3
     axes: tuple[AxisPlan, AxisPlan, AxisPlan]  # x, y, z
     transfers: tuple  # per axis x, y, z: (i0, w1) of _axis_transfer, the weights of P
+    _cast: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def interp_weights(self, dtype) -> tuple:
+        """_interp_weights of the plan's transfers, made once per dtype."""
+        w = self._cast.get(dtype)
+        if w is None:
+            w = self._cast[dtype] = _interp_weights(self.transfers, dtype)
+        return w
 
 
 def _build_axis_plan(i0: np.ndarray, w1: np.ndarray, nd: int) -> AxisPlan:
@@ -101,11 +118,20 @@ def _build_axis_plan(i0: np.ndarray, w1: np.ndarray, nd: int) -> AxisPlan:
     weights = np.zeros((nd, width))
     for d, w in enumerate(rows):
         weights[d, : len(w)] = w
-    return AxisPlan(start=start, counts=counts, weights=weights)
+    index = np.minimum(start + np.arange(width)[:, None], ni - 1)
+    return AxisPlan(start=start, counts=counts, weights=weights, index=index)
 
 
 def _transfers(image_grid: Grid3, def_grid: Grid3) -> tuple:
     return tuple(_axis_transfer(image_grid, def_grid, a) for a in range(3))
+
+
+def _interp_weights(transfers, dtype) -> tuple:
+    """Per axis the weights of P in dtype: (i0, i0 + 1, 1 - w1, w1), the lower
+    and upper coarse index of each fine index and their weights. On an axis of
+    one coarse point i0 + 1 is out of range and w1 is 0; np.take's mode="clip"
+    reads i0 there."""
+    return tuple((i0, i0 + 1, 1 - w1.astype(dtype), w1.astype(dtype)) for i0, w1 in transfers)
 
 
 def build_gather_plan(def_grid: Grid3, image_grid: Grid3) -> GatherPlan:
@@ -123,64 +149,83 @@ def build_gather_plan(def_grid: Grid3, image_grid: Grid3) -> GatherPlan:
 _ARRAY_AXIS = (2, 1, 0)
 
 
-def _interp_block(arr: np.ndarray, i0: np.ndarray, w1: np.ndarray, axis: int) -> np.ndarray:
-    """Interpolate along one array axis: out has len(i0) entries on that axis."""
-    n = arr.shape[axis]
+def _interp_block(arr: np.ndarray, weights, axis: int, out: np.ndarray,
+                  upper: np.ndarray) -> np.ndarray:
+    """Interpolate along one array axis with weights (i0, i1, w0, w1) of
+    _interp_weights into out, which has len(i0) entries on that axis:
+    a0 * w0 + a1 * w1, with upper, shaped like out, for the second term."""
+    i0, i1, w0, w1 = weights
     shape = [1] * arr.ndim
     shape[axis] = len(i0)
-    w = w1.astype(arr.dtype).reshape(shape)
-    out = np.take(arr, i0, axis=axis)
-    out *= 1 - w
-    upper = np.take(arr, np.minimum(i0 + 1, n - 1), axis=axis)
-    upper *= w
-    out += upper  # a0 * (1 - w) + a1 * w, with two temporaries
+    np.take(arr, i0, axis=axis, out=out, mode="clip")
+    out *= w0.reshape(shape)
+    np.take(arr, i1, axis=axis, out=upper, mode="clip")
+    upper *= w1.reshape(shape)
+    out += upper
     return out
 
 
-def _interp_xy(field: np.ndarray, transfers) -> np.ndarray:
-    """A field (3, nz_d, ny_d, nx_d) interpolated along x, then y: (3, nz_d, ny, nx)."""
-    return _interp_block(_interp_block(field, *transfers[0], axis=3), *transfers[1], axis=2)
+def _interp_along(arr: np.ndarray, weights, axis: int) -> np.ndarray:
+    """_interp_block into a new array."""
+    shape = arr.shape[:axis] + (len(weights[0]),) + arr.shape[axis + 1:]
+    return _interp_block(arr, weights, axis, np.empty(shape, arr.dtype),
+                         np.empty(shape, arr.dtype))
 
 
-def _interp_z(xy: np.ndarray, transfers, k0: int, k1: int) -> np.ndarray:
-    """Image z-planes k0:k1 of P y from y interpolated along x and y (_interp_xy)."""
-    i0, w1 = transfers[2]
-    return _interp_block(xy, i0[k0:k1], w1[k0:k1], axis=1)
+def _interp_xy(field: np.ndarray, weights) -> np.ndarray:
+    """A field (3, nz_d, ny_d, nx_d) interpolated along x, then y: (3, nz_d, ny, nx);
+    weights are the field's _interp_weights."""
+    return _interp_along(_interp_along(field, weights[0], axis=3), weights[1], axis=2)
+
+
+def _interp_z(xy: np.ndarray, weights, k0: int, k1: int, ws: Workspace) -> np.ndarray:
+    """Image z-planes k0:k1 of P y from y interpolated along x and y (_interp_xy),
+    as an array of ws."""
+    i0, i1, w0, w1 = weights[2]
+    shape = xy.shape[:1] + (k1 - k0,) + xy.shape[2:]
+    out = ws.array(shape, xy.dtype)
+    with ws.frame():
+        return _interp_block(xy, (i0[k0:k1], i1[k0:k1], w0[k0:k1], w1[k0:k1]), 1, out,
+                             ws.array(shape, xy.dtype))
 
 
 def apply_P(y: VectorField3, image_grid: Grid3, workers: int = 1) -> VectorField3:
     """Convert a field, a deformation say, from its (coarse) grid to the image grid."""
     check_compatible(y.grid, image_grid)
-    transfers = _transfers(image_grid, y.grid)
-    xy = _interp_xy(y.field, transfers)
+    weights = _interp_weights(_transfers(image_grid, y.grid), y.field.dtype)
+    xy = _interp_xy(y.field, weights)
     out = np.empty((3,) + image_grid.shape, dtype=y.field.dtype)
 
-    def do_slab(lo, hi):
-        out[:, lo:hi] = _interp_z(xy, transfers, lo, hi)
+    def do_chunk(k0, k1):
+        with workspace().frame() as ws:
+            out[:, k0:k1] = _interp_z(xy, weights, k0, k1, ws)
 
     nz, ny, nx = image_grid.shape
-    run_slabs(do_slab, nz, ny * nx, workers)
+    run_planes(do_chunk, nz, ny * nx, workers)
     return VectorField3(image_grid, out)
 
 
-def _gather_block(arr: np.ndarray, ap: AxisPlan, axis: int, rows: slice | None = None) -> np.ndarray:
-    """Apply the transposed 1D weights along one array axis. Each output index
-    sums its window columns in ascending order, starting from the first
+def _gather_block(arr: np.ndarray, ap: AxisPlan, axis: int, rows: slice | None = None,
+                  out: np.ndarray | None = None, ws: Workspace | None = None) -> np.ndarray:
+    """Apply the transposed 1D weights along one array axis, into out if given
+    (C-contiguous), with a buffer for the terms from ws if given. Each output
+    index sums its window columns in ascending order, starting from the first
     column's term; zero-weight padding columns read the clamped last index.
     Each column is taken straight from arr, with no copy of the window."""
-    start = ap.start if rows is None else ap.start[rows]
-    W = (ap.weights if rows is None else ap.weights[rows]).astype(arr.dtype)
-    ni = arr.shape[axis]
+    rows = slice(None) if rows is None else rows
+    index = ap.index[:, rows]
+    W = ap.weights_as(arr.dtype)[rows]
     shape = [1] * arr.ndim
-    shape[axis] = len(start)
-    out = None
-    for j in range(W.shape[1]):  # ascending index order keeps summation deterministic
-        term = np.take(arr, np.minimum(start + j, ni - 1), axis=axis)
+    shape[axis] = index.shape[1]
+    if out is None:
+        out = np.empty(arr.shape[:axis] + (index.shape[1],) + arr.shape[axis + 1:], arr.dtype)
+    np.take(arr, index[0], axis=axis, out=out, mode="clip")
+    out *= W[:, 0].reshape(shape)
+    term = (Workspace() if ws is None else ws).array(out.shape, out.dtype)
+    for j in range(1, index.shape[0]):  # ascending order keeps the sums deterministic
+        np.take(arr, index[j], axis=axis, out=term, mode="clip")
         term *= W[:, j].reshape(shape)
-        if out is None:
-            out = term
-        else:
-            out += term
+        out += term
     return out
 
 
@@ -245,16 +290,23 @@ def _z_schedule(variant: str):
     return z_schedule
 
 
-def _reduce_xy(r: np.ndarray, plan: GatherPlan) -> np.ndarray:
-    """The xy reduction of P^T on image z-planes r (3, m, ny, nx): (3, m, ny_d, nx_d).
-    Each plane is contracted on its own, so any chunking gives the same bytes.
-    Each contraction runs on a copy with its axis first, where a window column
-    is whole contiguous rows rather than single elements; the sums are the
-    same, so are the bytes."""
+def _reduce_xy(r: np.ndarray, plan: GatherPlan, out: np.ndarray, ws: Workspace) -> None:
+    """The xy reduction of P^T on image z-planes r (3, m, ny, nx) into out
+    (3, m, ny_d, nx_d). Each plane is contracted on its own, so any chunking
+    gives the same bytes. Each contraction runs on a copy in ws with its axis
+    first, where a window column is whole contiguous rows rather than single
+    elements; the sums are the same, so are the bytes."""
     xp, yp, _ = plan.axes
-    rx = _gather_block(np.ascontiguousarray(r.transpose(3, 0, 1, 2)), xp, axis=0)
-    rxy = _gather_block(np.ascontiguousarray(rx.transpose(3, 1, 2, 0)), yp, axis=0)
-    return rxy.transpose(1, 2, 0, 3)
+    _, m, ny, nx = r.shape
+    nyd, nxd = len(yp.start), len(xp.start)
+    with ws.frame():
+        rt = ws.array((nx, 3, m, ny), r.dtype)
+        np.copyto(rt, r.transpose(3, 0, 1, 2))
+        rx = _gather_block(rt, xp, 0, out=ws.array((nxd, 3, m, ny), r.dtype), ws=ws)
+        rxt = ws.array((ny, 3, m, nxd), r.dtype)
+        np.copyto(rxt, rx.transpose(3, 1, 2, 0))
+        rxy = _gather_block(rxt, yp, 0, out=ws.array((nyd, 3, m, nxd), r.dtype), ws=ws)
+        np.copyto(out, rxy.transpose(1, 2, 0, 3))
 
 
 def _reduce_z(xy: np.ndarray, plan: GatherPlan, z_schedule, workers: int) -> VectorField3:
@@ -282,7 +334,8 @@ def apply_Pt(r: VectorField3, plan: GatherPlan, variant: str = "gather", workers
     xy = np.empty((3, nz) + plan.def_grid.shape[1:], dtype=r.field.dtype)
 
     def reduce_xy(k0, k1):
-        xy[:, k0:k1] = _reduce_xy(r.field[:, k0:k1], plan)
+        with workspace().frame() as ws:
+            _reduce_xy(r.field[:, k0:k1], plan, xy[:, k0:k1], ws)
 
     run_planes(reduce_xy, nz, ny * nx, workers)
     return _reduce_z(xy, plan, z_schedule, workers)

@@ -100,6 +100,10 @@ def test_register_warp_evaluate_roundtrip(pair, tmp_path, capsys):
         rows = [ln.split("\t") for ln in lines[head + 1:] if ln]
         assert rows and evals == 1 + sum(int(r[6]) for r in rows)
         assert float(next(ln for ln in lines if ln.startswith("min_det = ")).split()[-1]) > 0
+        seconds = {k: float(next(ln for ln in lines if ln.startswith(f"seconds_{k} = ")).split()[-1])
+                   for k in ("optimize", "distance", "curvature")}
+        assert 0 < seconds["distance"] <= seconds["optimize"]
+        assert 0 < seconds["curvature"] <= seconds["optimize"]
 
     # warp again via the CLI and compare against the register output
     w2 = str(tmp_path / "warped2.mha")

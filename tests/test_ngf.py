@@ -211,6 +211,17 @@ def test_nonfinite_intermediate_is_floating_point_error(workers, request):
         with pytest.raises(FloatingPointError, match=match):
             distance_and_gradient(make_identity(g, np.float32), R, T, plan, params,
                                   workers=workers)
+    # template planes 1e37 apart at a z-spacing of 0.01: the samples are finite
+    # but their z-partials overflow, while the image and the deformation grid
+    # have one z-plane, where every z-gradient is 0, so D stays finite
+    gt = _grid((8, 7, 4), (1, 1, 0.01))
+    T = Image3(gt, (5e36 * np.where(np.arange(4) % 2 == 0, 1.0, -1.0)[:, None, None]
+                    + np.zeros(gt.shape)).astype(np.float32))
+    gi = _grid((8, 7, 1), (1, 1, 0.01), (0, 0, 0.015))
+    R = smooth_random_volume(gi, seed=5).astype(np.float32)
+    with pytest.raises(FloatingPointError, match="template gradient"):
+        distance_and_gradient(make_identity(gi, np.float32), R, T, build_gather_plan(gi, gi),
+                              params, workers=workers)
     if slab_counts is not None:
         assert max(slab_counts) == workers
 
@@ -298,3 +309,30 @@ def test_evaluation_allocates_no_image_sized_temporaries(rng):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("n, workers", [(48, 1), (64, 2)])
+def test_evaluation_after_the_first_allocates_no_chunk_sized_temporaries(rng, n, workers):
+    # Once a worker has run a slab, its chunks take every temporary from its
+    # thread's workspace. What an evaluation still allocates is its own:
+    # y interpolated along x and y (0.7 MiB at 48^3, 1.5 MiB at 64^3, f64),
+    # a buffer of the same size to form it, P^T's buffer and the curvature
+    # term. Allocated per chunk, the temporaries peaked at 15.4 MiB (48^3,
+    # 1 worker) and 30.6 MiB (64^3, 2 workers). With 2 workers each pool
+    # thread must have run a slab before: three evaluations make sure.
+    g = _grid((n, n, n))
+    gd = _def_grid(g, (n // 4,) * 3)
+    T = Image3(g, rng.standard_normal(g.shape))
+    R = Image3(g, rng.standard_normal(g.shape))
+    x = (make_identity(gd).field + 2 * rng.standard_normal((3,) + gd.shape)).ravel()
+    obj = LevelObjective(template=T, ref=R, plan=build_gather_plan(gd, g),
+                         params=NgfParams(), alpha=1.0, workers=workers)
+    for _ in range(1 if workers == 1 else 3):
+        obj(x)
+    tracemalloc.start()
+    try:
+        obj(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

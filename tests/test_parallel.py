@@ -139,3 +139,34 @@ def test_workers_are_a_cap(fresh_pools):
     parallel.run_slabs(lambda lo, hi: slabs.append((lo, hi)), 3 * step, plane, 8)
     assert sorted(slabs) == [(0, step), (step, 2 * step), (2 * step, 3 * step)]
     assert sum(p.submitted for p in fresh_pools) == 5
+
+
+def test_workspace_is_a_stack_that_grows_to_its_deepest_frame_once():
+    ws = parallel.Workspace()
+
+    def use():
+        """Two frames at depth 1 that reach the same depth; returns their arrays."""
+        a = ws.array((5, 7), np.float64)
+        with ws.frame():
+            b = ws.array((3,), np.int64)
+        c = ws.array((3,), np.int64)  # b's bytes again
+        return a, b, c
+
+    with ws.frame():  # first use: arrays of their own, no buffer yet
+        a, b, c = use()
+        assert not np.shares_memory(a, ws._buf) and not np.shares_memory(b, c)
+    size = ws._buf.size  # the outermost frame closed: the deepest stack's size
+    assert size >= a.nbytes + b.nbytes
+    with ws.frame():
+        a, b, c = use()
+        assert np.shares_memory(a, ws._buf) and np.shares_memory(b, c)
+        assert not np.shares_memory(a, b)
+        assert a.shape == (5, 7) and c.dtype == np.int64
+        assert a.ctypes.data % 64 == 0 and b.ctypes.data % 64 == 0
+    assert ws._buf.size == size  # nothing deeper: the same buffer
+    with ws.frame():
+        ws.array((2,), np.float64)
+        with ws.frame():
+            ws.array((1000,), np.float64)  # deeper: an array of its own for now
+        assert ws._buf.size == size  # an array is still taken
+    assert ws._buf.size >= 64 + 8000
