@@ -204,7 +204,10 @@ def register(R: Image3, T: Image3, cfg: MultilevelConfig = MultilevelConfig()):
         setup_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        x, trace = lbfgs_minimize(obj, y.field.ravel(), cfg.lbfgs, cfg.stopping)
+        try:
+            x, trace = lbfgs_minimize(obj, y.field.ravel(), cfg.lbfgs, cfg.stopping)
+        finally:
+            obj.close()
         y = DeformationField(def_grid, x.reshape((3,) + def_grid.shape))
         opt_s = time.perf_counter() - t0
 

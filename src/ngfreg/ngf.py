@@ -20,21 +20,26 @@ chunks recompute halo planes of the neighbouring slabs. The warped template
 and its partials share one window of planes, so each chunk samples the
 template once. The windows and every temporary of a chunk are arrays of the
 thread's Workspace, so once a level has been evaluated a chunk allocates
-nothing.
+nothing. The caller runs the first slab and a forked child process each
+other one (SweepChildren), because threads running the sweep's many small
+numpy calls mostly wait for the interpreter lock.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import DeformationField, Grid3, GridError, Image3, VectorField3
-from .parallel import Workspace, plane_step, run_slabs, workspace
+from .parallel import (ProcessGroup, Workspace, can_fork, plane_step, shared_arrays,
+                       slab_partition, workspace)
 from .transfer import GatherPlan, _interp_xy, _reduce_xy, _reduce_z, _z_schedule
 from .warp import _gradient_planes, _gradient_transpose_planes, _sample_planes
 
-__all__ = ["NgfParams", "distance_and_gradient"]
+__all__ = ["NgfParams", "SweepChildren", "distance_and_gradient"]
 
 
 @dataclass(frozen=True)
@@ -126,29 +131,24 @@ def distance_and_gradient(
     params: NgfParams,
     pt_variant: str = "gather",
     workers: int = 1,
+    *,
+    children: SweepChildren | None = None,
 ) -> tuple[float, VectorField3]:
     """NGF distance and its gradient with respect to y, in one sweep.
 
     Each slab of the worker partition walks its chunks of whole z-planes in
-    order. Per chunk it forms yhat = P y on the new planes from y already
-    interpolated along x and y, samples the template there (values and
-    partials), takes the gradients of the warped template and of `ref` (R),
-    r, the terms 1 - r^2 and their derivative q on the planes whose
-    neighbours are now known, then for the chunk's own planes s = G^T q, the
-    partials times s, and the xy reduction of P^T. The variant's z schedule
-    of P^T then runs once. A non-finite D or xy reduction raises
+    order (_sweep_slab); the caller runs the first slab and, where it can
+    fork, a child process runs each other slab. `children` keeps those
+    processes between calls (a LevelObjective's); without it the call forks
+    its own and reaps them before it returns. The variant's z schedule of
+    P^T then runs once. A non-finite D or xy reduction raises
     FloatingPointError.
 
-    The stencils make the chunk's last planes depend on planes beyond it, so
-    the warp runs two planes ahead of the chunk and q one plane ahead. The
-    warped template and its partials share one window of 4-channel planes,
-    q has another, and each window carries the two planes a later chunk
-    needs; both, and the chunk's scratch, are arrays of the slab's thread's
-    Workspace. Every plane gets the same operations in the same order as on
-    whole arrays, so the gradient is the same for any worker count and chunk
-    size. D is summed per z-plane, then over the planes in a fixed order: it
-    is the same for any worker count and chunk size too, but a whole-array
-    sum could differ from it by reassociation.
+    Every plane gets the same operations in the same order as on whole
+    arrays, so the gradient is the same for any worker count and chunk size.
+    D is summed per z-plane, then over the planes in a fixed order: it is the
+    same for any worker count and chunk size too, but a whole-array sum could
+    differ from it by reassociation.
     """
     z_schedule = _z_schedule(pt_variant)
     if y.grid != plan.def_grid:
@@ -157,17 +157,121 @@ def distance_and_gradient(
     if ref.grid != image_grid:
         raise GridError("reference grid does not match the plan's image grid")
     dtype = y.field.dtype
+    nz, ny, nx = image_grid.shape
+    step = plane_step(ny * nx)
+    slabs = slab_partition(nz, ny * nx, workers)
+    inputs = (ref, template, plan, params, step)
+    if len(slabs) > 1 and can_fork():
+        own = children is None
+        children = SweepChildren() if own else children
+        try:
+            xy, d_planes = children.sweep(y.field, inputs, slabs)
+        finally:
+            if own:
+                children.close()
+    else:
+        xy = np.empty((3, nz) + plan.def_grid.shape[1:], dtype=dtype)  # P^T's xy reduction
+        d_planes = np.empty(nz, dtype=dtype)                          # D's per-plane sums
+        for lo, hi in slabs:
+            _sweep_slab(y.field, *inputs, lo, hi, xy, d_planes)
+    D = float(image_grid.cell_volume / 2 * np.sum(d_planes, dtype=dtype))
+    # both norms are >= tau, rho > 0: a non-finite gT, gR or q at a voxel makes r,
+    # so D, non-finite; the template's partials reach only the gradient, via xy
+    if not (np.isfinite(D) and np.isfinite(xy).all()):
+        raise FloatingPointError("non-finite template gradient or reference gradient")
+    return D, _reduce_z(xy, plan, z_schedule, workers)
+
+
+class SweepChildren:
+    """The child processes that run the NGF sweep's slabs after the first, kept
+    between calls of distance_and_gradient on one level.
+
+    It forks at the first call that has more than one slab, one child per
+    slab after the first, and again when a call's inputs, dtype or slab
+    partition differ from those it forked with. Each child inherits the
+    images and the plan copy-on-write, so they must not change in place while
+    it has children. One shared mapping carries y to the children and their
+    planes of P^T's xy reduction and of D's per-plane sums back, so it serves
+    one call at a time. close() ends the children; a later call forks again.
+    """
+
+    def __init__(self):
+        self._key = None
+        self._group: ProcessGroup | None = None
+        self._shared = ()
+
+    def sweep(self, field: np.ndarray, inputs: tuple, slabs: list) -> tuple:
+        """The sweep of field over every slab, the first on this thread: returns
+        P^T's xy reduction and D's per-plane sums, arrays of the shared mapping."""
+        # the children's tasks hold the inputs, so no other object has their ids
+        key = (*map(id, inputs[:3]), *inputs[3:], field.dtype, field.shape, tuple(slabs))
+        if self._group is None or self._group.closed or key != self._key:
+            self.close()
+            plan = inputs[2]
+            nz = plan.image_grid.shape[0]
+            self._shared = y, xy, d_planes = shared_arrays(
+                [(field.shape, field.dtype), ((3, nz) + plan.def_grid.shape[1:], field.dtype),
+                 ((nz,), field.dtype)])
+            self._group = ProcessGroup(
+                [functools.partial(_sweep_slab, y, *inputs, lo, hi, xy, d_planes)
+                 for lo, hi in slabs[1:]],
+                [f"image z-planes {lo}:{hi}" for lo, hi in slabs[1:]])
+            self._key = key
+        y, xy, d_planes = self._shared
+        np.copyto(y, field)
+        self._group.start()  # before this thread's own slab, so the children start at once
+        try:
+            _sweep_slab(y, *inputs, *slabs[0], xy, d_planes)
+        except BaseException:
+            with contextlib.suppress(Exception):  # the first slab's error comes first
+                self._group.wait()
+            raise
+        self._group.wait()
+        return xy, d_planes
+
+    def close(self) -> None:
+        """End and reap the children, if any."""
+        if self._group is not None:
+            self._group.close()
+        self._group, self._key, self._shared = None, None, ()
+
+
+def _sweep_slab(field: np.ndarray, ref: Image3, template: Image3, plan: GatherPlan,
+                params: NgfParams, step: int, lo: int, hi: int, xy: np.ndarray,
+                d_planes: np.ndarray) -> None:
+    """The sweep over image z-planes lo:hi, in chunks of `step` planes, of the
+    deformation field (3, nz_d, ny_d, nx_d): D's sums of those planes into
+    d_planes[lo:hi] and their xy reduction of P^T into xy[:, lo:hi].
+
+    Per chunk it forms yhat = P y on the new planes from y interpolated along
+    x and y, samples the template there (values and partials), takes the
+    gradients of the warped template and of `ref` (R), r, the terms 1 - r^2
+    and their derivative q on the planes whose neighbours are now known, then
+    for the chunk's own planes s = G^T q, the partials times s, and the xy
+    reduction of P^T. y is interpolated along x and y once per call, on the
+    coarse z-planes that the slab's planes read only.
+
+    The stencils make the chunk's last planes depend on planes beyond it, so
+    the warp runs two planes ahead of the chunk and q one plane ahead. The
+    warped template and its partials share one window of 4-channel planes,
+    q has another, and each window carries the two planes a later chunk
+    needs; both, y interpolated along x and y and the chunk's scratch are
+    arrays of this thread's Workspace.
+    """
+    dtype = field.dtype
+    image_grid: Grid3 = plan.image_grid
     flat = template.values.astype(dtype, copy=False).ravel()
     spacing = image_grid.spacing
     nz, ny, nx = image_grid.shape
     h_bar = image_grid.cell_volume
-    step = plane_step(ny * nx)
-    weights = plan.interp_weights(dtype)
-    y_xy = _interp_xy(y.field, weights)
-    xy = np.empty((3, nz) + plan.def_grid.shape[1:], dtype=dtype)  # P^T's xy reduction
-    d_planes = np.empty(nz, dtype=dtype)                          # D's per-plane sums
+    wx, wy, (i0, i1, w0, w1) = plan.interp_weights(dtype)
+    # the template is sampled on the planes lo - 2:hi + 2; c0:c1 are the
+    # coarse planes that P reads there, and i0, i1 count from c0
+    c0 = i0[max(lo - 2, 0)]
+    c1 = min(i1[min(hi + 2, nz) - 1], field.shape[1] - 1) + 1
+    weights = (wx, wy, (i0 - c0, i1 - c0, w0, w1))
 
-    def pointwise(W, Q, k0, q1, lo, hi, ws):
+    def pointwise(W, Q, k0, q1, ws):
         """gR, r, the terms of D and q on the planes Q.end:q1, q into Q."""
         qa = Q.end
         m = q1 - qa
@@ -182,19 +286,20 @@ def distance_and_gradient(
         _ratio(gT, gR, params, (r, norm_T, norms, tmp))
         terms = np.multiply(r, r, out=tmp)
         np.subtract(1, terms, out=terms)
-        for k in range(max(qa, lo), min(q1, hi)):
-            d_planes[k] = np.sum(terms[k - qa], dtype=dtype)
+        a, b = max(qa, lo), min(q1, hi)
+        if a < b:
+            np.sum(terms[a - qa:b - qa].reshape(b - a, ny * nx), axis=1, dtype=dtype,
+                   out=d_planes[a:b])
         # d[(hbar/2)(1 - r^2)]/d(grad T) = -hbar * r * (gR/(nT*nR) - r*gT/nT^2)
         coef = np.multiply(r, dtype.type(-h_bar), out=tmp)
         inv_prod = np.divide(1, norms, out=norms)
         inv_nt2 = np.multiply(norm_T, norm_T, out=norm_T)
         np.divide(1, inv_nt2, out=inv_nt2)
-        for a in range(3):
-            q[a] *= inv_prod
-            gT[a] *= r  # gT is not needed after q
-            gT[a] *= inv_nt2
-            q[a] -= gT[a]
-            q[a] *= coef
+        q *= inv_prod
+        gT *= r  # gT is not needed after q
+        gT *= inv_nt2
+        q -= gT
+        q *= coef
 
     def chain(W, Q, k0, k1, ws):
         """s = G^T q on the planes k0:k1, the partials times s, and their xy
@@ -207,29 +312,21 @@ def distance_and_gradient(
         g_hat *= s
         _reduce_xy(g_hat, plan, xy[:, k0:k1], ws)
 
-    def do_slab(lo, hi):
-        with workspace().frame() as ws:
-            W = _PlaneWindow(ws, 4, step + 4, (ny, nx), dtype, max(lo - 2, 0))  # T, partials
-            Q = _PlaneWindow(ws, 3, step + 2, (ny, nx), dtype, max(lo - 1, 0))
-            for k0 in range(lo, hi, step):
-                k1 = min(k0 + step, hi)
-                q1 = min(k1 + 1, nz)   # s on k0:k1 needs q one plane beyond,
-                t1 = min(q1 + 1, nz)   # and q the template one plane beyond that
-                w0 = W.end
-                W.append(t1, keep_from=max(Q.end - 1, 0))
-                for a in range(w0, t1, step):  # at most a chunk of planes at a time
-                    b = min(a + step, t1)
-                    new = W.at(a, b)
-                    _sample_planes(flat, template.grid, y_xy, weights, a, b, new[0], new[1:], ws)
-                with ws.frame():
-                    pointwise(W, Q, k0, q1, lo, hi, ws)
-                with ws.frame():
-                    chain(W, Q, k0, k1, ws)
-
-    run_slabs(do_slab, nz, ny * nx, workers)
-    D = float(h_bar / 2 * np.sum(d_planes, dtype=dtype))
-    # both norms are >= tau, rho > 0: a non-finite gT, gR or q at a voxel makes r,
-    # so D, non-finite; the template's partials reach only the gradient, via xy
-    if not (np.isfinite(D) and np.isfinite(xy).all()):
-        raise FloatingPointError("non-finite template gradient or reference gradient")
-    return D, _reduce_z(xy, plan, z_schedule, workers)
+    with workspace().frame() as ws:
+        y_xy = _interp_xy(field[:, c0:c1], weights, ws)
+        W = _PlaneWindow(ws, 4, step + 4, (ny, nx), dtype, max(lo - 2, 0))  # T, partials
+        Q = _PlaneWindow(ws, 3, step + 2, (ny, nx), dtype, max(lo - 1, 0))
+        for k0 in range(lo, hi, step):
+            k1 = min(k0 + step, hi)
+            q1 = min(k1 + 1, nz)   # s on k0:k1 needs q one plane beyond,
+            t1 = min(q1 + 1, nz)   # and q the template one plane beyond that
+            w0 = W.end
+            W.append(t1, keep_from=max(Q.end - 1, 0))
+            for a in range(w0, t1, step):  # at most a chunk of planes at a time
+                b = min(a + step, t1)
+                new = W.at(a, b)
+                _sample_planes(flat, template.grid, y_xy, weights, a, b, new[0], new[1:], ws)
+            with ws.frame():
+                pointwise(W, Q, k0, q1, ws)
+            with ws.frame():
+                chain(W, Q, k0, k1, ws)

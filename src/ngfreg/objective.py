@@ -14,7 +14,7 @@ import numpy as np
 
 from .curvature import curvature_value_and_gradient
 from .geometry import DeformationField, Image3
-from .ngf import NgfParams, distance_and_gradient
+from .ngf import NgfParams, SweepChildren, distance_and_gradient
 from .transfer import GatherPlan
 
 __all__ = ["LevelObjective"]
@@ -24,7 +24,13 @@ __all__ = ["LevelObjective"]
 class LevelObjective:
     """Callable objective for one multilevel level. Each call appends (J, D, S)
     to `log`, (inf, nan, nan) for a non-finite trial point, and adds the wall
-    seconds of the distance and of the curvature term to their totals."""
+    seconds of the distance and of the curvature term to their totals.
+
+    With more than one worker, its first evaluation whose sweep has more than
+    one slab forks the sweep's child processes, which it keeps for the later
+    ones (ngf.SweepChildren): the images must not change in place while it has
+    them. close() ends them; an objective that is never closed ends them when
+    it is garbage-collected or at interpreter exit."""
 
     template: Image3
     ref: Image3
@@ -36,6 +42,8 @@ class LevelObjective:
     log: list = field(default_factory=list)
     seconds_distance: float = 0.0
     seconds_curvature: float = 0.0
+    _children: SweepChildren = field(default_factory=SweepChildren, init=False, repr=False,
+                                     compare=False)
 
     def __call__(self, x: np.ndarray):
         if not np.all(np.isfinite(x)):
@@ -47,7 +55,7 @@ class LevelObjective:
         t0 = time.perf_counter()
         D, grad_D = distance_and_gradient(
             y, self.ref, self.template, self.plan, self.params,
-            self.pt_variant, self.workers,
+            self.pt_variant, self.workers, children=self._children,
         )
         t1 = time.perf_counter()
         S, grad_S = curvature_value_and_gradient(y)
@@ -57,3 +65,7 @@ class LevelObjective:
         J = D + self.alpha * S
         self.log.append((J, D, S))
         return J, grad.ravel()
+
+    def close(self) -> None:
+        """End the sweep's child processes; a later call forks them again."""
+        self._children.close()

@@ -165,17 +165,22 @@ def _interp_block(arr: np.ndarray, weights, axis: int, out: np.ndarray,
     return out
 
 
-def _interp_along(arr: np.ndarray, weights, axis: int) -> np.ndarray:
-    """_interp_block into a new array."""
-    shape = arr.shape[:axis] + (len(weights[0]),) + arr.shape[axis + 1:]
-    return _interp_block(arr, weights, axis, np.empty(shape, arr.dtype),
-                         np.empty(shape, arr.dtype))
-
-
-def _interp_xy(field: np.ndarray, weights) -> np.ndarray:
-    """A field (3, nz_d, ny_d, nx_d) interpolated along x, then y: (3, nz_d, ny, nx);
-    weights are the field's _interp_weights."""
-    return _interp_along(_interp_along(field, weights[0], axis=3), weights[1], axis=2)
+def _interp_xy(field: np.ndarray, weights, ws: Workspace | None = None) -> np.ndarray:
+    """A field (3, nz_d, ny_d, nx_d) interpolated along x, then y: (3, nz_d, ny, nx),
+    an array of ws if given; weights are the field's _interp_weights. The y
+    step runs a component at a time, so its scratch is one component's."""
+    ws = Workspace() if ws is None else ws
+    c, nzd, nyd, _ = field.shape
+    ny, nx = len(weights[1][0]), len(weights[0][0])
+    out = ws.array((c, nzd, ny, nx), field.dtype)
+    with ws.frame():
+        x = ws.array((c, nzd, nyd, nx), field.dtype)
+        with ws.frame():
+            _interp_block(field, weights[0], 3, x, ws.array(x.shape, field.dtype))
+        upper = ws.array(out.shape[1:], field.dtype)
+        for a in range(c):
+            _interp_block(x[a], weights[1], 1, out[a], upper)
+    return out
 
 
 def _interp_z(xy: np.ndarray, weights, k0: int, k1: int, ws: Workspace) -> np.ndarray:

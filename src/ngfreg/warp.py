@@ -67,23 +67,30 @@ def _cells(grid: Grid3, pos: np.ndarray, f: np.ndarray, base: np.ndarray,
     [0, n - 1], which is the clamp-to-edge position, and a position is outside
     the cell-center hull where that changed t. The lower corner is the clipped
     t floored, at most n - 2, and its fraction f is what remains, in [0, 1].
+    The lower corner's flat index is formed in float64, exact below 2^53.
     """
     dtype = f.dtype
     per_axis = (3,) + (1,) * (pos.ndim - 1)
     dims = grid.dims
+    if grid.num_points > 2**53:
+        raise ValueError(f"a grid of {grid.num_points} points has flat indices beyond 2^53")
     t = ws.array(pos.shape, dtype)
     np.subtract(pos, np.array(grid.origin, dtype).reshape(per_axis), out=t)
     np.divide(t, np.array(grid.spacing, dtype).reshape(per_axis), out=t)
-    np.clip(t, 0, np.array([n - 1 for n in dims], dtype).reshape(per_axis), out=f)
+    np.maximum(t, 0, out=f)
+    np.minimum(f, np.array([n - 1 for n in dims], dtype).reshape(per_axis), out=f)
     moved = ws.array(pos.shape, bool)
     np.not_equal(t, f, out=moved)
     np.logical_or.reduce(moved, axis=0, out=outside)
     np.minimum(f, np.array([max(n - 2, 0) for n in dims], dtype).reshape(per_axis), out=t)
-    lo = ws.array(pos.shape, np.intp)
-    np.copyto(lo, t, casting="unsafe")  # truncation is the floor of t >= 0
-    np.subtract(f, lo, out=f, dtype=dtype)
-    lo *= np.array([1, dims[0], dims[0] * dims[1]], np.intp).reshape(per_axis)
-    np.add.reduce(lo, axis=0, out=base)
+    np.floor(t, out=t)
+    np.subtract(f, t, out=f)
+    lo = ws.array(pos.shape, np.float64)
+    np.multiply(t, np.array([1, dims[0], dims[0] * dims[1]], np.float64).reshape(per_axis),
+                out=lo)
+    flat = ws.array(pos.shape[1:], np.float64)
+    np.add.reduce(lo, axis=0, out=flat)
+    np.copyto(base, flat, casting="unsafe")
 
 
 def _corners(flat: np.ndarray, grid: Grid3, f: np.ndarray, base: np.ndarray,

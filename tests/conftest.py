@@ -1,3 +1,4 @@
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -53,3 +54,26 @@ def random_grid_pair(rng, max_dim=9):
     hd = tuple(n * s / m for n, s, m in zip(di, h, dd))
     od = tuple(oo - s / 2 + sd / 2 for oo, s, sd in zip(o, h, hd))
     return Grid3(dd, hd, od), image_grid
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of every child process forked while the fixture is active."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    """Each of the pids has exited and been reaped: it is no child of this process."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

@@ -1,3 +1,9 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -278,3 +284,47 @@ def test_benchmark_bad_option_is_usage_error_before_work(tmp_path, capsys, monke
     assert rc == EXIT_USAGE
     assert f"argument {flag[0]}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+_CLI_SCRIPT = """
+import os, sys
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(1))
+print("before register")  # in stdout's buffer when the children fork
+from ngfreg.cli import main
+rc = main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(len(forks)))
+sys.exit(rc)
+"""
+
+
+def test_two_worker_register_writes_the_stdout_of_one_worker(tmp_path):
+    # 40^3: the finest level's sweep has two slabs, so two workers fork a child;
+    # a child that wrote or flushed stdio would add to the output
+    g = Grid3((40, 40, 40), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    center = tuple(o + e / 2 for o, e in zip(g.origin, g.extent))
+    R, T = make_registration_pair(
+        g, gaussian_bump_mapping(center, sigma_mm=10.0, amplitude_mm=(1.5, -1.0, 0.5)))
+    rp, tp = str(tmp_path / "R.mha"), str(tmp_path / "T.mha")
+    write_volume(R, rp)
+    write_volume(T, tp)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout keeps "before register" in its buffer
+    outs, forks = [], []
+    for threads in (1, 2):
+        count = tmp_path / f"forks{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-c", _CLI_SCRIPT, str(count), "register", "--reference", rp,
+             "--template", tp, "--out-deformation", str(tmp_path / f"y{threads}.mha"),
+             "--threads", str(threads), "--max-iter", "5"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == ""
+        outs.append(re.sub(r"\d+\.\d+ s,", "<seconds> s,", proc.stdout))
+        forks.append(int(count.read_text()))
+    assert forks == [0, 1]
+    assert outs[0].startswith("before register\nregistered ")
+    assert outs[1] == outs[0]

@@ -287,13 +287,16 @@ def test_sweep_equals_layer_by_layer_chain(rng, monkeypatch, dims, def_dims):
                         assert g.field.tobytes() == g_ref.tobytes()
 
 
-def test_evaluation_allocates_no_image_sized_temporaries(rng):
-    # A 128^3 f64 level set-up and one evaluation with 2 workers. Composed on
-    # whole arrays the chain allocated 176 MiB, eleven image-sized arrays of
-    # 16 MiB; a set-up that stored grad R and its norm (64 MiB) peaked at
-    # 121 MiB. The sweep measured 54 MiB: the gather plan, y interpolated
-    # along x and y (12 MiB), the P^T buffer (3 MiB) and per slab its
-    # windows and one chunk's temporaries.
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluation_allocates_no_image_sized_temporaries(rng, workers):
+    # A 128^3 f64 level set-up and one evaluation. Composed on whole arrays
+    # the chain allocated 176 MiB, eleven image-sized arrays of 16 MiB; a
+    # set-up that stored grad R and its norm (64 MiB) peaked at 121 MiB. What
+    # the sweep allocates is the gather plan, the P^T buffer (3 MiB) and per
+    # slab its workspace: y interpolated along x and y on the slab's coarse
+    # planes, its windows and one chunk's temporaries. tracemalloc sees this
+    # process only: with 1 worker it runs the whole sweep, with 2 a child
+    # runs the second slab.
     g = _grid((128, 128, 128))
     gd = _def_grid(g, (32, 32, 32))
     T = Image3(g, rng.standard_normal(g.shape))
@@ -303,7 +306,7 @@ def test_evaluation_allocates_no_image_sized_temporaries(rng):
     tracemalloc.start()
     try:
         obj = LevelObjective(template=T, ref=R, plan=build_gather_plan(gd, g),
-                             params=NgfParams(), alpha=1.0, workers=2)
+                             params=NgfParams(), alpha=1.0, workers=workers)
         obj(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -246,6 +246,13 @@ def test_kernel_outside_hull_is_value_at_clamped_position(rng, dims, spacing, or
     assert np.abs(value - ref_value).max() <= 1e-15 * np.abs(T.values).max()
 
 
+def test_kernel_rejects_a_grid_whose_flat_indices_pass_2_53():
+    # the lower corner's flat index is formed in float64, exact below 2^53
+    g = _grid((2**18, 2**18, 2**18))
+    with pytest.raises(ValueError, match="2\\^53"):
+        _trilinear(np.zeros(8), g, np.zeros((3, 1)))
+
+
 def test_image_gradient_exact_on_linear_ramp():
     g = _grid((5, 6, 7), (0.5, 1.0, 2.0), (1.0, 2.0, 3.0))
     x = g.axis_centers(0)[None, None, :]
