@@ -12,65 +12,84 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import DeformationField, Grid3
+from .parallel import Workspace, workspace
 
 __all__ = ["apply_laplacian", "apply_laplacian_transpose", "curvature_value_and_gradient"]
 
-_NP_AXIS = (2, 1, 0)  # geometric x,y,z -> numpy axes
+_NP_AXIS = (2, 1, 0)  # geometric x,y,z -> numpy axes of a 3-D array
+
+# per numpy axis of a 3-D array, counted from the end of a stack of them: the
+# index of its points 0:n-2, 1:n-1 and 2:n
+_SLICES = tuple(tuple((Ellipsis, s) + (slice(None),) * (2 - ax) for s in
+                      (slice(None, -2), slice(1, -1), slice(2, None))) for ax in range(3))
 
 
-def _second_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """1D second difference with zero rows at the faces (linear extrapolation)."""
-    out = np.zeros_like(values)
-    n = values.shape[axis]
-    if n < 3:
-        return out
-    v = np.moveaxis(values, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    h2 = values.dtype.type(h) ** 2
-    o[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / h2
+def _laplacian(u: np.ndarray, spacing, out: np.ndarray, ws: Workspace) -> np.ndarray:
+    """L u into out for u (..., nz, ny, nx), scratch from ws: per axis of 3
+    points or more the second difference on its interior points,
+    ((u[2:] - 2 u[1:-1]) + u[:-2]) / h^2, added to out in the order x, y, z.
+    The faces of an axis get nothing from it (linear extrapolation); a sum
+    that starts from +0 never holds -0, so adding +0 there would change no bit."""
+    out.fill(0)
+    for a, ax in enumerate(_NP_AXIS):
+        if u.shape[ax - 3] < 3:
+            continue
+        lo, mid, hi = _SLICES[ax]
+        with ws.frame():
+            t = np.multiply(u[mid], 2, out=ws.array(u[mid].shape, u.dtype))
+            np.subtract(u[hi], t, out=t)
+            t += u[lo]
+            t /= u.dtype.type(spacing[a]) ** 2
+            out[mid] += t
     return out
 
 
-def _second_diff_transpose(w: np.ndarray, h: float, axis: int) -> np.ndarray:
-    out = np.zeros_like(w)
-    n = w.shape[axis]
-    if n < 3:
-        return out
-    ww = np.moveaxis(w, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    h2 = w.dtype.type(h) ** 2
-    interior = ww[1:-1] / h2
-    o[:-2] += interior
-    o[1:-1] -= 2 * interior
-    o[2:] += interior
+def _laplacian_transpose(w: np.ndarray, spacing, out: np.ndarray, ws: Workspace) -> np.ndarray:
+    """L^T w into out for w (..., nz, ny, nx), scratch from ws: per axis of 3
+    points or more the transpose of its second difference, formed on its own
+    from zero, then added to out in the order x, y, z."""
+    out.fill(0)
+    for a, ax in enumerate(_NP_AXIS):
+        if w.shape[ax - 3] < 3:
+            continue
+        lo, mid, hi = _SLICES[ax]
+        with ws.frame():
+            part = ws.array(w.shape, w.dtype)
+            part.fill(0)
+            i = np.divide(w[mid], w.dtype.type(spacing[a]) ** 2,
+                          out=ws.array(w[mid].shape, w.dtype))
+            part[lo] += i
+            part[mid] -= np.multiply(i, 2, out=ws.array(i.shape, w.dtype))
+            part[hi] += i
+            out += part
     return out
 
 
 def apply_laplacian(u: np.ndarray, grid: Grid3) -> np.ndarray:
     """7-point Laplacian of one scalar component on the deformation grid."""
-    out = np.zeros_like(u)
-    for a in range(3):
-        out += _second_diff(u, grid.spacing[a], _NP_AXIS[a])
-    return out
+    with workspace().frame() as ws:
+        return _laplacian(u, grid.spacing, np.empty_like(u), ws)
 
 
 def apply_laplacian_transpose(w: np.ndarray, grid: Grid3) -> np.ndarray:
-    out = np.zeros_like(w)
-    for a in range(3):
-        out += _second_diff_transpose(w, grid.spacing[a], _NP_AXIS[a])
-    return out
+    with workspace().frame() as ws:
+        return _laplacian_transpose(w, grid.spacing, np.empty_like(w), ws)
 
 
 def curvature_value_and_gradient(y: DeformationField) -> tuple[float, np.ndarray]:
     """S = (cell_volume/2) * sum over components and points of (L u)^2, where u
     is the displacement y - identity, and its gradient cell_volume * L^T (L u)
-    per component."""
+    per component. The stencils run on all three components at once; the
+    squares are summed per component, then over the components in order."""
     u = y.displacement()
     grad = np.empty_like(u)
-    vol = u.dtype.type(y.grid.cell_volume)
     total = u.dtype.type(0)
-    for c in range(3):
-        lap = apply_laplacian(u[c], y.grid)
-        total = total + np.sum(lap * lap, dtype=lap.dtype)
-        grad[c] = vol * apply_laplacian_transpose(lap, y.grid)
+    with workspace().frame() as ws:
+        lap = _laplacian(u, y.grid.spacing, ws.array(u.shape, u.dtype), ws)
+        with ws.frame():
+            sq = np.multiply(lap, lap, out=ws.array(u.shape, u.dtype))
+            for c in range(3):
+                total = total + np.sum(sq[c], dtype=u.dtype)
+        _laplacian_transpose(lap, y.grid.spacing, grad, ws)
+    grad *= u.dtype.type(y.grid.cell_volume)
     return float(y.grid.cell_volume / 2 * total), grad

@@ -12,11 +12,14 @@ keeps nothing between evaluations but the reference R and the template T:
 per chunk it interpolates the deformation onto the chunk's planes, samples
 the template there with the interpolant's partial derivatives, computes both
 image gradients and the pointwise terms once, and applies the chain of small
-local operators (gradient-stencil transpose, a multiply by the partials, the
-xy part of the grid-transfer transpose) without forming any matrix. The
-stencils couple a plane to its neighbours, so a chunk carries the few planes
-of its predecessor that it still needs, and only a slab's first and last
-chunks recompute halo planes of the neighbouring slabs. The warped template
+local operators: the gradient-stencil transpose, a multiply by the partials,
+and the xy part of the grid-transfer transpose. Along x and y the grid
+transfer multiplies each plane by small blocks of its 1-D factor
+(transfer.py), whose fixed, one-thread shapes keep the bits independent of
+the BLAS thread count; no other matrix is formed. The stencils couple a
+plane to its neighbours, so a chunk carries the few planes of its
+predecessor that it still needs, and only a slab's first and last chunks
+recompute halo planes of the neighbouring slabs. The warped template
 and its partials share one window of planes, so each chunk samples the
 template once. The windows and every temporary of a chunk are arrays of the
 thread's Workspace, so once a level has been evaluated a chunk allocates
@@ -264,12 +267,12 @@ def _sweep_slab(field: np.ndarray, ref: Image3, template: Image3, plan: GatherPl
     spacing = image_grid.spacing
     nz, ny, nx = image_grid.shape
     h_bar = image_grid.cell_volume
-    wx, wy, (i0, i1, w0, w1) = plan.interp_weights(dtype)
+    bx, by, (i0, i1, w0, w1) = plan.weights(dtype)
     # the template is sampled on the planes lo - 2:hi + 2; c0:c1 are the
     # coarse planes that P reads there, and i0, i1 count from c0
     c0 = i0[max(lo - 2, 0)]
     c1 = min(i1[min(hi + 2, nz) - 1], field.shape[1] - 1) + 1
-    weights = (wx, wy, (i0 - c0, i1 - c0, w0, w1))
+    weights = (bx, by, (i0 - c0, i1 - c0, w0, w1))
 
     def pointwise(W, Q, k0, q1, ws):
         """gR, r, the terms of D and q on the planes Q.end:q1, q into Q."""

@@ -3,8 +3,20 @@
 The conversion operator P is separable trilinear interpolation from
 deformation-grid cell centers to image-grid cell centers, with clamp-to-edge
 extrapolation outside the coarse cell-center hull (weights always sum to 1).
-It runs in two steps, along x and y on the coarse field, then along z per
-chunk of image z-planes, so the NGF sweep and the warp form P y chunk by chunk.
+Along each axis it is a 1-D factor F (n_image, n_def) with two nonzeros per
+row, so F is a band. Along x and y, P and P^T multiply each z-plane by small
+dense blocks of F (AxisBlocks, made once per plan and dtype): at grid ratio 4
+a block of 8 coarse points meets at most 36 image points, and the image
+points whose lower coarse point lies in such a block meet at most 9 coarse
+points. Along z, P interpolates per chunk of image z-planes, so the NGF sweep
+and the warp form P y chunk by chunk. No 3-D matrix is formed.
+
+The blocks are applied with np.matmul, one BLAS product per plane and block.
+Each product has one shape per plane and block, whatever the chunk, so a
+plane's bytes cannot depend on the worker count or the chunk size. Each is
+also small: M*N*K <= 2^18 on planes up to 512^2 at ratio 4, where OpenBLAS
+runs a product on one thread, so the BLAS thread count cannot change the bits
+either. (BLAS dot products are another matter; see lbfgs._dot.)
 
 Its exact transpose P^T has one plan per grid pair (GatherPlan) and one xy
 reduction: the input is contracted along x, then y, per chunk of whole image
@@ -69,7 +81,7 @@ def _axis_transfer(image_grid: Grid3, def_grid: Grid3, axis: int):
 
 @dataclass(frozen=True)
 class AxisPlan:
-    """Transposed 1D interpolation along one axis: contiguous image ranges per point."""
+    """Transposed 1D interpolation along z: contiguous image ranges per point."""
 
     start: np.ndarray    # (nd,) first image index feeding each deformation point
     counts: np.ndarray   # (nd,) range lengths
@@ -86,18 +98,34 @@ class AxisPlan:
 
 
 @dataclass(frozen=True)
+class AxisBlocks:
+    """The 1-D factor F of P along x or y, in one dtype, cut into dense blocks.
+
+    reduce holds (d, s, B) for P^T: coarse points d take image points s.
+    interp holds (i, c, A) for P: image points i take coarse points c. The
+    slices d and i each partition their axis. Along x, numpy's last axis, a
+    plane is multiplied from the right: B = F[s, d] and A = F[i, c]^T. Along
+    y it is multiplied from the left: B = F[s, d]^T and A = F[i, c].
+    """
+
+    size: int       # image points on the axis
+    reduce: tuple
+    interp: tuple
+
+
+@dataclass(frozen=True)
 class GatherPlan:
     def_grid: Grid3
     image_grid: Grid3
-    axes: tuple[AxisPlan, AxisPlan, AxisPlan]  # x, y, z
+    z: AxisPlan       # P^T's transposed weights along z, for the z schedules
     transfers: tuple  # per axis x, y, z: (i0, w1) of _axis_transfer, the weights of P
     _cast: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def interp_weights(self, dtype) -> tuple:
-        """_interp_weights of the plan's transfers, made once per dtype."""
+    def weights(self, dtype) -> tuple:
+        """_weights of the plan's transfers, made once per dtype."""
         w = self._cast.get(dtype)
         if w is None:
-            w = self._cast[dtype] = _interp_weights(self.transfers, dtype)
+            w = self._cast[dtype] = _weights(self.transfers, self.def_grid.dims, dtype)
         return w
 
 
@@ -122,16 +150,55 @@ def _build_axis_plan(i0: np.ndarray, w1: np.ndarray, nd: int) -> AxisPlan:
     return AxisPlan(start=start, counts=counts, weights=weights, index=index)
 
 
+def _axis_factor(i0: np.ndarray, w1: np.ndarray, nd: int) -> np.ndarray:
+    """The 1-D factor of P along one axis, (n_image, n_def): row i holds 1 - w1
+    in column i0 and w1 in column i0 + 1, both in column 0 on an axis of one
+    coarse point."""
+    F = np.zeros((len(i0), nd))
+    rows = np.arange(len(i0))
+    F[rows, i0] += 1.0 - w1  # each statement meets each entry once
+    F[rows, np.minimum(i0 + 1, nd - 1)] += w1
+    return F
+
+
+# Coarse points per block. An image point feeds its coarse points i0 and
+# i0 + 1, so at grid ratio 4 a reduce block reads at most 36 image points and
+# an interp block at most 9 coarse points: on planes up to 512^2 every
+# product has M*N*K <= 2^18 (tests/test_transfer.py checks it).
+_BLOCK = 8
+
+
+def _axis_blocks(i0: np.ndarray, w1: np.ndarray, nd: int, dtype, last: bool) -> AxisBlocks:
+    """The AxisBlocks of the factor of (i0, w1) in dtype; `last` is whether the
+    axis is numpy's last (x) rather than y."""
+    F = _axis_factor(i0, w1, nd).astype(dtype)
+    reduce, interp = [], []
+    for d0 in range(0, nd, _BLOCK):
+        d1 = min(d0 + _BLOCK, nd)
+        # i0 is ascending: image points d0 - 1 <= i0 < d1 feed coarse points d0:d1,
+        # and those with d0 <= i0 < d1 read coarse points d0:d1 + 1 only
+        lo, mid, hi = (int(np.searchsorted(i0, v, side)) for v, side in
+                       ((d0 - 1, "left"), (d0, "left"), (d1 - 1, "right")))
+        d, s, i, c = slice(d0, d1), slice(lo, hi), slice(mid, hi), slice(d0, min(d1 + 1, nd))
+        B, A = F[s, d], F[i, c]
+        reduce.append((d, s, np.ascontiguousarray(B if last else B.T)))
+        interp.append((i, c, np.ascontiguousarray(A.T if last else A)))
+    return AxisBlocks(len(i0), tuple(reduce), tuple(interp))
+
+
 def _transfers(image_grid: Grid3, def_grid: Grid3) -> tuple:
     return tuple(_axis_transfer(image_grid, def_grid, a) for a in range(3))
 
 
-def _interp_weights(transfers, dtype) -> tuple:
-    """Per axis the weights of P in dtype: (i0, i0 + 1, 1 - w1, w1), the lower
-    and upper coarse index of each fine index and their weights. On an axis of
-    one coarse point i0 + 1 is out of range and w1 is 0; np.take's mode="clip"
-    reads i0 there."""
-    return tuple((i0, i0 + 1, 1 - w1.astype(dtype), w1.astype(dtype)) for i0, w1 in transfers)
+def _weights(transfers, def_dims, dtype) -> tuple:
+    """P's weights in dtype: the AxisBlocks of x and y, and along z (i0, i0 + 1,
+    1 - w1, w1), the lower and upper coarse index of each image index and their
+    weights. On a z axis of one coarse point i0 + 1 is out of range and w1 is 0;
+    np.take's mode="clip" reads i0 there."""
+    (xi0, xw1), (yi0, yw1), (i0, w1) = transfers
+    return (_axis_blocks(xi0, xw1, def_dims[0], dtype, last=True),
+            _axis_blocks(yi0, yw1, def_dims[1], dtype, last=False),
+            (i0, i0 + 1, 1 - w1.astype(dtype), w1.astype(dtype)))
 
 
 def build_gather_plan(def_grid: Grid3, image_grid: Grid3) -> GatherPlan:
@@ -140,64 +207,48 @@ def build_gather_plan(def_grid: Grid3, image_grid: Grid3) -> GatherPlan:
     return GatherPlan(
         def_grid=def_grid,
         image_grid=image_grid,
-        axes=tuple(_build_axis_plan(*t, def_grid.dims[a]) for a, t in enumerate(transfers)),
+        z=_build_axis_plan(*transfers[2], def_grid.dims[2]),
         transfers=transfers,
     )
 
 
-# numpy array axis for geometric axis: x -> 2, y -> 1, z -> 0
-_ARRAY_AXIS = (2, 1, 0)
-
-
-def _interp_block(arr: np.ndarray, weights, axis: int, out: np.ndarray,
-                  upper: np.ndarray) -> np.ndarray:
-    """Interpolate along one array axis with weights (i0, i1, w0, w1) of
-    _interp_weights into out, which has len(i0) entries on that axis:
-    a0 * w0 + a1 * w1, with upper, shaped like out, for the second term."""
-    i0, i1, w0, w1 = weights
-    shape = [1] * arr.ndim
-    shape[axis] = len(i0)
-    np.take(arr, i0, axis=axis, out=out, mode="clip")
-    out *= w0.reshape(shape)
-    np.take(arr, i1, axis=axis, out=upper, mode="clip")
-    upper *= w1.reshape(shape)
-    out += upper
-    return out
-
-
 def _interp_xy(field: np.ndarray, weights, ws: Workspace | None = None) -> np.ndarray:
     """A field (3, nz_d, ny_d, nx_d) interpolated along x, then y: (3, nz_d, ny, nx),
-    an array of ws if given; weights are the field's _interp_weights. The y
-    step runs a component at a time, so its scratch is one component's."""
+    an array of ws if given; weights are the field's _weights. Each plane is
+    multiplied by each block on its own."""
     ws = Workspace() if ws is None else ws
+    bx, by = weights[:2]
     c, nzd, nyd, _ = field.shape
-    ny, nx = len(weights[1][0]), len(weights[0][0])
-    out = ws.array((c, nzd, ny, nx), field.dtype)
+    out = ws.array((c, nzd, by.size, bx.size), field.dtype)
     with ws.frame():
-        x = ws.array((c, nzd, nyd, nx), field.dtype)
-        with ws.frame():
-            _interp_block(field, weights[0], 3, x, ws.array(x.shape, field.dtype))
-        upper = ws.array(out.shape[1:], field.dtype)
-        for a in range(c):
-            _interp_block(x[a], weights[1], 1, out[a], upper)
+        x = ws.array((c, nzd, nyd, bx.size), field.dtype)
+        for i, k, A in bx.interp:
+            np.matmul(field[..., k], A, out=x[..., i])
+        for i, k, A in by.interp:
+            np.matmul(A, x[..., k, :], out=out[..., i, :])
     return out
 
 
 def _interp_z(xy: np.ndarray, weights, k0: int, k1: int, ws: Workspace) -> np.ndarray:
     """Image z-planes k0:k1 of P y from y interpolated along x and y (_interp_xy),
-    as an array of ws."""
-    i0, i1, w0, w1 = weights[2]
+    as an array of ws: the planes i0 * (1 - w1) + the planes i1 * w1."""
+    i0, i1, w0, w1 = (w[k0:k1] for w in weights[2])
     shape = xy.shape[:1] + (k1 - k0,) + xy.shape[2:]
     out = ws.array(shape, xy.dtype)
     with ws.frame():
-        return _interp_block(xy, (i0[k0:k1], i1[k0:k1], w0[k0:k1], w1[k0:k1]), 1, out,
-                             ws.array(shape, xy.dtype))
+        upper = ws.array(shape, xy.dtype)
+        np.take(xy, i0, axis=1, out=out, mode="clip")
+        out *= w0[:, None, None]
+        np.take(xy, i1, axis=1, out=upper, mode="clip")
+        upper *= w1[:, None, None]
+        out += upper
+    return out
 
 
 def apply_P(y: VectorField3, image_grid: Grid3, workers: int = 1) -> VectorField3:
     """Convert a field, a deformation say, from its (coarse) grid to the image grid."""
     check_compatible(y.grid, image_grid)
-    weights = _interp_weights(_transfers(image_grid, y.grid), y.field.dtype)
+    weights = _weights(_transfers(image_grid, y.grid), y.grid.dims, y.field.dtype)
     xy = _interp_xy(y.field, weights)
     out = np.empty((3,) + image_grid.shape, dtype=y.field.dtype)
 
@@ -210,11 +261,9 @@ def apply_P(y: VectorField3, image_grid: Grid3, workers: int = 1) -> VectorField
     return VectorField3(image_grid, out)
 
 
-def _gather_block(arr: np.ndarray, ap: AxisPlan, axis: int, rows: slice | None = None,
-                  out: np.ndarray | None = None, ws: Workspace | None = None) -> np.ndarray:
-    """Apply the transposed 1D weights along one array axis, into out if given
-    (C-contiguous), with a buffer for the terms from ws if given. Each output
-    index sums its window columns in ascending order, starting from the first
+def _gather_block(arr: np.ndarray, ap: AxisPlan, axis: int, rows: slice | None = None) -> np.ndarray:
+    """Apply the transposed 1D weights along one array axis. Each output index
+    sums its window columns in ascending order, starting from the first
     column's term; zero-weight padding columns read the clamped last index.
     Each column is taken straight from arr, with no copy of the window."""
     rows = slice(None) if rows is None else rows
@@ -222,11 +271,10 @@ def _gather_block(arr: np.ndarray, ap: AxisPlan, axis: int, rows: slice | None =
     W = ap.weights_as(arr.dtype)[rows]
     shape = [1] * arr.ndim
     shape[axis] = index.shape[1]
-    if out is None:
-        out = np.empty(arr.shape[:axis] + (index.shape[1],) + arr.shape[axis + 1:], arr.dtype)
+    out = np.empty(arr.shape[:axis] + (index.shape[1],) + arr.shape[axis + 1:], arr.dtype)
     np.take(arr, index[0], axis=axis, out=out, mode="clip")
     out *= W[:, 0].reshape(shape)
-    term = (Workspace() if ws is None else ws).array(out.shape, out.dtype)
+    term = np.empty_like(out)
     for j in range(1, index.shape[0]):  # ascending order keeps the sums deterministic
         np.take(arr, index[j], axis=axis, out=term, mode="clip")
         term *= W[:, j].reshape(shape)
@@ -236,7 +284,7 @@ def _gather_block(arr: np.ndarray, ap: AxisPlan, axis: int, rows: slice | None =
 
 def _z_gather(xy: np.ndarray, out: np.ndarray, plan: GatherPlan, workers: int) -> None:
     """Each output z-slab gathers its weighted image planes."""
-    zp = plan.axes[2]
+    zp = plan.z
 
     def do_slab(lo, hi):
         out[:, lo:hi] = _gather_block(xy, zp, axis=1, rows=slice(lo, hi))
@@ -297,21 +345,15 @@ def _z_schedule(variant: str):
 
 def _reduce_xy(r: np.ndarray, plan: GatherPlan, out: np.ndarray, ws: Workspace) -> None:
     """The xy reduction of P^T on image z-planes r (3, m, ny, nx) into out
-    (3, m, ny_d, nx_d). Each plane is contracted on its own, so any chunking
-    gives the same bytes. Each contraction runs on a copy in ws with its axis
-    first, where a window column is whole contiguous rows rather than single
-    elements; the sums are the same, so are the bytes."""
-    xp, yp, _ = plan.axes
-    _, m, ny, nx = r.shape
-    nyd, nxd = len(yp.start), len(xp.start)
+    (3, m, ny_d, nx_d): along x into a buffer of ws, then along y, each plane
+    multiplied by each block on its own, so any chunking gives the same bytes."""
+    bx, by, _ = plan.weights(r.dtype)
     with ws.frame():
-        rt = ws.array((nx, 3, m, ny), r.dtype)
-        np.copyto(rt, r.transpose(3, 0, 1, 2))
-        rx = _gather_block(rt, xp, 0, out=ws.array((nxd, 3, m, ny), r.dtype), ws=ws)
-        rxt = ws.array((ny, 3, m, nxd), r.dtype)
-        np.copyto(rxt, rx.transpose(3, 1, 2, 0))
-        rxy = _gather_block(rxt, yp, 0, out=ws.array((nyd, 3, m, nxd), r.dtype), ws=ws)
-        np.copyto(out, rxy.transpose(1, 2, 0, 3))
+        rx = ws.array(r.shape[:-1] + out.shape[-1:], r.dtype)
+        for d, s, B in bx.reduce:
+            np.matmul(r[..., s], B, out=rx[..., d])
+        for d, s, B in by.reduce:
+            np.matmul(B, rx[..., s, :], out=out[..., d, :])
 
 
 def _reduce_z(xy: np.ndarray, plan: GatherPlan, z_schedule, workers: int) -> VectorField3:
@@ -349,19 +391,12 @@ def apply_Pt(r: VectorField3, plan: GatherPlan, variant: str = "gather", workers
 def dense_P_oracle(def_grid: Grid3, image_grid: Grid3) -> np.ndarray:
     """Explicit (m_image, m_def) matrix for one scalar component of P. Test-only.
 
-    Built directly from the 1D weight rule via Kronecker products, so it is
-    an independent ground truth for the matrix-free apply/transpose paths.
+    The Kronecker product of the three 1-D factors (_axis_factor), so it is a
+    ground truth for how the blocks are cut and applied and for the z paths.
     """
     check_compatible(def_grid, image_grid)
     if image_grid.num_points > 512 or def_grid.num_points > 512:
         raise ValueError("dense_P_oracle is limited to grids of at most 8^3 points")
-    mats = []
-    for a in range(3):
-        i0, w1 = _axis_transfer(image_grid, def_grid, a)
-        ni, nd = image_grid.dims[a], def_grid.dims[a]
-        A = np.zeros((ni, nd))
-        rows = np.arange(ni)
-        np.add.at(A, (rows, i0), 1.0 - w1)
-        np.add.at(A, (rows, np.minimum(i0 + 1, nd - 1)), w1)
-        mats.append(A)
+    mats = [_axis_factor(*_axis_transfer(image_grid, def_grid, a), def_grid.dims[a])
+            for a in range(3)]
     return np.kron(mats[2], np.kron(mats[1], mats[0]))

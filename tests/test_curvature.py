@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from ngfreg.curvature import (
     apply_laplacian,
@@ -55,12 +56,16 @@ def test_laplacian_adjoint(rng):
 def test_degenerate_axis_contributes_nothing():
     g = _grid((6, 6, 2))
     y = smooth_random_field(g, seed=5, amplitude_mm=1.0)
-    g2 = _grid((6, 6, 1))
-    # n < 3 along z: the z second difference must be identically zero
+    # n < 3 along z: the z second difference must be identically zero, so the
+    # z spacing cannot change the Laplacian or its transpose
     u = y.displacement()[0]
-    from ngfreg.curvature import _second_diff
-
-    assert np.all(_second_diff(u, 1.0, 0) == 0)
+    g_z = _grid((6, 6, 2), (1, 1, 0.37))
+    assert apply_laplacian(u, g).tobytes() == apply_laplacian(u, g_z).tobytes()
+    assert (apply_laplacian_transpose(u, g).tobytes()
+            == apply_laplacian_transpose(u, g_z).tobytes())
+    # and with every axis below 3 points there is nothing left
+    g2 = _grid((2, 1, 2))
+    assert np.all(apply_laplacian(np.ones(g2.shape), g2) == 0)
 
 
 def test_curvature_gradient_matches_fd(rng):
@@ -83,3 +88,68 @@ def test_curvature_is_nonnegative(rng):
         g = _grid((5, 6, 4))
         y = smooth_random_field(g, seed=seed, amplitude_mm=2.0)
         assert curvature_value_and_gradient(y)[0] >= 0.0
+
+
+# The per-axis formulas the stencils replaced, kept as the reference their
+# bytes must match: each axis's second difference and its transpose formed on
+# a zeroed array of their own, then summed from zero in the order x, y, z.
+def _ref_second_diff(values, h, axis):
+    out = np.zeros_like(values)
+    if values.shape[axis] < 3:
+        return out
+    v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    o[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / values.dtype.type(h) ** 2
+    return out
+
+
+def _ref_second_diff_transpose(w, h, axis):
+    out = np.zeros_like(w)
+    if w.shape[axis] < 3:
+        return out
+    ww, o = np.moveaxis(w, axis, 0), np.moveaxis(out, axis, 0)
+    interior = ww[1:-1] / w.dtype.type(h) ** 2
+    o[:-2] += interior
+    o[1:-1] -= 2 * interior
+    o[2:] += interior
+    return out
+
+
+def _ref_sum(fn, arr, grid):
+    out = np.zeros_like(arr)
+    for a in range(3):
+        out += fn(arr, grid.spacing[a], 2 - a)
+    return out
+
+
+def _ref_curvature(y):
+    u = y.displacement()
+    grad = np.empty_like(u)
+    vol = u.dtype.type(y.grid.cell_volume)
+    total = u.dtype.type(0)
+    for c in range(3):
+        lap = _ref_sum(_ref_second_diff, u[c], y.grid)
+        total = total + np.sum(lap * lap, dtype=lap.dtype)
+        grad[c] = vol * _ref_sum(_ref_second_diff_transpose, lap, y.grid)
+    return float(y.grid.cell_volume / 2 * total), grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stencils_match_per_axis_formula_bytes(rng, dtype):
+    # Magnitudes over six decades make any reassociation show; zeros of both
+    # signs pin the signed-zero results of the sums that start from zero.
+    for dims in ((3, 3, 3), (5, 4, 6), (12, 12, 12), (7, 1, 9), (2, 8, 2), (1, 2, 1),
+                 (32, 32, 32)):
+        g = _grid(dims, (0.8, 1.3, 0.45))
+        u = rng.standard_normal((3,) + g.shape) * 10.0 ** rng.uniform(-3, 3, (3,) + g.shape)
+        u.flat[::7] = 0.0
+        u.flat[3::11] = -0.0
+        y = DeformationField(g, (make_identity(g).field + u).astype(dtype))
+        for comp in u.astype(dtype):
+            assert (apply_laplacian(comp, g).tobytes()
+                    == _ref_sum(_ref_second_diff, comp, g).tobytes())
+            assert (apply_laplacian_transpose(comp, g).tobytes()
+                    == _ref_sum(_ref_second_diff_transpose, comp, g).tobytes())
+        S, grad = curvature_value_and_gradient(y)
+        S_ref, grad_ref = _ref_curvature(y)
+        assert S == S_ref
+        assert grad.dtype == dtype and grad.tobytes() == grad_ref.tobytes()

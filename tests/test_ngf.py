@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import ngfreg
 
 from ngfreg import parallel
 from ngfreg.geometry import DeformationField, Grid3, GridError, Image3, VectorField3, make_identity
@@ -339,3 +345,43 @@ def test_evaluation_after_the_first_allocates_no_chunk_sized_temporaries(rng, n,
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+_BLAS_PROBE = """
+import hashlib
+import numpy as np
+from ngfreg.geometry import Grid3, VectorField3
+from ngfreg.multilevel import deformation_grid_for
+from ngfreg.ngf import NgfParams, distance_and_gradient
+from ngfreg.parallel import slab_partition
+from ngfreg.synthetic import smooth_random_field, smooth_random_volume
+from ngfreg.transfer import apply_P, apply_Pt, build_gather_plan
+gi = Grid3((384, 384, 4), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+gd = deformation_grid_for(gi, 4)
+plan = build_gather_plan(gd, gi)
+R, T = (smooth_random_volume(gi, seed=s) for s in (0, 1))
+y = smooth_random_field(gd, seed=2, amplitude_mm=2.0)
+assert len(slab_partition(4, 384 * 384, 2)) == 2
+D, g = distance_and_gradient(y, R, T, plan, NgfParams(), workers=2)
+r = VectorField3(gi, np.random.default_rng(3).standard_normal((3,) + gi.shape))
+for out in (np.float64(D), g.field, apply_P(y, gi).field, apply_Pt(r, plan).field):
+    print(hashlib.sha256(np.asarray(out).tobytes()).hexdigest())
+"""
+
+
+def test_bytes_do_not_depend_on_blas_threads():
+    # a product of a whole 384-point plane axis by the 1-D factor of P would
+    # be split across the BLAS threads; the blocks of one plane are not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(ngfreg.__file__).parents[1]), env.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].split()) == 4
+    assert outputs[0] == outputs[1]

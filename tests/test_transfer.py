@@ -5,6 +5,8 @@ from ngfreg.geometry import DeformationField, Grid3, GridError, VectorField3, ma
 from ngfreg import parallel
 from ngfreg.transfer import (
     PT_VARIANTS,
+    _axis_factor,
+    _axis_transfer,
     _gather_block,
     apply_P,
     apply_Pt,
@@ -62,35 +64,107 @@ def test_incompatible_grids_rejected():
         build_gather_plan(bad, gi)
 
 
+def _z_dense(ap, ni):
+    """The z AxisPlan's transposed weights as a dense (n_def, n_image) matrix."""
+    dense = np.zeros((len(ap.start), ni))
+    for d in range(len(ap.start)):
+        n = ap.counts[d]
+        dense[d, ap.start[d]: ap.start[d] + n] = ap.weights[d, :n]
+    return dense
+
+
+def _assembled(blocks, nd, last):
+    """The (n_image, n_def) factor that an AxisBlocks' reduce and interp blocks
+    each cut, put back together; each must cover its own part exactly once."""
+    reduce, interp = np.zeros((blocks.size, nd)), np.zeros((blocks.size, nd))
+    seen_d, seen_i = np.zeros(nd, int), np.zeros(blocks.size, int)
+    for d, s, B in blocks.reduce:
+        assert B.flags.c_contiguous
+        reduce[s, d] = B if last else B.T
+        seen_d[d] += 1
+    for i, c, A in blocks.interp:
+        assert A.flags.c_contiguous
+        interp[i, c] = A.T if last else A
+        seen_i[i] += 1
+    assert (seen_d == 1).all() and (seen_i == 1).all()
+    return reduce, interp
+
+
 def test_gather_plan_equal_grids_is_identity():
     g = _grid((3, 4, 2))
     plan = build_gather_plan(g, g)
-    for a, ap in enumerate(plan.axes):
-        dense = np.zeros((g.dims[a], g.dims[a]))
-        for d in range(g.dims[a]):
-            n = ap.counts[d]
-            dense[d, ap.start[d]: ap.start[d] + n] = ap.weights[d, :n]
-        assert np.allclose(dense, np.eye(g.dims[a]), atol=1e-14)
+    assert np.array_equal(_z_dense(plan.z, g.dims[2]), np.eye(g.dims[2]))
+    for a, blocks in enumerate(plan.weights(np.float64)[:2]):
+        for dense in _assembled(blocks, g.dims[a], last=a == 0):
+            assert np.array_equal(dense, np.eye(g.dims[a]))
 
 
 def test_gather_plan_partition_of_unity(rng):
     for _ in range(10):
         gd, gi = random_grid_pair(rng)
         plan = build_gather_plan(gd, gi)
-        for a, ap in enumerate(plan.axes):
-            # weights summed per image index over all deformation points == 1
-            col = np.zeros(gi.dims[a])
-            for d in range(gd.dims[a]):
-                n = ap.counts[d]
-                col[ap.start[d]: ap.start[d] + n] += ap.weights[d, :n]
-            assert np.allclose(col, 1.0, atol=1e-12)
-            # total weight mass equals the number of image points on the axis
-            assert np.isclose(ap.weights.sum(), gi.dims[a], atol=1e-10)
-            # ranges collectively cover every image index
-            covered = np.zeros(gi.dims[a], dtype=bool)
-            for d in range(gd.dims[a]):
-                covered[ap.start[d]: ap.start[d] + ap.counts[d]] = True
-            assert covered.all()
+        ap = plan.z
+        # weights summed per image index over all deformation points == 1
+        col = _z_dense(ap, gi.dims[2]).sum(axis=0)
+        assert np.allclose(col, 1.0, atol=1e-12)
+        # total weight mass equals the number of image points on the axis
+        assert np.isclose(ap.weights.sum(), gi.dims[2], atol=1e-10)
+        # ranges collectively cover every image index
+        covered = np.zeros(gi.dims[2], dtype=bool)
+        for d in range(gd.dims[2]):
+            covered[ap.start[d]: ap.start[d] + ap.counts[d]] = True
+        assert covered.all()
+        # along x and y each image row of the blocks sums to 1
+        for a, blocks in enumerate(plan.weights(np.float64)[:2]):
+            for dense in _assembled(blocks, gd.dims[a], last=a == 0):
+                assert np.allclose(dense.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocks_assemble_to_the_axis_factor(rng, dtype):
+    # the factor dense_P_oracle is built from, bit for bit, in both cuts;
+    # the last pair has several blocks along y and a one-point coarse x axis
+    gi = _grid((5, 40, 70))
+    pairs = [random_grid_pair(rng, max_dim=40) for _ in range(10)]
+    pairs.append((_def_grid_like(gi, (1, 10, 2)), gi))
+    for gd, gi in pairs:
+        plan = build_gather_plan(gd, gi)
+        for a, blocks in enumerate(plan.weights(dtype)[:2]):
+            F = _axis_factor(*_axis_transfer(gi, gd, a), gd.dims[a]).astype(dtype)
+            assert blocks.size == gi.dims[a]
+            for dense in _assembled(blocks, gd.dims[a], last=a == 0):
+                assert dense.astype(dtype).tobytes() == F.tobytes()
+
+
+def test_one_point_coarse_axes_match_dense_oracle(rng):
+    gi = _grid((6, 5, 7), (0.9, 1.1, 1.3), (1.0, -2.0, 0.5))
+    for dd in ((1, 1, 1), (1, 3, 2), (4, 1, 1)):
+        gd = _def_grid_like(gi, dd)
+        P = dense_P_oracle(gd, gi)
+        plan = build_gather_plan(gd, gi)
+        y = DeformationField(gd, rng.standard_normal((3,) + gd.shape))
+        r = VectorField3(gi, rng.standard_normal((3,) + gi.shape))
+        px, ptr = apply_P(y, gi).field, apply_Pt(r, plan).field
+        for c in range(3):
+            assert np.allclose(px[c].ravel(), P @ y.field[c].ravel(), atol=1e-13)
+            assert np.allclose(ptr[c].ravel(), P.T @ r.field[c].ravel(), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_block_products_stay_below_blas_threading(n):
+    # OpenBLAS runs a product with M*N*K <= 2^18 on one thread, so the BLAS
+    # thread count cannot change its bits; this holds the blocks to that
+    # size at the default grid ratio for planes of 256^2 and 512^2 points
+    gi = _grid((n, n, 4))
+    gd = _def_grid_like(gi, (n // 4, n // 4, 1))
+    bx, by, _ = build_gather_plan(gd, gi).weights(np.float64)
+    nd = n // 4
+    products = [(n, *B.shape) for _, _, B in bx.reduce]            # P^T along x: (ny, nx) planes
+    products += [(*B.shape, nd) for _, _, B in by.reduce]          # then along y: (ny, nx_d)
+    products += [(nd, *A.shape) for _, _, A in bx.interp]          # P along x: (ny_d, nx_d)
+    products += [(*A.shape, n) for _, _, A in by.interp]           # then along y: (ny_d, nx)
+    assert len(products) == 4 * nd // 8
+    assert max(m * k * p for m, k, p in products) <= 1 << 18
 
 
 def test_pt_identity_when_grids_match(rng):
@@ -167,7 +241,7 @@ def test_apply_P_bit_identical_across_workers(rng, one_plane_chunks):
 
 
 def _sequential_gather(arr, ap, axis, rows):
-    """The transposed 1D weights along one array axis as a plain loop: each
+    """The transposed 1D weights along z as a plain loop: each
     output index adds its window columns in ascending order, padding included,
     starting from the first column's term."""
     a = np.moveaxis(arr, axis, 0)
@@ -195,14 +269,14 @@ def test_gather_block_sums_window_columns_in_ascending_order(rng, dtype):
     arr[0, -1], arr[0, :, -1], arr[0, :, :, -1] = -1.0, -2.0, -3.0
     arr[2, -1], arr[2, :, -1], arr[2, :, :, -1] = 1e6, -1e6, 1e-6
     arr = arr.astype(dtype)
-    for axis, ap in zip((3, 2, 1), plan.axes):
-        width = ap.weights.shape[1]
-        assert (ap.counts < width).any() and (ap.start + width > arr.shape[axis]).any()
-        for rows in (None, slice(1, 3), slice(len(ap.start) - 1, None)):
-            got = _gather_block(arr, ap, axis, rows)
-            assert got.dtype == dtype
-            assert got.tobytes() == _sequential_gather(arr, ap, axis, rows).tobytes()
-    assert np.signbit(_gather_block(arr, plan.axes[0], 3)[0, 1:-1, 1:-1]).all()
+    ap, axis = plan.z, 1
+    width = ap.weights.shape[1]
+    assert (ap.counts < width).any() and (ap.start + width > arr.shape[axis]).any()
+    for rows in (None, slice(1, 3), slice(len(ap.start) - 1, None)):
+        got = _gather_block(arr, ap, axis, rows)
+        assert got.dtype == dtype
+        assert got.tobytes() == _sequential_gather(arr, ap, axis, rows).tobytes()
+    assert np.signbit(_gather_block(arr, ap, axis)[0, :, 1:-1, 1:-1]).all()
 
 
 def test_variants_agree_on_random_inputs(rng, one_plane_chunks):
