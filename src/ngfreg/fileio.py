@@ -82,8 +82,14 @@ def _read_meta(path: str):
         raise MetaImageError(f"{path}: only NDims = 3 is supported, got {fields.get('NDims')}")
     if fields.get("BinaryData", "True").lower() not in ("true", "1"):
         raise MetaImageError(f"{path}: only binary MetaImage data is supported")
-    if fields.get("BinaryDataByteOrderMSB", "False").lower() not in ("false", "0"):
-        raise MetaImageError(f"{path}: big-endian payloads are not supported")
+    # MetaIO reads either byte-order key, and skips HeaderSize bytes of a raw file
+    for key in ("BinaryDataByteOrderMSB", "ElementByteOrderMSB"):
+        if fields.get(key, "False").lower() not in ("false", "0"):
+            raise MetaImageError(
+                f"{path}: {key} = {fields[key]}: big-endian payloads are not supported")
+    if fields.get("HeaderSize", "0") != "0":
+        raise MetaImageError(
+            f"{path}: HeaderSize = {fields['HeaderSize']}: only HeaderSize = 0 is supported")
     if fields.get("CompressedData", "False").lower() not in ("false", "0"):
         raise MetaImageError(f"{path}: compressed payloads are not supported")
 

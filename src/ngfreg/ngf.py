@@ -267,12 +267,12 @@ def _sweep_slab(field: np.ndarray, ref: Image3, template: Image3, plan: GatherPl
     spacing = image_grid.spacing
     nz, ny, nx = image_grid.shape
     h_bar = image_grid.cell_volume
-    bx, by, (i0, i1, w0, w1) = plan.weights(dtype)
+    bx, by, bz, (i0, i1, w0, w1) = plan.weights(dtype)
     # the template is sampled on the planes lo - 2:hi + 2; c0:c1 are the
     # coarse planes that P reads there, and i0, i1 count from c0
     c0 = i0[max(lo - 2, 0)]
     c1 = min(i1[min(hi + 2, nz) - 1], field.shape[1] - 1) + 1
-    weights = (bx, by, (i0 - c0, i1 - c0, w0, w1))
+    weights = (bx, by, bz, (i0 - c0, i1 - c0, w0, w1))
 
     def pointwise(W, Q, k0, q1, ws):
         """gR, r, the terms of D and q on the planes Q.end:q1, q into Q."""

@@ -4,29 +4,29 @@ The conversion operator P is separable trilinear interpolation from
 deformation-grid cell centers to image-grid cell centers, with clamp-to-edge
 extrapolation outside the coarse cell-center hull (weights always sum to 1).
 Along each axis it is a 1-D factor F (n_image, n_def) with two nonzeros per
-row, so F is a band. Along x and y, P and P^T multiply each z-plane by small
-dense blocks of F (AxisBlocks, made once per plan and dtype): at grid ratio 4
-a block of 8 coarse points meets at most 36 image points, and the image
-points whose lower coarse point lies in such a block meet at most 9 coarse
-points. Along z, P interpolates per chunk of image z-planes, so the NGF sweep
-and the warp form P y chunk by chunk. No 3-D matrix is formed.
+row, so F is a band. One GatherPlan per grid pair holds, per dtype, F of each
+axis cut into small dense blocks (AxisBlocks): at grid ratio 4 a block of 8
+coarse points meets at most 36 image points, and the image points whose lower
+coarse point lies in such a block meet at most 9 coarse points. P multiplies
+each z-plane by the blocks of x and y, then interpolates per chunk of image
+z-planes from the z band, so the NGF sweep and the warp form P y chunk by
+chunk. No 3-D matrix is formed.
 
-The blocks are applied with np.matmul, one BLAS product per plane and block.
-Each product has one shape per plane and block, whatever the chunk, so a
-plane's bytes cannot depend on the worker count or the chunk size. Each is
-also small: M*N*K <= 2^18 on planes up to 512^2 at ratio 4, where OpenBLAS
+The blocks are applied with np.matmul, one BLAS product per plane (or row)
+and block. Each product has one shape per plane and block, whatever the
+chunk, so its bytes cannot depend on the worker count or the chunk size. Each
+is also small: M*N*K <= 2^18 on grids up to 512^3 at ratio 4, where OpenBLAS
 runs a product on one thread, so the BLAS thread count cannot change the bits
 either. (BLAS dot products are another matter; see lbfgs._dot.)
 
-Its exact transpose P^T has one plan per grid pair (GatherPlan) and one xy
-reduction: the input is contracted along x, then y, per chunk of whole image
-z-planes, into a small (3, nz_image, ny_def, nx_def) buffer. Three schedules
-then accumulate that buffer along z; they are the strategies the matrix-free
-scheme compares:
+Its exact transpose P^T has one xy reduction: the input is contracted along
+x, then y, per chunk of whole image z-planes, into a small
+(3, nz_image, ny_def, nx_def) buffer. Three schedules then accumulate that
+buffer along z; they are the strategies the matrix-free scheme compares:
 
-* gather      -- each output z-plane sums its weighted image planes in a fixed
-                 ascending order; conflict-free and bit-identical for any
-                 worker count.
+* gather      -- each block of output z-planes is one product of the z
+                 blocks with its image planes, on the caller; conflict-free
+                 and bit-identical for any worker count.
 * scatter     -- parallel over image planes, each added into the two output
                  planes it feeds under a lock (the atomic-add style).
 * redblack    -- image planes grouped by the lower output plane they feed;
@@ -80,32 +80,14 @@ def _axis_transfer(image_grid: Grid3, def_grid: Grid3, axis: int):
 
 
 @dataclass(frozen=True)
-class AxisPlan:
-    """Transposed 1D interpolation along z: contiguous image ranges per point."""
-
-    start: np.ndarray    # (nd,) first image index feeding each deformation point
-    counts: np.ndarray   # (nd,) range lengths
-    weights: np.ndarray  # (nd, max(counts)) zero-padded 1D weights
-    index: np.ndarray    # (max(counts), nd) image index of each window column, clipped
-    _cast: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def weights_as(self, dtype) -> np.ndarray:
-        """The weights in dtype, cast once per dtype."""
-        w = self._cast.get(dtype)
-        if w is None:
-            w = self._cast[dtype] = self.weights.astype(dtype)
-        return w
-
-
-@dataclass(frozen=True)
 class AxisBlocks:
-    """The 1-D factor F of P along x or y, in one dtype, cut into dense blocks.
+    """The 1-D factor F of P along one axis, in one dtype, cut into dense blocks.
 
     reduce holds (d, s, B) for P^T: coarse points d take image points s.
     interp holds (i, c, A) for P: image points i take coarse points c. The
     slices d and i each partition their axis. Along x, numpy's last axis, a
     plane is multiplied from the right: B = F[s, d] and A = F[i, c]^T. Along
-    y it is multiplied from the left: B = F[s, d]^T and A = F[i, c].
+    y and z it is multiplied from the left: B = F[s, d]^T and A = F[i, c].
     """
 
     size: int       # image points on the axis
@@ -117,37 +99,23 @@ class AxisBlocks:
 class GatherPlan:
     def_grid: Grid3
     image_grid: Grid3
-    z: AxisPlan       # P^T's transposed weights along z, for the z schedules
     transfers: tuple  # per axis x, y, z: (i0, w1) of _axis_transfer, the weights of P
     _cast: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def weights(self, dtype) -> tuple:
-        """_weights of the plan's transfers, made once per dtype."""
+        """P's weights in dtype, made once per dtype: the AxisBlocks of x, y
+        and z, and the z band (i0, i0 + 1, 1 - w1, w1), the lower and upper
+        coarse index of each image z-plane and their weights. On a z axis of
+        one coarse point i0 + 1 is out of range and w1 is 0; np.take's
+        mode="clip" reads i0 there."""
         w = self._cast.get(dtype)
         if w is None:
-            w = self._cast[dtype] = _weights(self.transfers, self.def_grid.dims, dtype)
+            nd = self.def_grid.dims
+            blocks = tuple(_axis_blocks(*self.transfers[a], nd[a], dtype, last=a == 0)
+                           for a in range(3))
+            i0, w1 = self.transfers[2]
+            w = self._cast[dtype] = blocks + ((i0, i0 + 1, 1 - w1.astype(dtype), w1.astype(dtype)),)
         return w
-
-
-def _build_axis_plan(i0: np.ndarray, w1: np.ndarray, nd: int) -> AxisPlan:
-    ni = len(i0)
-    start = np.empty(nd, dtype=np.intp)
-    counts = np.empty(nd, dtype=np.intp)
-    rows = []
-    for d in range(nd):
-        lo = 0 if d == 0 else int(np.searchsorted(i0, d - 1, side="left"))
-        hi = ni if d == nd - 1 else int(np.searchsorted(i0, d, side="right"))
-        seg = i0[lo:hi]
-        w = np.where(seg == d, 1.0 - w1[lo:hi], np.where(seg == d - 1, w1[lo:hi], 0.0))
-        start[d] = lo
-        counts[d] = hi - lo
-        rows.append(w)
-    width = max(1, int(counts.max()))
-    weights = np.zeros((nd, width))
-    for d, w in enumerate(rows):
-        weights[d, : len(w)] = w
-    index = np.minimum(start + np.arange(width)[:, None], ni - 1)
-    return AxisPlan(start=start, counts=counts, weights=weights, index=index)
 
 
 def _axis_factor(i0: np.ndarray, w1: np.ndarray, nd: int) -> np.ndarray:
@@ -163,14 +131,14 @@ def _axis_factor(i0: np.ndarray, w1: np.ndarray, nd: int) -> np.ndarray:
 
 # Coarse points per block. An image point feeds its coarse points i0 and
 # i0 + 1, so at grid ratio 4 a reduce block reads at most 36 image points and
-# an interp block at most 9 coarse points: on planes up to 512^2 every
+# an interp block at most 9 coarse points: on grids up to 512^3 every
 # product has M*N*K <= 2^18 (tests/test_transfer.py checks it).
 _BLOCK = 8
 
 
 def _axis_blocks(i0: np.ndarray, w1: np.ndarray, nd: int, dtype, last: bool) -> AxisBlocks:
     """The AxisBlocks of the factor of (i0, w1) in dtype; `last` is whether the
-    axis is numpy's last (x) rather than y."""
+    axis is numpy's last (x) rather than y or z."""
     F = _axis_factor(i0, w1, nd).astype(dtype)
     reduce, interp = [], []
     for d0 in range(0, nd, _BLOCK):
@@ -186,35 +154,15 @@ def _axis_blocks(i0: np.ndarray, w1: np.ndarray, nd: int, dtype, last: bool) -> 
     return AxisBlocks(len(i0), tuple(reduce), tuple(interp))
 
 
-def _transfers(image_grid: Grid3, def_grid: Grid3) -> tuple:
-    return tuple(_axis_transfer(image_grid, def_grid, a) for a in range(3))
-
-
-def _weights(transfers, def_dims, dtype) -> tuple:
-    """P's weights in dtype: the AxisBlocks of x and y, and along z (i0, i0 + 1,
-    1 - w1, w1), the lower and upper coarse index of each image index and their
-    weights. On a z axis of one coarse point i0 + 1 is out of range and w1 is 0;
-    np.take's mode="clip" reads i0 there."""
-    (xi0, xw1), (yi0, yw1), (i0, w1) = transfers
-    return (_axis_blocks(xi0, xw1, def_dims[0], dtype, last=True),
-            _axis_blocks(yi0, yw1, def_dims[1], dtype, last=False),
-            (i0, i0 + 1, 1 - w1.astype(dtype), w1.astype(dtype)))
-
-
 def build_gather_plan(def_grid: Grid3, image_grid: Grid3) -> GatherPlan:
     check_compatible(def_grid, image_grid)
-    transfers = _transfers(image_grid, def_grid)
-    return GatherPlan(
-        def_grid=def_grid,
-        image_grid=image_grid,
-        z=_build_axis_plan(*transfers[2], def_grid.dims[2]),
-        transfers=transfers,
-    )
+    transfers = tuple(_axis_transfer(image_grid, def_grid, a) for a in range(3))
+    return GatherPlan(def_grid=def_grid, image_grid=image_grid, transfers=transfers)
 
 
 def _interp_xy(field: np.ndarray, weights, ws: Workspace | None = None) -> np.ndarray:
     """A field (3, nz_d, ny_d, nx_d) interpolated along x, then y: (3, nz_d, ny, nx),
-    an array of ws if given; weights are the field's _weights. Each plane is
+    an array of ws if given; weights are its plan's weights. Each plane is
     multiplied by each block on its own."""
     ws = Workspace() if ws is None else ws
     bx, by = weights[:2]
@@ -232,7 +180,7 @@ def _interp_xy(field: np.ndarray, weights, ws: Workspace | None = None) -> np.nd
 def _interp_z(xy: np.ndarray, weights, k0: int, k1: int, ws: Workspace) -> np.ndarray:
     """Image z-planes k0:k1 of P y from y interpolated along x and y (_interp_xy),
     as an array of ws: the planes i0 * (1 - w1) + the planes i1 * w1."""
-    i0, i1, w0, w1 = (w[k0:k1] for w in weights[2])
+    i0, i1, w0, w1 = (w[k0:k1] for w in weights[3])
     shape = xy.shape[:1] + (k1 - k0,) + xy.shape[2:]
     out = ws.array(shape, xy.dtype)
     with ws.frame():
@@ -247,8 +195,7 @@ def _interp_z(xy: np.ndarray, weights, k0: int, k1: int, ws: Workspace) -> np.nd
 
 def apply_P(y: VectorField3, image_grid: Grid3, workers: int = 1) -> VectorField3:
     """Convert a field, a deformation say, from its (coarse) grid to the image grid."""
-    check_compatible(y.grid, image_grid)
-    weights = _weights(_transfers(image_grid, y.grid), y.grid.dims, y.field.dtype)
+    weights = build_gather_plan(y.grid, image_grid).weights(y.field.dtype)
     xy = _interp_xy(y.field, weights)
     out = np.empty((3,) + image_grid.shape, dtype=y.field.dtype)
 
@@ -261,56 +208,34 @@ def apply_P(y: VectorField3, image_grid: Grid3, workers: int = 1) -> VectorField
     return VectorField3(image_grid, out)
 
 
-def _gather_block(arr: np.ndarray, ap: AxisPlan, axis: int, rows: slice | None = None) -> np.ndarray:
-    """Apply the transposed 1D weights along one array axis. Each output index
-    sums its window columns in ascending order, starting from the first
-    column's term; zero-weight padding columns read the clamped last index.
-    Each column is taken straight from arr, with no copy of the window."""
-    rows = slice(None) if rows is None else rows
-    index = ap.index[:, rows]
-    W = ap.weights_as(arr.dtype)[rows]
-    shape = [1] * arr.ndim
-    shape[axis] = index.shape[1]
-    out = np.empty(arr.shape[:axis] + (index.shape[1],) + arr.shape[axis + 1:], arr.dtype)
-    np.take(arr, index[0], axis=axis, out=out, mode="clip")
-    out *= W[:, 0].reshape(shape)
-    term = np.empty_like(out)
-    for j in range(1, index.shape[0]):  # ascending order keeps the sums deterministic
-        np.take(arr, index[j], axis=axis, out=term, mode="clip")
-        term *= W[:, j].reshape(shape)
-        out += term
-    return out
-
-
 def _z_gather(xy: np.ndarray, out: np.ndarray, plan: GatherPlan, workers: int) -> None:
-    """Each output z-slab gathers its weighted image planes."""
-    zp = plan.z
+    """Each block of output z-planes d takes its image planes s in one product,
+    (len d, len s) @ (len s, nx_d) per component and coarse y row, on the
+    caller: the z blocks of the plan applied to xy's (3, ny_d, nz, nx_d) view."""
+    X, O = xy.swapaxes(1, 2), out.swapaxes(1, 2)
+    for d, s, B in plan.weights(xy.dtype)[2].reduce:
+        np.matmul(B, X[..., s, :], out=O[..., d, :])
 
-    def do_slab(lo, hi):
-        out[:, lo:hi] = _gather_block(xy, zp, axis=1, rows=slice(lo, hi))
 
-    run_slabs(do_slab, out.shape[1], xy[0, 0].size, workers)
-
-
-def _add_plane(out: np.ndarray, xy: np.ndarray, k: int, plan: GatherPlan) -> None:
+def _add_plane(out: np.ndarray, xy: np.ndarray, k: int, band) -> None:
     """Add image plane k of xy into the two output z-planes it interpolates
-    from, weighted (1 - w1, w1)."""
-    i0, w1z = plan.transfers[2]
+    from, weighted (1 - w1, w1) of the plan's z band in xy's dtype."""
+    i0, _, w0, w1 = band
     d0 = i0[k]
-    w1 = out.dtype.type(w1z[k])
-    out[:, d0] += (out.dtype.type(1) - w1) * xy[:, k]
-    if w1 != 0:
-        out[:, d0 + 1] += w1 * xy[:, k]
+    out[:, d0] += w0[k] * xy[:, k]
+    if w1[k] != 0:
+        out[:, d0 + 1] += w1[k] * xy[:, k]
 
 
 def _z_scatter(xy: np.ndarray, out: np.ndarray, plan: GatherPlan, workers: int) -> None:
     """Slabs of image planes add into shared output planes under one lock."""
     lock = threading.Lock()
+    band = plan.weights(xy.dtype)[3]
 
     def do_slab(lo, hi):
         for k in range(lo, hi):
             with lock:
-                _add_plane(out, xy, k, plan)
+                _add_plane(out, xy, k, band)
 
     run_slabs(do_slab, xy.shape[1], xy[0, 0].size, workers)
 
@@ -319,14 +244,15 @@ def _z_redblack(xy: np.ndarray, out: np.ndarray, plan: GatherPlan, workers: int)
     """Image planes grouped by the lower output plane d0 they feed; a group
     writes planes d0 and d0 + 1 only, so groups of one parity of d0 run
     concurrently, even ones first."""
-    i0 = plan.transfers[2][0]
+    band = plan.weights(xy.dtype)[3]
+    i0 = band[0]
     for parity in (0, 1):
         color = [d for d in np.unique(i0) if d % 2 == parity]
 
         def do_slab(lo, hi):
             for d0 in color[lo:hi]:
                 for k in np.flatnonzero(i0 == d0):
-                    _add_plane(out, xy, k, plan)
+                    _add_plane(out, xy, k, band)
 
         run_slabs(do_slab, len(color), xy[0, 0].size, workers)
 
@@ -347,7 +273,7 @@ def _reduce_xy(r: np.ndarray, plan: GatherPlan, out: np.ndarray, ws: Workspace) 
     """The xy reduction of P^T on image z-planes r (3, m, ny, nx) into out
     (3, m, ny_d, nx_d): along x into a buffer of ws, then along y, each plane
     multiplied by each block on its own, so any chunking gives the same bytes."""
-    bx, by, _ = plan.weights(r.dtype)
+    bx, by = plan.weights(r.dtype)[:2]
     with ws.frame():
         rx = ws.array(r.shape[:-1] + out.shape[-1:], r.dtype)
         for d, s, B in bx.reduce:
@@ -359,14 +285,12 @@ def _reduce_xy(r: np.ndarray, plan: GatherPlan, out: np.ndarray, ws: Workspace) 
 def _reduce_z(xy: np.ndarray, plan: GatherPlan, z_schedule, workers: int) -> VectorField3:
     """P^T from the xy-reduced buffer (3, nz_image, ny_d, nx_d): the z schedule.
 
-    Each schedule tells run_slabs that an index is one xy plane of work. That
-    is a lower bound, not the actual work: a gather output plane reads `width`
-    planes, and a redblack group adds about grid-ratio planes. So at the
-    default grid ratio gather and redblack run inline up to 128^3. On a 2-core
-    machine, f64 with 2 workers, inline against two slabs: redblack 0.62 vs
-    1.1 ms at 64^3 and 2.2 vs 3.7 ms at 128^3; gather 0.18 vs 0.5 ms at 64^3,
-    but 2.1 vs 1.0 ms at 128^3, where counting the window would win 1 ms of a
-    38 ms apply_Pt and lose 0.3 ms at 64^3."""
+    gather runs on the caller. scatter and redblack tell run_slabs that an
+    index is one xy plane of work; for redblack that is a lower bound, as a
+    group adds about grid-ratio planes, so at the default grid ratio it runs
+    inline up to 128^3. On a 2-core machine, f64 with 2 workers, inline
+    against two slabs: redblack 0.62 vs 1.1 ms at 64^3 and 2.2 vs 3.7 ms at
+    128^3."""
     out = np.zeros((3,) + plan.def_grid.shape, dtype=xy.dtype)
     z_schedule(xy, out, plan, workers)
     return VectorField3(plan.def_grid, out)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import DeformationField, Grid3, Image3, VectorField3
 from .parallel import Workspace, run_planes, workspace
-from .transfer import _interp_xy, _interp_z, _transfers, _weights, check_compatible
+from .transfer import _interp_xy, _interp_z, build_gather_plan
 
 __all__ = [
     "image_gradient",
@@ -154,7 +154,7 @@ def _sample_planes(flat: np.ndarray, grid: Grid3, y_xy: np.ndarray, weights,
                    ws: Workspace) -> None:
     """The template samples flat of `grid` at image z-planes k0:k1 of P y into
     value, 0 outside the template's cell-center hull, from y interpolated along
-    x and y (_interp_xy, with P's _weights); and the partials into
+    x and y (_interp_xy, with the plan's weights); and the partials into
     partials unless it is None, 0 there too. P y is formed above the kernel's
     cell arrays, so its memory is free again when the corners are taken."""
     with ws.frame():
@@ -169,8 +169,7 @@ def warp_image(template: Image3, y: DeformationField, workers: int = 1) -> Image
     """The template sampled at P y on its own grid, 0 outside its cell-center hull;
     P y is formed per chunk of z-planes, as in the NGF sweep, never image-sized."""
     grid = template.grid
-    check_compatible(y.grid, grid)
-    weights = _weights(_transfers(grid, y.grid), y.grid.dims, y.field.dtype)
+    weights = build_gather_plan(y.grid, grid).weights(y.field.dtype)
     flat = template.values.astype(y.field.dtype, copy=False).ravel()
     y_xy = _interp_xy(y.field, weights)
     out = np.empty(grid.shape, dtype=flat.dtype)

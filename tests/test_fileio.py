@@ -118,6 +118,27 @@ def test_bad_headers_rejected(tmp_path):
             read_volume(str(p))
 
 
+def test_big_endian_element_byte_order_rejected(tmp_path):
+    # ElementByteOrderMSB is MetaIO's other name for BinaryDataByteOrderMSB
+    vals = np.arange(8, dtype=">f4")
+    p = tmp_path / "be.mha"
+    p.write_bytes(b"NDims = 3\nDimSize = 2 2 2\nElementType = MET_FLOAT\n"
+                  b"ElementByteOrderMSB = True\nElementDataFile = LOCAL\n" + vals.tobytes())
+    with pytest.raises(MetaImageError, match=re.escape(f"{p}: ElementByteOrderMSB")):
+        read_volume(str(p))
+
+
+def test_raw_header_size_rejected(tmp_path):
+    # a raw file whose first HeaderSize bytes are a header would read shifted
+    vals = np.arange(8, dtype="<f4")
+    (tmp_path / "vol.raw").write_bytes(bytes(16) + vals.tobytes())
+    mhd = tmp_path / "vol.mhd"
+    mhd.write_text("NDims = 3\nDimSize = 2 2 2\nElementType = MET_FLOAT\n"
+                   "HeaderSize = 16\nElementDataFile = vol.raw\n")
+    with pytest.raises(MetaImageError, match=re.escape(f"{mhd}: HeaderSize")):
+        read_volume(str(mhd))
+
+
 def test_missing_file_raises_metaimage_error(tmp_path):
     with pytest.raises(MetaImageError):
         read_volume(str(tmp_path / "nope.mha"))

@@ -7,7 +7,6 @@ from ngfreg.transfer import (
     PT_VARIANTS,
     _axis_factor,
     _axis_transfer,
-    _gather_block,
     apply_P,
     apply_Pt,
     build_gather_plan,
@@ -64,15 +63,6 @@ def test_incompatible_grids_rejected():
         build_gather_plan(bad, gi)
 
 
-def _z_dense(ap, ni):
-    """The z AxisPlan's transposed weights as a dense (n_def, n_image) matrix."""
-    dense = np.zeros((len(ap.start), ni))
-    for d in range(len(ap.start)):
-        n = ap.counts[d]
-        dense[d, ap.start[d]: ap.start[d] + n] = ap.weights[d, :n]
-    return dense
-
-
 def _assembled(blocks, nd, last):
     """The (n_image, n_def) factor that an AxisBlocks' reduce and interp blocks
     each cut, put back together; each must cover its own part exactly once."""
@@ -93,8 +83,7 @@ def _assembled(blocks, nd, last):
 def test_gather_plan_equal_grids_is_identity():
     g = _grid((3, 4, 2))
     plan = build_gather_plan(g, g)
-    assert np.array_equal(_z_dense(plan.z, g.dims[2]), np.eye(g.dims[2]))
-    for a, blocks in enumerate(plan.weights(np.float64)[:2]):
+    for a, blocks in enumerate(plan.weights(np.float64)[:3]):
         for dense in _assembled(blocks, g.dims[a], last=a == 0):
             assert np.array_equal(dense, np.eye(g.dims[a]))
 
@@ -103,19 +92,8 @@ def test_gather_plan_partition_of_unity(rng):
     for _ in range(10):
         gd, gi = random_grid_pair(rng)
         plan = build_gather_plan(gd, gi)
-        ap = plan.z
-        # weights summed per image index over all deformation points == 1
-        col = _z_dense(ap, gi.dims[2]).sum(axis=0)
-        assert np.allclose(col, 1.0, atol=1e-12)
-        # total weight mass equals the number of image points on the axis
-        assert np.isclose(ap.weights.sum(), gi.dims[2], atol=1e-10)
-        # ranges collectively cover every image index
-        covered = np.zeros(gi.dims[2], dtype=bool)
-        for d in range(gd.dims[2]):
-            covered[ap.start[d]: ap.start[d] + ap.counts[d]] = True
-        assert covered.all()
-        # along x and y each image row of the blocks sums to 1
-        for a, blocks in enumerate(plan.weights(np.float64)[:2]):
+        # along each axis each image row of the blocks sums to 1
+        for a, blocks in enumerate(plan.weights(np.float64)[:3]):
             for dense in _assembled(blocks, gd.dims[a], last=a == 0):
                 assert np.allclose(dense.sum(axis=1), 1.0, atol=1e-12)
 
@@ -123,13 +101,13 @@ def test_gather_plan_partition_of_unity(rng):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_blocks_assemble_to_the_axis_factor(rng, dtype):
     # the factor dense_P_oracle is built from, bit for bit, in both cuts;
-    # the last pair has several blocks along y and a one-point coarse x axis
+    # the last pair has several blocks along y and z and a one-point coarse x axis
     gi = _grid((5, 40, 70))
     pairs = [random_grid_pair(rng, max_dim=40) for _ in range(10)]
-    pairs.append((_def_grid_like(gi, (1, 10, 2)), gi))
+    pairs.append((_def_grid_like(gi, (1, 10, 18)), gi))
     for gd, gi in pairs:
         plan = build_gather_plan(gd, gi)
-        for a, blocks in enumerate(plan.weights(dtype)[:2]):
+        for a, blocks in enumerate(plan.weights(dtype)[:3]):
             F = _axis_factor(*_axis_transfer(gi, gd, a), gd.dims[a]).astype(dtype)
             assert blocks.size == gi.dims[a]
             for dense in _assembled(blocks, gd.dims[a], last=a == 0):
@@ -154,16 +132,17 @@ def test_one_point_coarse_axes_match_dense_oracle(rng):
 def test_block_products_stay_below_blas_threading(n):
     # OpenBLAS runs a product with M*N*K <= 2^18 on one thread, so the BLAS
     # thread count cannot change its bits; this holds the blocks to that
-    # size at the default grid ratio for planes of 256^2 and 512^2 points
-    gi = _grid((n, n, 4))
-    gd = _def_grid_like(gi, (n // 4, n // 4, 1))
-    bx, by, _ = build_gather_plan(gd, gi).weights(np.float64)
+    # size at the default grid ratio for grids of 256^3 and 512^3 points
+    gi = _grid((n, n, n))
     nd = n // 4
+    gd = _def_grid_like(gi, (nd, nd, nd))
+    bx, by, bz, _ = build_gather_plan(gd, gi).weights(np.float64)
     products = [(n, *B.shape) for _, _, B in bx.reduce]            # P^T along x: (ny, nx) planes
     products += [(*B.shape, nd) for _, _, B in by.reduce]          # then along y: (ny, nx_d)
+    products += [(*B.shape, nd) for _, _, B in bz.reduce]          # then along z: (nz, nx_d) rows
     products += [(nd, *A.shape) for _, _, A in bx.interp]          # P along x: (ny_d, nx_d)
     products += [(*A.shape, n) for _, _, A in by.interp]           # then along y: (ny_d, nx)
-    assert len(products) == 4 * nd // 8
+    assert len(products) == 5 * nd // 8
     assert max(m * k * p for m, k, p in products) <= 1 << 18
 
 
@@ -238,45 +217,6 @@ def test_apply_P_bit_identical_across_workers(rng, one_plane_chunks):
     for w in (2, 8):
         assert np.array_equal(apply_P(y, gi, workers=w).field, base)
     assert max(one_plane_chunks) >= 2
-
-
-def _sequential_gather(arr, ap, axis, rows):
-    """The transposed 1D weights along z as a plain loop: each
-    output index adds its window columns in ascending order, padding included,
-    starting from the first column's term."""
-    a = np.moveaxis(arr, axis, 0)
-    out = []
-    for d in range(len(ap.start))[rows or slice(None)]:
-        acc = None
-        for j in range(ap.weights.shape[1]):
-            term = a[min(ap.start[d] + j, len(a) - 1)] * ap.weights[d, j].astype(arr.dtype)
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return np.moveaxis(np.stack(out), 0, axis)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_gather_block_sums_window_columns_in_ascending_order(rng, dtype):
-    # Byte equality with the loop pins the summation order: magnitudes over
-    # twelve decades make any reassociation show, and a component of -0.0
-    # sums to -0.0 only when the first term starts the sum (0.0 + -0.0 is
-    # +0.0). Its edge planes are negative, so the zero-weight padding
-    # columns, which read the clamped last index, add -0.0 there too.
-    gi = _grid((23, 19, 29))
-    plan = build_gather_plan(_def_grid_like(gi, (5, 7, 4)), gi)
-    arr = rng.standard_normal((3,) + gi.shape) * 10.0 ** rng.uniform(-6, 6, (3,) + gi.shape)
-    arr[0] = -0.0
-    arr[0, -1], arr[0, :, -1], arr[0, :, :, -1] = -1.0, -2.0, -3.0
-    arr[2, -1], arr[2, :, -1], arr[2, :, :, -1] = 1e6, -1e6, 1e-6
-    arr = arr.astype(dtype)
-    ap, axis = plan.z, 1
-    width = ap.weights.shape[1]
-    assert (ap.counts < width).any() and (ap.start + width > arr.shape[axis]).any()
-    for rows in (None, slice(1, 3), slice(len(ap.start) - 1, None)):
-        got = _gather_block(arr, ap, axis, rows)
-        assert got.dtype == dtype
-        assert got.tobytes() == _sequential_gather(arr, ap, axis, rows).tobytes()
-    assert np.signbit(_gather_block(arr, ap, axis)[0, :, 1:-1, 1:-1]).all()
 
 
 def test_variants_agree_on_random_inputs(rng, one_plane_chunks):
