@@ -13,7 +13,7 @@ import numpy as np
 from . import fileio
 from .benchmark import VariantDisagreement, _check_reps, format_table, run_benchmark
 from .evaluation import field_difference_stats, landmark_error
-from .geometry import Grid3, GridError, Image3, identity_field_array, precision_dtype
+from .geometry import Grid3, GridError, Image3, precision_dtype
 from .lbfgs import LbfgsConfig
 from .multilevel import MultilevelConfig, RegistrationReport, register
 from .ngf import NgfParams
@@ -253,15 +253,18 @@ def _cmd_resample(args) -> int:
     src = fileio.read_volume(args.input)
     like = fileio.read_volume(args.like)
     # clamp-to-edge resampling at the cell centres of like, per chunk of z-planes
-    pos = identity_field_array(like.grid, src.values.dtype)
+    grid, dtype = like.grid, src.values.dtype
+    x, y, z = (grid.axis_centers(a).astype(dtype) for a in range(3))
     flat = src.values.ravel()
-    out = np.empty(like.grid.shape, dtype=pos.dtype)
+    out = np.empty(grid.shape, dtype=dtype)
 
     def do_chunk(k0, k1):
         with workspace().frame() as ws:
-            _trilinear_into(flat, src.grid, pos[:, k0:k1], out[k0:k1], None, ws)
+            pos = ws.array((3, k1 - k0) + grid.shape[1:], dtype)
+            pos[0], pos[1], pos[2] = x, y[:, None], z[k0:k1, None, None]
+            _trilinear_into(flat, src.grid, pos, out[k0:k1], None, ws)
 
-    run_planes(do_chunk, like.grid.shape[0], pos[0, 0].size, 1)
+    run_planes(do_chunk, grid.shape[0], grid.shape[1] * grid.shape[2], 1)
     fileio.write_volume(Image3(like.grid, out), args.out)
     return EXIT_OK
 

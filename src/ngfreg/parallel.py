@@ -1,4 +1,4 @@
-"""Slab-based parallelism: a thread pool, and forked processes for the NGF sweep.
+"""Slab-based parallelism: helper threads, and forked processes for the NGF sweep.
 
 Heavy operations are data-parallel over contiguous index ranges ("slabs").
 Each slab computation is a pure function writing to a disjoint output region,
@@ -21,25 +21,23 @@ grown to the deepest stack that a chunk of the grid needs. A thread's first
 chunk of a larger grid allocates its temporaries as numpy would, and the
 buffer grows when that chunk's outermost frame closes.
 
-run_slabs, run_planes and run_tasks run on one persistent thread pool per
-worker count, created on first use. A call made from inside a pool thread
-runs inline, so nested calls cannot deadlock, and a call returns or raises
-only after all of its work has finished, so no thread is still writing into
-an output when the caller moves on.
+run_slabs, run_planes and run_tasks deal their calls to at most `workers`
+lanes: the caller runs the first, and a helper thread started for the call
+each other one. A slab call made inside a lane runs inline, so nested calls
+cannot deadlock and a sweep there never forks, and every helper is joined
+before the call returns or raises: no thread outlives its call.
 
 The NGF sweep makes hundreds of numpy calls of tens of microseconds per
 chunk, and threads running it spend their time handing the interpreter lock
 to each other. So its slabs run in processes instead (ProcessGroup): the
 caller runs the first slab itself, and each other slab runs in a child
 forked from it, which inherits the sweep's inputs copy-on-write and exchanges
-its data through one anonymous shared mapping (shared_arrays). A child runs
-no pool and no nested group (can_fork is false in it), closes the pipes of
-every other group, writes nothing to stdout or stderr, ignores SIGINT and
-ends only through os._exit, so it never flushes the caller's copied stdio
-buffers or runs its exit handlers; it exits when its pipe from the caller
-reaches end of file, so also when the caller dies. Idle pool threads may
-exist when a group forks: a child takes no lock that they could hold. Python
-3.12 and later warn (DeprecationWarning) when a process with threads forks.
+its data through one anonymous shared mapping (shared_arrays). A child starts
+no helper thread and no nested group (can_fork is false in it), closes the
+pipes of every other group, writes nothing to stdout or stderr, ignores
+SIGINT and ends only through os._exit, so it never flushes the caller's
+copied stdio buffers or runs its exit handlers; it exits when its pipe from
+the caller reaches end of file, so also when the caller dies.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ import struct
 import threading
 import traceback
 import weakref
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -68,8 +65,6 @@ import numpy as np
 # 35-50% longer at 64^3 and 128^3.
 _CHUNK_VOXELS = 1 << 15
 
-_pools: dict[int, ThreadPoolExecutor] = {}
-_pools_lock = threading.Lock()
 _local = threading.local()
 
 
@@ -123,50 +118,51 @@ def workspace() -> Workspace:
     return ws
 
 
-def _mark_inline() -> None:
-    """Make every slab call of this thread run inline: a pool thread's, a child's."""
-    _local.inline = True
-
-
 def can_fork() -> bool:
     """Whether a call here may fork a ProcessGroup: os.fork exists and this
-    thread is neither a pool thread nor a forked child, which run inline."""
+    thread runs no lane of a slab call and is no forked child."""
     return hasattr(os, "fork") and not getattr(_local, "inline", False)
 
 
-def _pool(workers: int) -> ThreadPoolExecutor:
-    with _pools_lock:
-        pool = _pools.get(workers)
-        if pool is None:
-            pool = _pools[workers] = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix=f"ngfreg-{workers}",
-                initializer=_mark_inline)
-        return pool
-
-
 def _run_all(calls, workers: int) -> list:
-    """Run (fn, args) pairs, on the pool unless this is a pool thread or there
-    is only one; wait for all of them, then raise the first error in call order."""
+    """Run (fn, args) pairs in at most `workers` lanes, inline inside a lane;
+    join every helper, then return the results or raise the first error in
+    call order."""
     if workers <= 1 or len(calls) <= 1 or getattr(_local, "inline", False):
         return [fn(*args) for fn, args in calls]
-    pool = _pool(workers)
-    futures = [pool.submit(fn, *args) for fn, args in calls]
-    wait(futures)
-    return [f.result() for f in futures]
+    lanes = min(workers, len(calls))
+    results, errors = [None] * len(calls), [None] * len(calls)
+
+    def run_lane(lane):
+        _local.inline = True
+        for i in range(lane, len(calls), lanes):
+            try:
+                results[i] = calls[i][0](*calls[i][1])
+            except BaseException as exc:
+                errors[i] = exc
+
+    helpers = [threading.Thread(target=run_lane, args=(lane,)) for lane in range(1, lanes)]
+    try:
+        for helper in helpers:
+            helper.start()
+        run_lane(0)
+    finally:
+        _local.inline = False
+        for helper in helpers:
+            if helper.ident is not None:  # it started
+                helper.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def slab_ranges(n: int, workers: int) -> list[tuple[int, int]]:
     """Split range(n) into at most `workers` contiguous chunks."""
     workers = max(1, min(workers, n))
     base, rem = divmod(n, workers)
-    ranges = []
-    lo = 0
-    for w in range(workers):
-        hi = lo + base + (1 if w < rem else 0)
-        if hi > lo:
-            ranges.append((lo, hi))
-        lo = hi
-    return ranges
+    bounds = [w * base + min(w, rem) for w in range(workers + 1)]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 def slab_partition(n: int, voxels: int, workers: int) -> list[tuple[int, int]]:
@@ -357,7 +353,7 @@ def _child(task, go: int, done: int, caller_fds) -> None:
         os.dup2(devnull, 2)
         os.close(devnull)
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles an interrupt
-        _mark_inline()
+        _local.inline = True
         _local.workspace = None  # the caller's buffer stays the caller's
         while os.read(go, 1):
             try:

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,26 @@ def test_resample_bridges_grid_mismatch(tmp_path):
     assert (pos < lo).any()
     expected = trilinear_exact(*np.clip(pos, lo, hi))
     assert np.abs(out.values - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_resample_memory_is_output_sized(tmp_path):
+    # The output is 96^3 f64 (6.8 MiB). Reading --like and writing the
+    # output each hold about two volumes of its size at their peak. Positions
+    # formed for the whole output grid (three volumes) peaked at 6.5 outputs,
+    # formed per chunk at 3.6.
+    write_volume(smooth_random_volume(Grid3((48,) * 3, (2.0,) * 3, (0.0,) * 3), seed=1),
+                 str(tmp_path / "a.mha"))
+    like = Grid3((96,) * 3, (1.0,) * 3, (0.0,) * 3)
+    write_volume(smooth_random_volume(like, seed=2), str(tmp_path / "b.mha"))
+    tracemalloc.start()
+    try:
+        rc = main(["resample", "--input", str(tmp_path / "a.mha"),
+                   "--like", str(tmp_path / "b.mha"), "--out", str(tmp_path / "c.mha")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_OK
+    assert peak < 4.5 * like.num_points * 8
 
 
 def test_evaluate_compare_deformation(pair, tmp_path, capsys):

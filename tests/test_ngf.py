@@ -308,7 +308,6 @@ def test_evaluation_allocates_no_image_sized_temporaries(rng, workers):
     T = Image3(g, rng.standard_normal(g.shape))
     R = Image3(g, rng.standard_normal(g.shape))
     x = (make_identity(gd).field + 2 * rng.standard_normal((3,) + gd.shape)).ravel()
-    parallel.run_tasks([lambda: None] * 2, 2)  # the pool exists before tracing
     tracemalloc.start()
     try:
         obj = LevelObjective(template=T, ref=R, plan=build_gather_plan(gd, g),
@@ -327,8 +326,8 @@ def test_evaluation_after_the_first_allocates_no_chunk_sized_temporaries(rng, n,
     # y interpolated along x and y (0.7 MiB at 48^3, 1.5 MiB at 64^3, f64),
     # a buffer of the same size to form it, P^T's buffer and the curvature
     # term. Allocated per chunk, the temporaries peaked at 15.4 MiB (48^3,
-    # 1 worker) and 30.6 MiB (64^3, 2 workers). With 2 workers each pool
-    # thread must have run a slab before: three evaluations make sure.
+    # 1 worker) and 30.6 MiB (64^3, 2 workers). With 2 workers the caller
+    # runs the first slab, the one it ran before, and a child the second.
     g = _grid((n, n, n))
     gd = _def_grid(g, (n // 4,) * 3)
     T = Image3(g, rng.standard_normal(g.shape))
@@ -336,8 +335,7 @@ def test_evaluation_after_the_first_allocates_no_chunk_sized_temporaries(rng, n,
     x = (make_identity(gd).field + 2 * rng.standard_normal((3,) + gd.shape)).ravel()
     obj = LevelObjective(template=T, ref=R, plan=build_gather_plan(gd, g),
                          params=NgfParams(), alpha=1.0, workers=workers)
-    for _ in range(1 if workers == 1 else 3):
-        obj(x)
+    obj(x)
     tracemalloc.start()
     try:
         obj(x)

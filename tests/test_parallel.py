@@ -11,61 +11,39 @@ import numpy as np
 import pytest
 
 from ngfreg import ngf, parallel
-from ngfreg.geometry import DeformationField, Grid3, Image3, make_identity
+from ngfreg.geometry import DeformationField, Grid3, Image3, VectorField3, make_identity
 from ngfreg.lbfgs import LbfgsConfig
 from ngfreg.multilevel import MultilevelConfig, deformation_grid_for, register
 from ngfreg.ngf import NgfParams, distance_and_gradient
 from ngfreg.objective import LevelObjective
 from ngfreg.synthetic import gaussian_bump_mapping, make_registration_pair, smooth_random_volume
-from ngfreg.transfer import build_gather_plan
+from ngfreg.transfer import apply_Pt, build_gather_plan
+from ngfreg.warp import warp_image
 
 from conftest import assert_reaped
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # voxels per index that make every index one chunk, so the slab count is
-# min(workers, n) as the pool tests expect
+# min(workers, n) as the tests of the lanes expect
 CHUNK = parallel._CHUNK_VOXELS
 
 
 @pytest.fixture
-def fresh_pools(monkeypatch):
-    """Start from no pools and count the executors created and the calls
-    submitted to each (`submitted`); shut them down after."""
-    created = []
+def helpers(monkeypatch):
+    """Every thread started while the fixture is active: the helpers of slab calls."""
+    started = []
 
-    class CountingPool(parallel.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            created.append(self)
-            self.submitted = 0
-            super().__init__(*args, **kwargs)
+    class RecordingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-        def submit(self, *args, **kwargs):
-            self.submitted += 1
-            return super().submit(*args, **kwargs)
-
-    monkeypatch.setattr(parallel, "_pools", {})
-    monkeypatch.setattr(parallel, "ThreadPoolExecutor", CountingPool)
-    yield created
-    for pool in created:
-        pool.shutdown(wait=False)
+    monkeypatch.setattr(parallel.threading, "Thread", RecordingThread)
+    return started
 
 
-def test_one_pool_per_worker_count(fresh_pools):
-    out = np.zeros(20)
-
-    def fill(lo, hi):
-        out[lo:hi] += np.arange(lo, hi)
-
-    for i in range(50):
-        parallel.run_slabs(fill, 20, CHUNK, 2 + i % 2)
-    assert np.array_equal(out, 50 * np.arange(20))
-    assert parallel.run_tasks([lambda: 1, lambda: 2, lambda: 3], 2) == [1, 2, 3]
-    assert len(fresh_pools) == 2
-    assert sorted(p._max_workers for p in fresh_pools) == [2, 3]
-
-
-def test_nested_call_runs_inline(fresh_pools):
+def test_nested_call_runs_inline():
     out = np.zeros((6, 8))
 
     def outer(lo, hi):
@@ -80,10 +58,9 @@ def test_nested_call_runs_inline(fresh_pools):
     caller.join(timeout=20)
     assert not caller.is_alive(), "nested run_slabs deadlocked"
     assert np.array_equal(out, np.arange(6)[:, None] * 10 + np.arange(8))
-    assert len(fresh_pools) == 1
 
 
-def test_error_waits_for_every_slab(fresh_pools):
+def test_error_waits_for_every_slab():
     finished = []
     lock = threading.Lock()
 
@@ -100,12 +77,33 @@ def test_error_waits_for_every_slab(fresh_pools):
     out = np.zeros(3)
     parallel.run_slabs(lambda lo, hi: out.__setitem__(slice(lo, hi), 1.0), 3, CHUNK, 3)
     assert np.all(out == 1.0)
-    assert len(fresh_pools) == 1
 
 
-def test_concurrent_callers_share_one_pool(fresh_pools):
-    # more callers and workers than cores, with frequent thread switches: the
-    # lock must leave exactly one pool and every caller its own correct result
+def test_helper_that_cannot_start_fails_the_call_after_the_started_one(monkeypatch):
+    finished, starts = [], []
+
+    class FailingThread(threading.Thread):
+        def start(self):
+            starts.append(self)
+            if len(starts) == 2:  # the second helper
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+    def fn(lo, hi):
+        time.sleep(0.2)
+        finished.append(lo)
+
+    before = threading.active_count()
+    monkeypatch.setattr(parallel.threading, "Thread", FailingThread)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        parallel.run_slabs(fn, 3, CHUNK, 3)
+    assert finished == [1]  # the caller's lane never ran; the started helper's did
+    assert threading.active_count() == before
+
+
+def test_concurrent_callers_each_get_their_own_results():
+    # more callers and workers than cores, with frequent thread switches:
+    # every caller gets its own correct result
     outs = [np.zeros(60) for _ in range(6)]
 
     def caller(out):
@@ -125,32 +123,33 @@ def test_concurrent_callers_share_one_pool(fresh_pools):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert all(np.all(o == 20) for o in outs)
-    assert len(fresh_pools) == 1
 
 
-def test_grid_of_one_chunk_runs_inline(fresh_pools, forks):
+def test_grid_of_one_chunk_runs_inline(helpers, forks):
     # a whole 16^3 evaluation is less than one chunk: with workers=2 every
     # slab call of the sweep and of P^T runs on the caller's thread
     g = Grid3((16, 16, 16), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     plan = build_gather_plan(deformation_grid_for(g, 2), g)
     distance_and_gradient(make_identity(plan.def_grid), smooth_random_volume(g, seed=1),
                           smooth_random_volume(g, seed=2), plan, NgfParams(), workers=2)
-    assert sum(p.submitted for p in fresh_pools) == 0
+    assert helpers == []
     assert forks == []
 
 
-def test_workers_are_a_cap(fresh_pools):
+def test_workers_are_a_cap(helpers):
     plane = 64 * 64
     step = parallel.plane_step(plane)
     chunks = []
     parallel.run_planes(lambda k0, k1: chunks.append((k0, k1)), 64, plane, 2)
     assert sorted(chunks) == [(k, k + step) for k in range(0, 64, step)]
-    assert sum(p.submitted for p in fresh_pools) == 2  # a 64^3 sweep: 2 slabs
+    assert len(helpers) == 1  # a 64^3 sweep: 2 slabs, the caller runs the first
 
     slabs = []
     parallel.run_slabs(lambda lo, hi: slabs.append((lo, hi)), 3 * step, plane, 8)
     assert sorted(slabs) == [(0, step), (step, 2 * step), (2 * step, 3 * step)]
-    assert sum(p.submitted for p in fresh_pools) == 5
+    assert len(helpers) == 3
+    assert parallel.run_tasks([lambda i=i: i for i in range(5)], 2) == list(range(5))
+    assert len(helpers) == 4  # five tasks in two lanes
 
 
 def test_workspace_is_a_stack_that_grows_to_its_deepest_frame_once():
@@ -231,17 +230,57 @@ def test_bare_call_reaps_its_children(one_plane_chunks, forks):
     assert_reaped(forks)
 
 
-def test_sweep_on_a_pool_thread_runs_inline(one_plane_chunks, forks):
+def test_sweep_on_a_helper_thread_runs_inline(one_plane_chunks, forks):
     obj, x = _objective(2)
     grid = obj.plan.def_grid
     y = DeformationField(grid, x.reshape((3,) + grid.shape))
+    threads = []
 
     def sweep():
+        threads.append(threading.current_thread())
         return distance_and_gradient(y, obj.ref, obj.template, obj.plan, obj.params, workers=2)
 
     (D1, g1), (D2, g2) = parallel.run_tasks([sweep, sweep], 2)
-    assert forks == []
+    assert sorted(t is threading.current_thread() for t in threads) == [False, True]
+    assert forks == []  # neither on the helper nor on the caller while it lives
     assert D1 == D2 and g1.field.tobytes() == g2.field.tobytes()
+
+
+def test_no_helper_thread_outlives_its_call(one_plane_chunks, helpers):
+    g = Grid3((8, 8, 8), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    plan = build_gather_plan(deformation_grid_for(g, 2), g)
+    y = make_identity(plan.def_grid)
+    r = VectorField3(g, np.ones((3,) + g.shape))
+    calls = {
+        "run_slabs": lambda: parallel.run_slabs(lambda lo, hi: None, 8, CHUNK, 2),
+        "run_planes": lambda: parallel.run_planes(lambda k0, k1: None, 8, 1, 2),
+        "run_tasks": lambda: parallel.run_tasks([lambda: None] * 3, 2),
+        "warp_image": lambda: warp_image(smooth_random_volume(g, seed=1), y, 2),
+        "apply_Pt": lambda: apply_Pt(r, plan, "scatter", 2),
+    }
+    for name, call in calls.items():
+        before, started = threading.active_count(), len(helpers)
+        call()
+        assert len(helpers) > started, name  # it ran on helper threads
+        assert threading.active_count() == before, name
+
+
+def test_register_forks_with_no_other_thread_alive(monkeypatch):
+    # Python 3.12 and later warn when a process with threads forks
+    live = []
+    fork = os.fork
+
+    def recording_fork():
+        live.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    g = Grid3((64, 64, 64), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    center = tuple(o + e / 2 for o, e in zip(g.origin, g.extent))
+    R, T = make_registration_pair(
+        g, gaussian_bump_mapping(center, sigma_mm=18.0, amplitude_mm=(3.0, -2.0, 1.5)))
+    register(R, T, MultilevelConfig(workers=2, lbfgs=LbfgsConfig(max_iterations=2)))
+    assert live and live == [1] * len(live)
 
 
 def test_register_reaps_every_level_s_children(one_plane_chunks, forks):

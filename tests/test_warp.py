@@ -101,7 +101,7 @@ def test_warp_memory_is_chunk_sized(rng, workers):
     g = _grid((128, 128, 128))
     T = Image3(g, rng.standard_normal(g.shape))
     y = smooth_random_field(deformation_grid_for(g, 4), seed=2, amplitude_mm=2.0)
-    warp_image(T, y, workers)  # the pool exists before the measurement
+    warp_image(T, y, workers)  # the caller's workspace has grown before the measurement
     tracemalloc.start()
     try:
         warp_image(T, y, workers)
