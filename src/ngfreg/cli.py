@@ -251,9 +251,9 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_resample(args) -> int:
     src = fileio.read_volume(args.input)
-    like = fileio.read_volume(args.like)
+    grid = fileio.read_volume_grid(args.like)
     # clamp-to-edge resampling at the cell centres of like, per chunk of z-planes
-    grid, dtype = like.grid, src.values.dtype
+    dtype = src.values.dtype
     x, y, z = (grid.axis_centers(a).astype(dtype) for a in range(3))
     flat = src.values.ravel()
     out = np.empty(grid.shape, dtype=dtype)
@@ -265,7 +265,7 @@ def _cmd_resample(args) -> int:
             _trilinear_into(flat, src.grid, pos, out[k0:k1], None, ws)
 
     run_planes(do_chunk, grid.shape[0], grid.shape[1] * grid.shape[2], 1)
-    fileio.write_volume(Image3(like.grid, out), args.out)
+    fileio.write_volume(Image3(grid, out), args.out)
     return EXIT_OK
 
 

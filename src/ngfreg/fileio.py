@@ -22,6 +22,7 @@ __all__ = [
     "read_deformation",
     "read_landmarks",
     "read_volume",
+    "read_volume_grid",
     "write_deformation",
     "write_volume",
 ]
@@ -49,16 +50,14 @@ _TYPE_NAMES = {np.dtype(np.float32): "MET_FLOAT", np.dtype(np.float64): "MET_DOU
                np.dtype(np.int16): "MET_SHORT"}
 
 
-def _parse_header(raw: bytes, path: str):
-    """Split header lines until ElementDataFile; returns (fields, payload offset)."""
+def _parse_header(fh, path: str) -> dict:
+    """The header fields of fh up to ElementDataFile, leaving fh at the payload."""
     fields = {}
-    pos = 0
     while True:
-        eol = raw.find(b"\n", pos)
-        if eol < 0:
+        raw = fh.readline()
+        if not raw.endswith(b"\n"):
             raise MetaImageError(f"{path}: header has no ElementDataFile line")
-        line = raw[pos:eol].decode("ascii", errors="replace").strip()
-        pos = eol + 1
+        line = raw.decode("ascii", errors="replace").strip()
         if not line:
             continue
         if "=" not in line:
@@ -66,17 +65,18 @@ def _parse_header(raw: bytes, path: str):
         key, value = (s.strip() for s in line.split("=", 1))
         fields[key] = value
         if key == "ElementDataFile":
-            return fields, pos
+            return fields
 
 
-def _read_meta(path: str):
-    """Returns (grid, array) where array has shape (nz, ny, nx, channels)."""
+def _read_header(path: str):
+    """Returns (grid, dtype, channels, data path, payload offset) from the
+    header alone."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            fields = _parse_header(fh, path)
+            offset = fh.tell()
     except OSError as e:
         raise MetaImageError(f"{path}: cannot read file ({e})") from e
-    fields, offset = _parse_header(raw, path)
 
     if fields.get("NDims", "3") != "3":
         raise MetaImageError(f"{path}: only NDims = 3 is supported, got {fields.get('NDims')}")
@@ -112,30 +112,37 @@ def _read_meta(path: str):
             f"{path}: unsupported ElementType {etype!r} "
             f"(supported: {', '.join(sorted(_ELEMENT_TYPES))})"
         )
-    dtype = _ELEMENT_TYPES[etype]
-
-    datafile = fields["ElementDataFile"]
-    if datafile.upper() == "LOCAL":
-        payload = raw[offset:]
-    else:
-        data_path = os.path.join(os.path.dirname(path) or ".", datafile)
-        try:
-            with open(data_path, "rb") as fh:
-                payload = fh.read()
-        except OSError as e:
-            raise MetaImageError(f"{path}: cannot read data file {data_path} ({e})") from e
-
-    expected = dims[0] * dims[1] * dims[2] * channels * dtype.itemsize
-    if len(payload) < expected:
-        raise MetaImageError(
-            f"{path}: truncated payload, expected {expected} bytes, got {len(payload)}"
-        )
-    arr = np.frombuffer(payload[:expected], dtype=dtype)
-    arr = arr.reshape(dims[2], dims[1], dims[0], channels)
+    datafile, data_path = fields["ElementDataFile"], path
+    if datafile.upper() != "LOCAL":
+        data_path, offset = os.path.join(os.path.dirname(path) or ".", datafile), 0
     try:
-        return Grid3(dims, spacing, origin), arr, channels
+        return Grid3(dims, spacing, origin), _ELEMENT_TYPES[etype], channels, data_path, offset
     except GridError as e:
         raise MetaImageError(f"{path}: {e}") from e
+
+
+def _read_meta(path: str):
+    """Returns (grid, array) where array has shape (channels, nz, ny, nx): the
+    channel-interleaved payload is read a z-plane at a time into the array."""
+    grid, dtype, channels, data_path, offset = _read_header(path)
+    arr = np.empty((channels,) + grid.shape, dtype=dtype)
+    plane = np.empty(grid.shape[1:] + (channels,), dtype=dtype)
+    got = 0
+    try:
+        with open(data_path, "rb") as fh:
+            fh.seek(offset)
+            for k in range(grid.shape[0]):
+                n = fh.readinto(plane.reshape(-1).view(np.uint8))
+                got += n
+                if n < plane.nbytes:
+                    break
+                arr[:, k] = np.moveaxis(plane, -1, 0)
+    except OSError as e:
+        raise MetaImageError(f"{path}: cannot read data file {data_path} ({e})") from e
+    if got < arr.nbytes:
+        raise MetaImageError(
+            f"{path}: truncated payload, expected {arr.nbytes} bytes, got {got}")
+    return grid, arr
 
 
 def _check_identity_direction(path: str, key: str, value: str) -> None:
@@ -178,16 +185,24 @@ def _write_meta(path: str, grid: Grid3, arr: np.ndarray, channels: int) -> None:
 def read_volume(path: str, promote_dtype=np.float64) -> Image3:
     """Read a scalar MetaImage volume; 16-bit integers are promoted to
     `promote_dtype`, floats keep their native precision."""
-    grid, arr, channels = _read_meta(path)
-    if channels != 1:
-        raise MetaImageError(f"{path}: expected a scalar volume, got {channels} channels")
-    values = arr[..., 0]
+    grid, arr = _read_meta(path)
+    if len(arr) != 1:
+        raise MetaImageError(f"{path}: expected a scalar volume, got {len(arr)} channels")
+    values = arr[0]
     if values.dtype.kind == "i":
         values = values.astype(promote_dtype)
     try:
-        return Image3(grid, values.copy())
+        return Image3(grid, values)
     except GridError as e:
         raise MetaImageError(f"{path}: {e}") from e
+
+
+def read_volume_grid(path: str) -> Grid3:
+    """The grid of a scalar MetaImage volume, read from its header alone."""
+    grid, _, channels, _, _ = _read_header(path)
+    if channels != 1:
+        raise MetaImageError(f"{path}: expected a scalar volume, got {channels} channels")
+    return grid
 
 
 def write_volume(img: Image3, path: str) -> None:
@@ -200,13 +215,13 @@ def write_deformation(y: DeformationField, path: str) -> None:
 
 
 def read_deformation(path: str) -> DeformationField:
-    grid, arr, channels = _read_meta(path)
-    if channels != 3:
-        raise MetaImageError(f"{path}: expected a 3-channel deformation, got {channels} channels")
+    grid, arr = _read_meta(path)
+    if len(arr) != 3:
+        raise MetaImageError(f"{path}: expected a 3-channel deformation, got {len(arr)} channels")
     if arr.dtype.kind != "f":
         raise MetaImageError(f"{path}: deformation fields must be floating point")
     try:
-        return DeformationField(grid, np.moveaxis(arr, -1, 0).copy())
+        return DeformationField(grid, arr)
     except GridError as e:
         raise MetaImageError(f"{path}: {e}") from e
 

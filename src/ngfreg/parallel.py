@@ -30,24 +30,29 @@ before the call returns or raises: no thread outlives its call.
 The NGF sweep makes hundreds of numpy calls of tens of microseconds per
 chunk, and threads running it spend their time handing the interpreter lock
 to each other. So its slabs run in processes instead (ProcessGroup): the
-caller runs the first slab itself, and each other slab runs in a child
-forked from it, which inherits the sweep's inputs copy-on-write and exchanges
-its data through one anonymous shared mapping (shared_arrays). A child starts
-no helper thread and no nested group (can_fork is false in it), closes the
-pipes of every other group, writes nothing to stdout or stderr, ignores
-SIGINT and ends only through os._exit, so it never flushes the caller's
-copied stdio buffers or runs its exit handlers; it exits when its pipe from
-the caller reaches end of file, so also when the caller dies.
+caller runs the first slab itself, and each other slab runs in a daemonic
+child of multiprocessing's fork context, which inherits the sweep's inputs
+copy-on-write and exchanges its data through one anonymous shared mapping
+(shared_arrays); one connection per child carries its go messages and its
+replies. multiprocessing flushes the caller's stdout and stderr before each
+fork, so a child never writes the caller's buffered output again. A
+daemonic process may start no children, so a sweep in a Pool's worker, say,
+runs its slabs inline. A child starts no helper thread and no nested group
+(can_fork is false in it), closes the caller's connections of every group,
+its own included, writes nothing to stdout or stderr and ignores SIGINT; it
+exits when its connection to the caller reaches end of file, so also when
+the caller dies, or, at interpreter exit, when multiprocessing's exit hook
+sends it SIGTERM.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+import multiprocessing
 import os
 import pickle
 import signal
-import struct
 import threading
 import traceback
 import weakref
@@ -119,9 +124,11 @@ def workspace() -> Workspace:
 
 
 def can_fork() -> bool:
-    """Whether a call here may fork a ProcessGroup: os.fork exists and this
-    thread runs no lane of a slab call and is no forked child."""
-    return hasattr(os, "fork") and not getattr(_local, "inline", False)
+    """Whether a call here may fork a ProcessGroup: os.fork exists, this
+    thread runs no lane of a slab call and is no forked child, and this is no
+    daemonic multiprocessing process (a Pool's worker, say), which may start none."""
+    return (hasattr(os, "fork") and not getattr(_local, "inline", False)
+            and not multiprocessing.current_process().daemon)
 
 
 def _run_all(calls, workers: int) -> list:
@@ -210,11 +217,9 @@ def shared_arrays(specs) -> list[np.ndarray]:
             for (shape, dtype), offset in zip(specs, offsets)]
 
 
-# The caller's ends of the pipes of every open ProcessGroup of this process;
-# a child closes them, so that only the caller holds them.
-_group_fds: set[int] = set()
-
-_GO, _DONE, _ERROR = b"g", b"d", b"e"
+# The caller's connections of every open ProcessGroup of this process; a
+# child closes them, so that only the caller holds them.
+_caller_ends = weakref.WeakSet()
 
 
 class ProcessGroup:
@@ -223,43 +228,36 @@ class ProcessGroup:
 
     A task is a callable without arguments, run in the child on the memory it
     inherited at the fork: it exchanges data with the caller through
-    shared_arrays made before the fork. start() tells every child to run its
-    task; wait() waits until every child has finished it and raises the first
-    error in task order: an exception of a task, with its type, message and
-    the child's traceback as a note, or an error naming the task's `label`
-    if its child died, which wait() reaps before it closes the group. Pipes
-    carry one-byte go and done messages, and the pickled exception of a
-    failed task. close() ends and reaps every child: each exits when its pipe
-    from the caller reaches end of file. A group that is never closed is
-    closed when it is garbage-collected or at interpreter exit.
+    shared_arrays made before the fork. Each child is a daemonic process of
+    multiprocessing's fork context with one connection to the caller, and
+    multiprocessing flushes the caller's stdout and stderr before each fork.
+    start() sends every child an empty go message; wait() receives, in task
+    order, None or the exception of each child's task and raises the first
+    error: an exception of a task, with its type, message and the child's
+    traceback as a note, or an error naming the task's `label` if its child
+    died, which wait() joins before it closes the group. close() ends and
+    joins every child: each exits when its connection to the caller reaches
+    end of file. A group that is never closed is closed when it is
+    garbage-collected or at interpreter exit, where multiprocessing's exit
+    hook may end its children with SIGTERM first.
     """
 
     def __init__(self, tasks, labels):
+        context = multiprocessing.get_context("fork")
         self._labels = list(labels)
-        self._children: list[tuple[int, int, int]] = []  # (pid, go fd, done fd)
+        self._children = []  # (process, the caller's connection)
         self._close = weakref.finalize(self, _close_children, self._children, os.getpid())
         try:
             for task in tasks:
-                self._fork(task)
+                conn, child_conn = context.Pipe()
+                _caller_ends.add(conn)  # the child closes its copy too
+                process = context.Process(target=_child, args=(task, child_conn), daemon=True)
+                process.start()
+                child_conn.close()
+                self._children.append((process, conn))
         except BaseException:
             self.close()
             raise
-
-    def _fork(self, task) -> None:
-        go_r, go_w = os.pipe()
-        done_r, done_w = os.pipe()
-        try:
-            pid = os.fork()
-        except BaseException:
-            for fd in (go_r, go_w, done_r, done_w):
-                os.close(fd)
-            raise
-        if pid == 0:
-            _child(task, go_r, done_w, (go_w, done_r))  # never returns
-        os.close(go_r)
-        os.close(done_w)
-        self._children.append((pid, go_w, done_r))
-        _group_fds.update((go_w, done_r))
 
     @property
     def closed(self) -> bool:
@@ -267,10 +265,10 @@ class ProcessGroup:
 
     def start(self) -> None:
         """Tell every child to run its task once."""
-        for _, go, _ in self._children:
+        for _, conn in self._children:
             try:
-                os.write(go, _GO)
-            except BrokenPipeError:  # it died: wait() reports it
+                conn.send_bytes(b"")
+            except ConnectionError:  # it died: wait() reports it
                 pass
 
     def wait(self) -> None:
@@ -278,25 +276,23 @@ class ProcessGroup:
         A child that died, or a wait cut short, closes the group."""
         errors, died = [], False
         try:
-            for i, (pid, _, done) in enumerate(self._children):
-                reply = os.read(done, 1)
-                if reply == _DONE:
-                    continue
-                if reply == _ERROR:
-                    (n,) = struct.unpack("<Q", _read_exactly(done, 8))
-                    exc = pickle.loads(_read_exactly(done, n))
-                    exc.add_note(f"raised in the worker process for {self._labels[i]}")
-                else:  # end of file: the child is gone
+            for i, (process, conn) in enumerate(self._children):
+                try:
+                    exc = conn.recv()
+                except (EOFError, ConnectionError):  # the child is gone
                     died = True
-                    _, status = os.waitpid(pid, 0)
-                    self._children[i] = (0, *self._children[i][1:])  # reaped
-                    code = os.waitstatus_to_exitcode(status)
+                    process.join()
+                    code = process.exitcode
                     how = (f"was killed by signal {-code}" if code < 0
                            else f"exited with status {code}")
                     exc = RuntimeError(f"the worker process for {self._labels[i]} {how}")
+                else:
+                    if exc is None:
+                        continue
+                    exc.add_note(f"raised in the worker process for {self._labels[i]}")
                 errors.append(exc)
         except BaseException:
-            self.close()  # replies may be left unread in the pipes
+            self.close()  # replies may be left unread in the connections
             raise
         if died:
             self.close()
@@ -304,70 +300,47 @@ class ProcessGroup:
             raise errors[0]
 
     def close(self) -> None:
-        """End and reap every child; the group cannot be started again."""
+        """End and join every child; the group cannot be started again."""
         self._close()
 
 
-def _read_exactly(fd: int, n: int) -> bytes:
-    parts = []
-    while n:
-        part = os.read(fd, n)
-        if not part:
-            raise EOFError("a worker process closed its pipe inside a message")
-        parts.append(part)
-        n -= len(part)
-    return b"".join(parts)
-
-
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
 def _close_children(children: list, owner: int) -> None:
-    """Close the caller's pipe ends, so each child reads end of file and exits,
-    then reap the children. Only the process that forked them does this."""
+    """Close the caller's connections, so each child reads end of file and
+    exits, then join the children. Only the process that forked them does this."""
     if os.getpid() != owner:
         return
-    for _, go, done in children:
-        for fd in (go, done):
-            os.close(fd)
-            _group_fds.discard(fd)
-    for pid, _, _ in children:
-        if pid:
-            os.waitpid(pid, 0)
+    for _, conn in children:
+        conn.close()
+    for process, _ in children:
+        process.join()
     children.clear()
 
 
-def _child(task, go: int, done: int, caller_fds) -> None:
-    """The body of a forked child: run the task on each go message until end of
-    file, reply done or the pickled exception, and leave through os._exit."""
-    status = 1
-    try:
-        for fd in (*caller_fds, *_group_fds):
-            os.close(fd)
-        _group_fds.clear()
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, 1)
-        os.dup2(devnull, 2)
-        os.close(devnull)
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles an interrupt
-        _local.inline = True
-        _local.workspace = None  # the caller's buffer stays the caller's
-        while os.read(go, 1):
+def _child(task, conn) -> None:
+    """The body of a child: run the task on each go message until end of file,
+    and reply None or the exception."""
+    for end in _caller_ends:
+        end.close()
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.dup2(devnull, 2)
+    os.close(devnull)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles an interrupt
+    _local.inline = True
+    _local.workspace = None  # the caller's buffer stays the caller's
+    while True:
+        try:
+            conn.recv_bytes()
+        except EOFError:  # the caller closed the group, or died
+            return
+        reply = None
+        try:
+            task()
+        except Exception as exc:
+            exc.add_note("in the worker process:\n" + "".join(traceback.format_exception(exc)))
+            reply = exc
             try:
-                task()
-                reply = _DONE
-            except Exception as exc:
-                exc.add_note("in the worker process:\n" + "".join(traceback.format_exception(exc)))
-                try:
-                    payload = pickle.dumps(exc)
-                    pickle.loads(payload)  # the caller must be able to load it
-                except Exception:
-                    payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-                reply = _ERROR + struct.pack("<Q", len(payload)) + payload
-            _write_all(done, reply)
-        status = 0
-    finally:
-        os._exit(status)
+                pickle.loads(pickle.dumps(exc))  # the caller must be able to load it
+            except Exception:
+                reply = RuntimeError(f"{type(exc).__name__}: {exc}")
+        conn.send(reply)

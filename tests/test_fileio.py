@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ngfreg.fileio import (
     read_deformation,
     read_landmarks,
     read_volume,
+    read_volume_grid,
     write_deformation,
     write_volume,
 )
@@ -88,6 +90,33 @@ def test_truncated_payload_rejected(tmp_path):
     open(path, "wb").write(data[:-16])
     with pytest.raises(MetaImageError, match="truncated"):
         read_volume(path)
+
+
+def test_read_volume_reads_into_one_allocation(tmp_path):
+    # the payload is read a z-plane at a time into the volume's array: no copy
+    # of the file's bytes is held next to it
+    g = _grid((96, 96, 96))
+    path = str(tmp_path / "big.mha")
+    write_volume(smooth_random_volume(g, seed=1), path)
+    volume = g.num_points * 8
+    tracemalloc.start()
+    try:
+        assert read_volume(path).values.nbytes == volume
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * volume, f"peak of {peak / volume:.2f} volumes"
+
+
+def test_volume_grid_is_read_from_the_header(tmp_path):
+    g = _grid((5, 4, 3), (0.7, 1.25, 2.5), (-1.5, 0.25, 3.0))
+    path = tmp_path / "vol.mha"
+    write_volume(smooth_random_volume(g, seed=1), str(path))
+    path.write_bytes(path.read_bytes()[:-16])  # a truncated payload is not read
+    assert read_volume_grid(str(path)) == g
+    write_deformation(make_identity(g), str(path))
+    with pytest.raises(MetaImageError, match="channels"):
+        read_volume_grid(str(path))
 
 
 def test_bad_headers_rejected(tmp_path):

@@ -1,4 +1,5 @@
 import gc
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -221,6 +222,23 @@ def test_children_of_a_collected_objective_are_reaped(one_plane_chunks, forks):
     assert_reaped(forks)
 
 
+def test_closing_one_objective_leaves_another_s_children_alive(one_plane_chunks, forks):
+    # each child holds none of the caller's connections of the other group, so
+    # closing the first objective ends its child while the second's lives on
+    (first, x), (second, _) = _objective(2), _objective(2)
+    first(x)
+    second(x)
+    assert len(forks) == 2
+    closer = threading.Thread(target=first.close, daemon=True)
+    closer.start()
+    closer.join(timeout=10)
+    assert not closer.is_alive(), "close() of the first objective did not return"
+    assert_reaped(forks[:1])
+    assert os.waitpid(forks[1], os.WNOHANG) == (0, 0)  # alive, and not reaped here
+    second.close()
+    assert_reaped(forks)
+
+
 def test_bare_call_reaps_its_children(one_plane_chunks, forks):
     obj, x = _objective(2)
     grid = obj.plan.def_grid
@@ -244,6 +262,34 @@ def test_sweep_on_a_helper_thread_runs_inline(one_plane_chunks, forks):
     assert sorted(t is threading.current_thread() for t in threads) == [False, True]
     assert forks == []  # neither on the helper nor on the caller while it lives
     assert D1 == D2 and g1.field.tobytes() == g2.field.tobytes()
+
+
+def _sweep(workers):
+    """D and the gradient's bytes of a sweep of an _objective(2)'s point."""
+    obj, x = _objective(2)
+    grid = obj.plan.def_grid
+    y = DeformationField(grid, x.reshape((3,) + grid.shape))
+    D, g = distance_and_gradient(y, obj.ref, obj.template, obj.plan, obj.params, workers=workers)
+    return D, g.field.tobytes()
+
+
+def _sweep_and_send(conn, forks):
+    conn.send((*_sweep(2), len(forks)))
+
+
+def test_sweep_in_a_daemonic_process_runs_inline(one_plane_chunks, forks):
+    # multiprocessing lets no daemonic process, a Pool's worker say, start children
+    context = multiprocessing.get_context("fork")
+    conn, child_conn = context.Pipe()
+    process = context.Process(target=_sweep_and_send, args=(child_conn, forks), daemon=True)
+    process.start()
+    child_conn.close()
+    assert conn.poll(60), "the daemonic process sent no result"
+    D, g, child_forks = conn.recv()
+    process.join(timeout=60)
+    assert not process.is_alive()
+    assert child_forks == 0 and len(forks) == 1  # the daemonic process only
+    assert (D, g) == _sweep(1)
 
 
 def test_no_helper_thread_outlives_its_call(one_plane_chunks, helpers):
