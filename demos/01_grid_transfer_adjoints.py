@@ -56,8 +56,9 @@ for variant in ("gather", "scatter", "redblack"):
     print(f"  <Pu, z> - <u, P^T z>  ({variant:8s}) = "
           f"{inner_fine - inner_coarse:+.3e}")
 
-# --- determinism: the gather variant is bitwise thread-invariant ----------
-base = apply_Pt(z, plan, "gather", workers=1).field
-same = all(np.array_equal(apply_Pt(z, plan, "gather", workers=w).field, base)
-           for w in (2, 4, 8))
-print("gather P^T bit-identical for 1/2/4/8 workers:", same)
+# --- determinism: every P^T variant is bitwise thread-invariant -----------
+for variant in ("gather", "scatter", "redblack"):
+    base = apply_Pt(z, plan, variant, workers=1).field
+    same = all(np.array_equal(apply_Pt(z, plan, variant, workers=w).field, base)
+               for w in (2, 4, 8))
+    print(f"{variant} P^T bit-identical for 1/2/4/8 workers:", same)

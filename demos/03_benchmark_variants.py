@@ -3,12 +3,11 @@
 The harness refuses to publish timings unless the three P^T variants agree
 numerically on the same inputs first -- a broken-but-fast kernel should
 never look like a win. Checksums in the table make determinism visible
-at a glance: for the variants the README table lists as bit-identical for
-any worker count (gather and redblack, and the operations built on gather),
-identical checksum means identical bits across runs and worker counts.
-scatter adds under a lock in thread order, so its checksums can differ
-between worker counts and between runs; it is only guaranteed to agree
-with gather up to floating-point reassociation, which the gate checks.
+at a glance: every P^T variant, and every operation built on them, is
+bit-identical for any worker count (README), so identical checksum means
+identical bits across runs and worker counts. The variants sum in
+different orders, so they agree with each other only up to floating-point
+reassociation, which the gate checks.
 
 The worker count is a cap: no slab gets less work than one chunk of whole
 z-planes (about 32k voxels). The 32^3 case here is one such chunk per
@@ -29,7 +28,7 @@ records = run_benchmark(
 print(format_table(records))
 
 print()
-for variant in ("gather", "redblack"):
+for variant in ("gather", "scatter", "redblack"):
     per_precision = {}
     for r in records:
         if r.operation == "apply_Pt" and r.variant == variant:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Grid3, precision_dtype
+from .geometry import Grid3, VectorField3, precision_dtype
 from .lbfgs import LbfgsConfig
 from .multilevel import MultilevelConfig, deformation_grid_for, register
 from .ngf import NgfParams, SweepChildren, distance_and_gradient
@@ -54,31 +54,23 @@ def _time(fn, reps: int):
     return out, min(times), float(np.median(times))
 
 
-def verify_variant_agreement(dims, seed: int = 0, rel_tol: float = 1e-12, *,
-                             workers_list=(1,)) -> None:
-    """Cross-check all P^T variants in double precision; raise on disagreement.
-
-    scatter and redblack run at every count in ``workers_list`` and are
-    compared with single-worker gather, so the threaded paths (scatter's
-    lock included) meet the same tolerance.
-    """
+def verify_variant_agreement(dims, seed: int = 0, rel_tol: float = 1e-12) -> None:
+    """Cross-check all P^T variants in double precision against gather;
+    raise on disagreement."""
     image_grid = Grid3(dims, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     def_grid = deformation_grid_for(image_grid, 4)
     plan = build_gather_plan(def_grid, image_grid)
     rng = np.random.default_rng(seed)
-    from .geometry import VectorField3
-
     r = VectorField3(image_grid, rng.standard_normal((3,) + image_grid.shape))
     ref = apply_Pt(r, plan, "gather").field
     scale = np.max(np.abs(ref)) + 1.0
-    for w in workers_list:
-        for name in ("scatter", "redblack"):
-            diff = np.max(np.abs(apply_Pt(r, plan, name, w).field - ref))
-            if diff > rel_tol * scale:
-                raise VariantDisagreement(
-                    f"P^T variant {name} with {w} workers deviates from gather "
-                    f"by {diff:.3e} (tolerance {rel_tol * scale:.3e}) on dims {dims}"
-                )
+    for name in ("scatter", "redblack"):
+        diff = np.max(np.abs(apply_Pt(r, plan, name).field - ref))
+        if diff > rel_tol * scale:
+            raise VariantDisagreement(
+                f"P^T variant {name} deviates from gather by {diff:.3e} "
+                f"(tolerance {rel_tol * scale:.3e}) on dims {dims}"
+            )
 
 
 def _check_reps(reps: int) -> None:
@@ -106,7 +98,7 @@ def run_benchmark(
     _check_reps(reps)
     if workers_list is None:
         workers_list = tuple(dict.fromkeys((1, os.cpu_count() or 1)))
-    verify_variant_agreement(dims, seed, workers_list=workers_list)
+    verify_variant_agreement(dims, seed)
 
     records = []
     dims = tuple(dims)

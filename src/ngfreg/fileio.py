@@ -179,7 +179,8 @@ def _write_meta(path: str, grid: Grid3, arr: np.ndarray, channels: int) -> None:
     header += [f"ElementType = {name}", "ElementDataFile = LOCAL"]
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        for plane in arr:  # a z-plane at a time: at most one plane is copied
+            fh.write(np.ascontiguousarray(plane, dtype=dtype))
 
 
 def read_volume(path: str, promote_dtype=np.float64) -> Image3:
@@ -234,22 +235,25 @@ def read_landmarks(path: str, frame: str, image_grid: Grid3) -> LandmarkSet:
     """
     if frame not in ("index1", "index0", "world"):
         raise ValueError(f"unknown landmark frame {frame!r}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:  # a ValueError, which would read as a numeric failure
+        raise LandmarkFileError(f"{path}: not a UTF-8 text file") from None
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise LandmarkFileError(f"{path}:{lineno}: expected 3 values, got {len(parts)}")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError:
-                raise LandmarkFileError(f"{path}:{lineno}: non-numeric landmark entry") from None
-            if not np.all(np.isfinite(row)):
-                raise LandmarkFileError(f"{path}:{lineno}: non-finite landmark entry")
-            rows.append(row)
+    for lineno, line in enumerate(lines, 1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            raise LandmarkFileError(f"{path}:{lineno}: expected 3 values, got {len(parts)}")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise LandmarkFileError(f"{path}:{lineno}: non-numeric landmark entry") from None
+        if not np.all(np.isfinite(row)):
+            raise LandmarkFileError(f"{path}:{lineno}: non-finite landmark entry")
+        rows.append(row)
     pts = np.array(rows, dtype=np.float64).reshape(-1, 3)
     if frame != "world":
         base = 1.0 if frame == "index1" else 0.0

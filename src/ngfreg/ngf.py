@@ -144,7 +144,7 @@ def distance_and_gradient(
     fork, a child process runs each other slab. `children` keeps those
     processes between calls (a LevelObjective's); without it the call forks
     its own and reaps them before it returns. The variant's z schedule of
-    P^T then runs once. A non-finite D or xy reduction raises
+    P^T then runs once, on the caller. A non-finite D or xy reduction raises
     FloatingPointError.
 
     Every plane gets the same operations in the same order as on whole
@@ -182,7 +182,7 @@ def distance_and_gradient(
     # so D, non-finite; the template's partials reach only the gradient, via xy
     if not (np.isfinite(D) and np.isfinite(xy).all()):
         raise FloatingPointError("non-finite template gradient or reference gradient")
-    return D, _reduce_z(xy, plan, z_schedule, workers)
+    return D, _reduce_z(xy, plan, z_schedule)
 
 
 class SweepChildren:

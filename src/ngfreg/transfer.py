@@ -22,29 +22,32 @@ either. (BLAS dot products are another matter; see lbfgs._dot.)
 Its exact transpose P^T has one xy reduction: the input is contracted along
 x, then y, per chunk of whole image z-planes, into a small
 (3, nz_image, ny_def, nx_def) buffer. Three schedules then accumulate that
-buffer along z; they are the strategies the matrix-free scheme compares:
+buffer along z, in the orders of the strategies the matrix-free scheme
+compares:
 
 * gather      -- each block of output z-planes is one product of the z
-                 blocks with its image planes, on the caller; conflict-free
-                 and bit-identical for any worker count.
-* scatter     -- parallel over image planes, each added into the two output
-                 planes it feeds under a lock (the atomic-add style).
+                 blocks with its image planes.
+* scatter     -- each image plane, in order, added into the two output
+                 planes it feeds (the atomic-add style).
 * redblack    -- image planes grouped by the lower output plane they feed;
-                 groups of alternating parity run without write conflicts.
+                 the groups of even parity first, then the odd ones, so
+                 groups of one parity never write the same plane.
 
-The NGF sweep reduces its own chunks into that buffer and then runs the
-variant's schedule once.
+All three run on the caller, in the order above, so each is bit-identical
+for any worker count and chunk size. (On two cores, threads never paid for
+them: the scatter and redblack z steps were no faster at 2 workers than at 1
+at 128^3 and 256^3.) The NGF sweep reduces its own chunks into that buffer
+and then runs the variant's schedule once.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import Grid3, GridError, VectorField3
-from .parallel import Workspace, run_planes, run_slabs, workspace
+from .parallel import Workspace, run_planes, workspace
 
 __all__ = [
     "GatherPlan",
@@ -84,10 +87,11 @@ class AxisBlocks:
     """The 1-D factor F of P along one axis, in one dtype, cut into dense blocks.
 
     reduce holds (d, s, B) for P^T: coarse points d take image points s.
-    interp holds (i, c, A) for P: image points i take coarse points c. The
-    slices d and i each partition their axis. Along x, numpy's last axis, a
-    plane is multiplied from the right: B = F[s, d] and A = F[i, c]^T. Along
-    y and z it is multiplied from the left: B = F[s, d]^T and A = F[i, c].
+    interp holds (i, c, A) for P: image points i take coarse points c; it is
+    empty along z, where P reads the z band. The slices d and i each
+    partition their axis. Along x, numpy's last axis, a plane is multiplied
+    from the right: B = F[s, d] and A = F[i, c]^T. Along y and z it is
+    multiplied from the left: B = F[s, d]^T and A = F[i, c].
     """
 
     size: int       # image points on the axis
@@ -111,8 +115,7 @@ class GatherPlan:
         w = self._cast.get(dtype)
         if w is None:
             nd = self.def_grid.dims
-            blocks = tuple(_axis_blocks(*self.transfers[a], nd[a], dtype, last=a == 0)
-                           for a in range(3))
+            blocks = tuple(_axis_blocks(*self.transfers[a], nd[a], dtype, a) for a in range(3))
             i0, w1 = self.transfers[2]
             w = self._cast[dtype] = blocks + ((i0, i0 + 1, 1 - w1.astype(dtype), w1.astype(dtype)),)
         return w
@@ -136,9 +139,9 @@ def _axis_factor(i0: np.ndarray, w1: np.ndarray, nd: int) -> np.ndarray:
 _BLOCK = 8
 
 
-def _axis_blocks(i0: np.ndarray, w1: np.ndarray, nd: int, dtype, last: bool) -> AxisBlocks:
-    """The AxisBlocks of the factor of (i0, w1) in dtype; `last` is whether the
-    axis is numpy's last (x) rather than y or z."""
+def _axis_blocks(i0: np.ndarray, w1: np.ndarray, nd: int, dtype, axis: int) -> AxisBlocks:
+    """The AxisBlocks of the factor of (i0, w1) in dtype along `axis` (0 is x,
+    numpy's last axis; 2 is z)."""
     F = _axis_factor(i0, w1, nd).astype(dtype)
     reduce, interp = [], []
     for d0 in range(0, nd, _BLOCK):
@@ -149,8 +152,9 @@ def _axis_blocks(i0: np.ndarray, w1: np.ndarray, nd: int, dtype, last: bool) -> 
                        ((d0 - 1, "left"), (d0, "left"), (d1 - 1, "right")))
         d, s, i, c = slice(d0, d1), slice(lo, hi), slice(mid, hi), slice(d0, min(d1 + 1, nd))
         B, A = F[s, d], F[i, c]
-        reduce.append((d, s, np.ascontiguousarray(B if last else B.T)))
-        interp.append((i, c, np.ascontiguousarray(A.T if last else A)))
+        reduce.append((d, s, np.ascontiguousarray(B if axis == 0 else B.T)))
+        if axis != 2:
+            interp.append((i, c, np.ascontiguousarray(A.T if axis == 0 else A)))
     return AxisBlocks(len(i0), tuple(reduce), tuple(interp))
 
 
@@ -208,10 +212,10 @@ def apply_P(y: VectorField3, image_grid: Grid3, workers: int = 1) -> VectorField
     return VectorField3(image_grid, out)
 
 
-def _z_gather(xy: np.ndarray, out: np.ndarray, plan: GatherPlan, workers: int) -> None:
+def _z_gather(xy: np.ndarray, out: np.ndarray, plan: GatherPlan) -> None:
     """Each block of output z-planes d takes its image planes s in one product,
-    (len d, len s) @ (len s, nx_d) per component and coarse y row, on the
-    caller: the z blocks of the plan applied to xy's (3, ny_d, nz, nx_d) view."""
+    (len d, len s) @ (len s, nx_d) per component and coarse y row: the z
+    blocks of the plan applied to xy's (3, ny_d, nz, nx_d) view."""
     X, O = xy.swapaxes(1, 2), out.swapaxes(1, 2)
     for d, s, B in plan.weights(xy.dtype)[2].reduce:
         np.matmul(B, X[..., s, :], out=O[..., d, :])
@@ -227,34 +231,21 @@ def _add_plane(out: np.ndarray, xy: np.ndarray, k: int, band) -> None:
         out[:, d0 + 1] += w1[k] * xy[:, k]
 
 
-def _z_scatter(xy: np.ndarray, out: np.ndarray, plan: GatherPlan, workers: int) -> None:
-    """Slabs of image planes add into shared output planes under one lock."""
-    lock = threading.Lock()
+def _z_scatter(xy: np.ndarray, out: np.ndarray, plan: GatherPlan) -> None:
+    """Each image plane, in order, adds into the output planes it feeds."""
     band = plan.weights(xy.dtype)[3]
-
-    def do_slab(lo, hi):
-        for k in range(lo, hi):
-            with lock:
-                _add_plane(out, xy, k, band)
-
-    run_slabs(do_slab, xy.shape[1], xy[0, 0].size, workers)
+    for k in range(xy.shape[1]):
+        _add_plane(out, xy, k, band)
 
 
-def _z_redblack(xy: np.ndarray, out: np.ndarray, plan: GatherPlan, workers: int) -> None:
+def _z_redblack(xy: np.ndarray, out: np.ndarray, plan: GatherPlan) -> None:
     """Image planes grouped by the lower output plane d0 they feed; a group
-    writes planes d0 and d0 + 1 only, so groups of one parity of d0 run
-    concurrently, even ones first."""
+    writes planes d0 and d0 + 1 only, so the groups of one parity of d0 never
+    meet. The groups of even d0 run first, then the odd ones, each group's
+    planes in order (i0 ascends with the image plane)."""
     band = plan.weights(xy.dtype)[3]
-    i0 = band[0]
-    for parity in (0, 1):
-        color = [d for d in np.unique(i0) if d % 2 == parity]
-
-        def do_slab(lo, hi):
-            for d0 in color[lo:hi]:
-                for k in np.flatnonzero(i0 == d0):
-                    _add_plane(out, xy, k, band)
-
-        run_slabs(do_slab, len(color), xy[0, 0].size, workers)
+    for k in np.argsort(band[0] % 2, kind="stable"):
+        _add_plane(out, xy, k, band)
 
 
 _Z_SCHEDULES = {"gather": _z_gather, "scatter": _z_scatter, "redblack": _z_redblack}
@@ -282,22 +273,17 @@ def _reduce_xy(r: np.ndarray, plan: GatherPlan, out: np.ndarray, ws: Workspace) 
             np.matmul(B, rx[..., s, :], out=out[..., d, :])
 
 
-def _reduce_z(xy: np.ndarray, plan: GatherPlan, z_schedule, workers: int) -> VectorField3:
-    """P^T from the xy-reduced buffer (3, nz_image, ny_d, nx_d): the z schedule.
-
-    gather runs on the caller. scatter and redblack tell run_slabs that an
-    index is one xy plane of work; for redblack that is a lower bound, as a
-    group adds about grid-ratio planes, so at the default grid ratio it runs
-    inline up to 128^3. On a 2-core machine, f64 with 2 workers, inline
-    against two slabs: redblack 0.62 vs 1.1 ms at 64^3 and 2.2 vs 3.7 ms at
-    128^3."""
+def _reduce_z(xy: np.ndarray, plan: GatherPlan, z_schedule) -> VectorField3:
+    """P^T from the xy-reduced buffer (3, nz_image, ny_d, nx_d): the z
+    schedule, on the caller."""
     out = np.zeros((3,) + plan.def_grid.shape, dtype=xy.dtype)
-    z_schedule(xy, out, plan, workers)
+    z_schedule(xy, out, plan)
     return VectorField3(plan.def_grid, out)
 
 
 def apply_Pt(r: VectorField3, plan: GatherPlan, variant: str = "gather", workers: int = 1) -> VectorField3:
-    """P^T r: the plan's xy reduction, then the variant's z schedule."""
+    """P^T r: the plan's xy reduction, on `workers` threads, then the
+    variant's z schedule on the caller."""
     z_schedule = _z_schedule(variant)
     if r.grid != plan.image_grid:
         raise GridError("input field grid does not match the plan's image grid")
@@ -309,7 +295,7 @@ def apply_Pt(r: VectorField3, plan: GatherPlan, variant: str = "gather", workers
             _reduce_xy(r.field[:, k0:k1], plan, xy[:, k0:k1], ws)
 
     run_planes(reduce_xy, nz, ny * nx, workers)
-    return _reduce_z(xy, plan, z_schedule, workers)
+    return _reduce_z(xy, plan, z_schedule)
 
 
 def dense_P_oracle(def_grid: Grid3, image_grid: Grid3) -> np.ndarray:

@@ -272,6 +272,23 @@ def test_evaluate_bad_landmarks_is_io_error(pair, tmp_path, capsys):
         assert f"error: {lm}:{line}: " in capsys.readouterr().err
 
 
+def test_evaluate_non_text_landmarks_is_io_error(pair, tmp_path, capsys):
+    # a decoding error is a ValueError, which alone would exit as numeric
+    g, rp, tp = pair
+    ypath = str(tmp_path / "id.mha")
+    from ngfreg.multilevel import deformation_grid_for
+
+    write_deformation(make_identity(deformation_grid_for(g, 4)), ypath)
+    lm = str(tmp_path / "lm.txt")
+    with open(lm, "wb") as fh:
+        fh.write(b"1 2 3\n\xff\xfe 5 6\n")
+    rc = main(["evaluate", "--deformation", ypath,
+               "--landmarks-ref", lm, "--landmarks-template", lm,
+               "--image-grid-from", rp, "--frame", "index1"])
+    assert rc == EXIT_IO
+    assert f"error: {lm}: not a UTF-8 text file" in capsys.readouterr().err
+
+
 def test_benchmark_smoke(tmp_path, capsys):
     out = str(tmp_path / "bench.tsv")
     rc = main(["benchmark", "--dims", "12,12,12", "--threads", "1",

@@ -108,6 +108,23 @@ def test_read_volume_reads_into_one_allocation(tmp_path):
     assert peak <= 1.25 * volume, f"peak of {peak / volume:.2f} volumes"
 
 
+def test_writes_hold_at_most_a_plane_copy(tmp_path):
+    # the payload is written a z-plane at a time: a scalar volume is written
+    # from its own bytes, an interleaved field from one plane's copy
+    g = _grid((96, 96, 96))
+    img = smooth_random_volume(g, seed=1)
+    y = make_identity(g)
+    for write, data, size in ((write_volume, img, img.values.nbytes),
+                              (write_deformation, y, y.field.nbytes)):
+        tracemalloc.start()
+        try:
+            write(data, str(tmp_path / "out.mha"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * size, f"{write.__name__} peak of {peak / size:.2f} arrays"
+
+
 def test_volume_grid_is_read_from_the_header(tmp_path):
     g = _grid((5, 4, 3), (0.7, 1.25, 2.5), (-1.5, 0.25, 3.0))
     path = tmp_path / "vol.mha"

@@ -156,15 +156,15 @@ def test_variants_and_workers_agree(rng, one_plane_chunks):
                          + 0.5 * rng.standard_normal((3,) + gd.shape))
     with default_chunks():  # the whole grid in one chunk
         D0, g0 = distance_and_gradient(y, R, T, plan, params, "gather", workers=1)
+    scale = np.abs(g0.field).max() + 1e-30
     for variant in ("gather", "scatter", "redblack"):
-        for w in (1, 4):
-            D, gv = distance_and_gradient(y, R, T, plan, params, variant, workers=w)
-            assert D == D0
-            scale = np.abs(g0.field).max() + 1e-30
-            if variant == "gather":
-                assert np.array_equal(gv.field, g0.field)
-            else:
-                assert np.max(np.abs(gv.field - g0.field)) <= 1e-12 * scale
+        D1, g1 = distance_and_gradient(y, R, T, plan, params, variant, workers=1)
+        D4, g4 = distance_and_gradient(y, R, T, plan, params, variant, workers=4)
+        assert D1 == D4 == D0
+        assert np.array_equal(g4.field, g1.field)
+        assert np.max(np.abs(g1.field - g0.field)) <= 1e-12 * scale
+        if variant == "gather":
+            assert np.array_equal(g1.field, g0.field)
     assert max(one_plane_chunks) >= 2
 
 
@@ -276,21 +276,17 @@ def test_sweep_equals_layer_by_layer_chain(rng, monkeypatch, dims, def_dims):
     plan = build_gather_plan(gd, gi)
     plane = dims[0] * dims[1]
     chunks = (parallel._CHUNK_VOXELS, 2 * plane, plane)
-    for dtype, d_tol, scatter_tol in ((np.float64, 1e-13, 1e-12), (np.float32, 1e-6, 1e-5)):
+    for dtype, d_tol in ((np.float64, 1e-13), (np.float32, 1e-6)):
         Rd, Td = R.astype(dtype), T.astype(dtype)
         y = DeformationField(gd, field.astype(dtype))
         for variant in PT_VARIANTS:
             D_ref, g_ref = _layered_chain(y, Rd, Td, plan, params, variant, 1)
-            scale = np.abs(g_ref).max()
             for chunk in chunks:
                 monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunk)
                 for w in (1, 2, 3):
                     D, g = distance_and_gradient(y, Rd, Td, plan, params, variant, w)
                     assert abs(D - D_ref) <= d_tol * abs(D_ref)
-                    if variant == "scatter" and w > 1:  # its lock order reassociates
-                        assert np.abs(g.field - g_ref).max() <= scatter_tol * scale
-                    else:
-                        assert g.field.tobytes() == g_ref.tobytes()
+                    assert g.field.tobytes() == g_ref.tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -23,3 +23,14 @@ def test_reg48_runs_once_and_passes_its_checks():
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     assert last["correct"] is True
     assert last["failed"] == 0
+
+
+def test_reg64_gates_pass_with_two_workers():
+    # reg64 runs 2 workers, so its adjoint gate reaches apply_P and apply_Pt
+    # with workers=2 for all three P^T variants, which reg48's 1 worker never does
+    proc = subprocess.run(
+        [sys.executable, "perfbench/gates.py", "--workload", "reg64", "--seed", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "workers=2" in proc.stdout
+    assert proc.stdout.count(": PASS ") == 4

@@ -63,20 +63,27 @@ def test_incompatible_grids_rejected():
         build_gather_plan(bad, gi)
 
 
-def _assembled(blocks, nd, last):
+def _assembled(blocks, nd, axis):
     """The (n_image, n_def) factor that an AxisBlocks' reduce and interp blocks
-    each cut, put back together; each must cover its own part exactly once."""
+    each cut, put back together; each must cover its own part exactly once.
+    Along z (axis 2), where P reads the z band, there are no interp blocks and
+    only the reduce factor is returned."""
+    last = axis == 0
     reduce, interp = np.zeros((blocks.size, nd)), np.zeros((blocks.size, nd))
     seen_d, seen_i = np.zeros(nd, int), np.zeros(blocks.size, int)
     for d, s, B in blocks.reduce:
         assert B.flags.c_contiguous
         reduce[s, d] = B if last else B.T
         seen_d[d] += 1
+    assert (seen_d == 1).all()
+    if axis == 2:
+        assert blocks.interp == ()
+        return (reduce,)
     for i, c, A in blocks.interp:
         assert A.flags.c_contiguous
         interp[i, c] = A.T if last else A
         seen_i[i] += 1
-    assert (seen_d == 1).all() and (seen_i == 1).all()
+    assert (seen_i == 1).all()
     return reduce, interp
 
 
@@ -84,7 +91,7 @@ def test_gather_plan_equal_grids_is_identity():
     g = _grid((3, 4, 2))
     plan = build_gather_plan(g, g)
     for a, blocks in enumerate(plan.weights(np.float64)[:3]):
-        for dense in _assembled(blocks, g.dims[a], last=a == 0):
+        for dense in _assembled(blocks, g.dims[a], a):
             assert np.array_equal(dense, np.eye(g.dims[a]))
 
 
@@ -94,7 +101,7 @@ def test_gather_plan_partition_of_unity(rng):
         plan = build_gather_plan(gd, gi)
         # along each axis each image row of the blocks sums to 1
         for a, blocks in enumerate(plan.weights(np.float64)[:3]):
-            for dense in _assembled(blocks, gd.dims[a], last=a == 0):
+            for dense in _assembled(blocks, gd.dims[a], a):
                 assert np.allclose(dense.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -110,7 +117,7 @@ def test_blocks_assemble_to_the_axis_factor(rng, dtype):
         for a, blocks in enumerate(plan.weights(dtype)[:3]):
             F = _axis_factor(*_axis_transfer(gi, gd, a), gd.dims[a]).astype(dtype)
             assert blocks.size == gi.dims[a]
-            for dense in _assembled(blocks, gd.dims[a], last=a == 0):
+            for dense in _assembled(blocks, gd.dims[a], a):
                 assert dense.astype(dtype).tobytes() == F.tobytes()
 
 
@@ -189,7 +196,7 @@ def test_adjoint_identity(rng):
 
 
 def test_gather_bit_identical_across_workers(rng, monkeypatch, one_plane_chunks):
-    # gather and redblack are bit-identical for any worker count (README);
+    # every variant is bit-identical for any worker count (README);
     # the base runs whole, in one chunk of the module's size, and a one-plane
     # chunk size also splits the xy reduction at every z-plane and lets these
     # grids of less than one module chunk run several slabs.
@@ -199,7 +206,7 @@ def test_gather_bit_identical_across_workers(rng, monkeypatch, one_plane_chunks)
     for gd, gi in (random_grid_pair(rng), (_def_grid_like(gi, (3, 2, 5)), gi)):
         plan = build_gather_plan(gd, gi)
         r = VectorField3(gi, rng.standard_normal((3,) + gi.shape))
-        for variant in ("gather", "redblack"):
+        for variant in PT_VARIANTS:
             with default_chunks():
                 base = apply_Pt(r, plan, variant, workers=1).field
             for chunk in (DEFAULT_CHUNK, 1):
