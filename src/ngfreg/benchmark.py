@@ -123,10 +123,10 @@ def run_benchmark(
                                                reps, tmin, tmed, _checksum(out.field)))
 
             # as register runs it: one set of sweep children across the calls
-            children = SweepChildren()
+            children = SweepChildren(w)
             try:
                 (D, g), tmin, tmed = _time(lambda: distance_and_gradient(
-                    y, R, T, plan, params, "gather", workers=w, children=children), reps)
+                    y, R, T, plan, params, "gather", children=children), reps)
             finally:
                 children.close()
             records.append(BenchmarkRecord("ngf_value_grad", "gather", precision, w, dims,

@@ -102,6 +102,8 @@ def _read_header(path: str):
         raise MetaImageError(f"{path}: malformed header field ({e})") from e
     if len(dims) != 3 or len(spacing) != 3 or len(origin) != 3:
         raise MetaImageError(f"{path}: DimSize/ElementSpacing/Offset must have 3 entries")
+    if channels < 1:
+        raise MetaImageError(f"{path}: ElementNumberOfChannels = {channels} must be >= 1")
     for key in _DIRECTION_KEYS:
         if key in fields:
             _check_identity_direction(path, key, fields[key])
@@ -125,11 +127,16 @@ def _read_meta(path: str):
     """Returns (grid, array) where array has shape (channels, nz, ny, nx): the
     channel-interleaved payload is read a z-plane at a time into the array."""
     grid, dtype, channels, data_path, offset = _read_header(path)
-    arr = np.empty((channels,) + grid.shape, dtype=dtype)
-    plane = np.empty(grid.shape[1:] + (channels,), dtype=dtype)
+    nbytes = channels * grid.num_points * dtype.itemsize
     got = 0
     try:
         with open(data_path, "rb") as fh:
+            held = os.fstat(fh.fileno()).st_size - offset
+            if held < nbytes:  # before anything the header asks for is allocated
+                raise MetaImageError(
+                    f"{path}: truncated payload, expected {nbytes} bytes, got {held}")
+            arr = np.empty((channels,) + grid.shape, dtype=dtype)
+            plane = np.empty(grid.shape[1:] + (channels,), dtype=dtype)
             fh.seek(offset)
             for k in range(grid.shape[0]):
                 n = fh.readinto(plane.reshape(-1).view(np.uint8))
@@ -139,7 +146,7 @@ def _read_meta(path: str):
                 arr[:, k] = np.moveaxis(plane, -1, 0)
     except OSError as e:
         raise MetaImageError(f"{path}: cannot read data file {data_path} ({e})") from e
-    if got < arr.nbytes:
+    if got < arr.nbytes:  # the file shrank while it was read
         raise MetaImageError(
             f"{path}: truncated payload, expected {arr.nbytes} bytes, got {got}")
     return grid, arr
@@ -254,7 +261,9 @@ def read_landmarks(path: str, frame: str, image_grid: Grid3) -> LandmarkSet:
         if not np.all(np.isfinite(row)):
             raise LandmarkFileError(f"{path}:{lineno}: non-finite landmark entry")
         rows.append(row)
-    pts = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    if not rows:  # an error over 0 landmarks would read as a perfect registration
+        raise LandmarkFileError(f"{path}: no landmark rows")
+    pts = np.array(rows, dtype=np.float64)
     if frame != "world":
         base = 1.0 if frame == "index1" else 0.0
         origin = np.array(image_grid.origin)

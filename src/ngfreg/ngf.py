@@ -23,9 +23,9 @@ recompute halo planes of the neighbouring slabs. The warped template
 and its partials share one window of planes, so each chunk samples the
 template once. The windows and every temporary of a chunk are arrays of the
 thread's Workspace, so once a level has been evaluated a chunk allocates
-nothing. The caller runs the first slab and a forked child process each
-other one (SweepChildren), because threads running the sweep's many small
-numpy calls mostly wait for the interpreter lock.
+nothing. Forked children of a SweepChildren run each slab after the first,
+because threads running the sweep's many small numpy calls mostly wait for
+the interpreter lock; without one the caller sweeps the whole grid.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class NgfParams:
 
 def precompute_reference_terms(R: Image3, params: NgfParams, workers: int = 1) -> Image3:
     """Returns R, which the sweep takes as it is. Kept only for perfbench/, which
-    still calls it; ROADMAP item 1 passes R there and deletes this."""
+    still calls it; ROADMAP item 2 passes R there and deletes this."""
     return R
 
 
@@ -133,18 +133,17 @@ def distance_and_gradient(
     plan: GatherPlan,
     params: NgfParams,
     pt_variant: str = "gather",
-    workers: int = 1,
     *,
     children: SweepChildren | None = None,
 ) -> tuple[float, VectorField3]:
     """NGF distance and its gradient with respect to y, in one sweep.
 
-    Each slab of the worker partition walks its chunks of whole z-planes in
-    order (_sweep_slab); the caller runs the first slab and, where it can
-    fork, a child process runs each other slab. `children` keeps those
-    processes between calls (a LevelObjective's); without it the call forks
-    its own and reaps them before it returns. The variant's z schedule of
-    P^T then runs once, on the caller. A non-finite D or xy reduction raises
+    Each slab walks its chunks of whole z-planes in order (_sweep_slab).
+    Without `children` the caller sweeps the whole grid as one slab. With
+    them (a LevelObjective's) it splits into at most children.workers slabs:
+    the caller runs the first and a kept child process each other one, or
+    the whole grid where it cannot fork. The variant's z schedule of P^T
+    then runs once, on the caller. A non-finite D or xy reduction raises
     FloatingPointError.
 
     Every plane gets the same operations in the same order as on whole
@@ -161,22 +160,14 @@ def distance_and_gradient(
         raise GridError("reference grid does not match the plan's image grid")
     dtype = y.field.dtype
     nz, ny, nx = image_grid.shape
-    step = plane_step(ny * nx)
-    slabs = slab_partition(nz, ny * nx, workers)
-    inputs = (ref, template, plan, params, step)
+    inputs = (ref, template, plan, params, plane_step(ny * nx))
+    slabs = [(0, nz)] if children is None else slab_partition(nz, ny * nx, children.workers)
     if len(slabs) > 1 and can_fork():
-        own = children is None
-        children = SweepChildren() if own else children
-        try:
-            xy, d_planes = children.sweep(y.field, inputs, slabs)
-        finally:
-            if own:
-                children.close()
+        xy, d_planes = children.sweep(y.field, inputs, slabs)
     else:
         xy = np.empty((3, nz) + plan.def_grid.shape[1:], dtype=dtype)  # P^T's xy reduction
         d_planes = np.empty(nz, dtype=dtype)                          # D's per-plane sums
-        for lo, hi in slabs:
-            _sweep_slab(y.field, *inputs, lo, hi, xy, d_planes)
+        _sweep_slab(y.field, *inputs, 0, nz, xy, d_planes)
     D = float(image_grid.cell_volume / 2 * np.sum(d_planes, dtype=dtype))
     # both norms are >= tau, rho > 0: a non-finite gT, gR or q at a voxel makes r,
     # so D, non-finite; the template's partials reach only the gradient, via xy
@@ -187,18 +178,19 @@ def distance_and_gradient(
 
 class SweepChildren:
     """The child processes that run the NGF sweep's slabs after the first, kept
-    between calls of distance_and_gradient on one level.
-
-    It forks at the first call that has more than one slab, one child per
-    slab after the first, and again when a call's inputs, dtype or slab
-    partition differ from those it forked with. Each child inherits the
-    images and the plan copy-on-write, so they must not change in place while
-    it has children. One shared mapping carries y to the children and their
-    planes of P^T's xy reduction and of D's per-plane sums back, so it serves
-    one call at a time. close() ends the children; a later call forks again.
+    between calls of distance_and_gradient on one level: no sweep forks without
+    them. A call's grid splits into at most `workers` slabs; it forks at the
+    first call that has more than one slab, one child per slab after the first,
+    and again when a call's inputs, dtype or slab partition differ from those
+    it forked with. Each child inherits the images and the plan copy-on-write,
+    so they must not change in place while it has children. One shared mapping
+    carries y to the children and their planes of P^T's xy reduction and of D's
+    per-plane sums back, so it serves one call at a time. close() ends the
+    children; a later call forks again.
     """
 
-    def __init__(self):
+    def __init__(self, workers: int = 1):
+        self.workers = workers
         self._key = None
         self._group: ProcessGroup | None = None
         self._shared = ()

@@ -27,10 +27,10 @@ class LevelObjective:
     seconds of the distance and of the curvature term to their totals.
 
     With more than one worker, its first evaluation whose sweep has more than
-    one slab forks the sweep's child processes, which it keeps for the later
-    ones (ngf.SweepChildren): the images must not change in place while it has
-    them. close() ends them; an objective that is never closed ends them when
-    it is garbage-collected or at interpreter exit."""
+    one slab forks the sweep's child processes, SweepChildren(workers), which
+    it keeps for the later ones: the images must not change in place while it
+    has them. close() ends them; an objective that is never closed ends them
+    when it is garbage-collected or at interpreter exit."""
 
     template: Image3
     ref: Image3
@@ -42,8 +42,9 @@ class LevelObjective:
     log: list = field(default_factory=list)
     seconds_distance: float = 0.0
     seconds_curvature: float = 0.0
-    _children: SweepChildren = field(default_factory=SweepChildren, init=False, repr=False,
-                                     compare=False)
+
+    def __post_init__(self):
+        self._children = SweepChildren(self.workers)
 
     def __call__(self, x: np.ndarray):
         if not np.all(np.isfinite(x)):
@@ -55,7 +56,7 @@ class LevelObjective:
         t0 = time.perf_counter()
         D, grad_D = distance_and_gradient(
             y, self.ref, self.template, self.plan, self.params,
-            self.pt_variant, self.workers, children=self._children,
+            self.pt_variant, children=self._children,
         )
         t1 = time.perf_counter()
         S, grad_S = curvature_value_and_gradient(y)

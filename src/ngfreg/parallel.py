@@ -1,4 +1,4 @@
-"""Slab-based parallelism: helper threads, and forked processes for the NGF sweep.
+"""Slab-based parallelism: helper threads, and the NGF sweep's forked processes.
 
 Heavy operations are data-parallel over contiguous index ranges ("slabs").
 Each slab computation is a pure function writing to a disjoint output region,
@@ -10,8 +10,8 @@ about _CHUNK_VOXELS voxels (slab_partition), so a range of one chunk or less
 (a whole 32^3 grid, say) runs inline on the caller's thread.
 
 run_planes splits each slab further into chunks of whole z-planes of a fixed
-size (plane_step planes); the warp, P, the image gradient and P^T chunk
-their work through it, and the NGF sweep walks its slabs' chunks itself.
+size (plane_step planes); the warp, P and P^T chunk their work through it,
+and the NGF sweep walks its slabs' chunks itself.
 
 Each thread has one Workspace (workspace()): a LIFO stack of arrays over one
 buffer that a chunk takes its temporaries from and gives back when its frame
@@ -21,28 +21,28 @@ grown to the deepest stack that a chunk of the grid needs. A thread's first
 chunk of a larger grid allocates its temporaries as numpy would, and the
 buffer grows when that chunk's outermost frame closes.
 
-run_slabs, run_planes and run_tasks deal their calls to at most `workers`
-lanes: the caller runs the first, and a helper thread started for the call
-each other one. A slab call made inside a lane runs inline, so nested calls
-cannot deadlock and a sweep there never forks, and every helper is joined
-before the call returns or raises: no thread outlives its call.
+run_planes and run_tasks deal their calls to at most `workers` lanes: the
+caller runs the first, and a helper thread started for the call each other
+one. A call made inside a lane runs inline, so nested calls cannot deadlock
+and a sweep there never forks, and every helper is joined before the call
+returns or raises: no thread outlives its call.
 
 The NGF sweep makes hundreds of numpy calls of tens of microseconds per
 chunk, and threads running it spend their time handing the interpreter lock
-to each other. So its slabs run in processes instead (ProcessGroup): the
-caller runs the first slab itself, and each other slab runs in a daemonic
-child of multiprocessing's fork context, which inherits the sweep's inputs
-copy-on-write and exchanges its data through one anonymous shared mapping
-(shared_arrays); one connection per child carries its go messages and its
-replies. multiprocessing flushes the caller's stdout and stderr before each
-fork, so a child never writes the caller's buffered output again. A
-daemonic process may start no children, so a sweep in a Pool's worker, say,
-runs its slabs inline. A child starts no helper thread and no nested group
-(can_fork is false in it), closes the caller's connections of every group,
-its own included, writes nothing to stdout or stderr and ignores SIGINT; it
-exits when its connection to the caller reaches end of file, so also when
-the caller dies, or, at interpreter exit, when multiprocessing's exit hook
-sends it SIGTERM.
+to each other. So a kept ngf.SweepChildren runs its slabs in processes
+(ProcessGroup): the caller runs the first slab itself, and each other slab
+runs in a daemonic child of multiprocessing's fork context, which inherits
+the sweep's inputs copy-on-write and exchanges its data through one
+anonymous shared mapping (shared_arrays); one connection per child carries
+its go messages and its replies. multiprocessing flushes the caller's
+stdout and stderr before each fork. A daemonic process may start no
+children, so a sweep in a Pool's worker, say, runs whole on it. A child
+starts no helper thread and no nested group (can_fork is false in it),
+closes the caller's connections of every group, its own included, writes
+nothing to stdout or stderr and ignores SIGINT; it exits when its
+connection to the caller reaches end of file, so also when the caller
+dies, or at interpreter exit by SIGTERM if multiprocessing's exit hook
+runs before the group's finalizer.
 """
 
 from __future__ import annotations
@@ -178,11 +178,6 @@ def slab_partition(n: int, voxels: int, workers: int) -> list[tuple[int, int]]:
     return slab_ranges(n, min(workers, -(-n // plane_step(voxels))))
 
 
-def run_slabs(fn, n: int, voxels: int, workers: int) -> None:
-    """Run fn(lo, hi) over the slab_partition of range(n), possibly threaded."""
-    _run_all([(fn, r) for r in slab_partition(n, voxels, workers)], workers)
-
-
 def run_tasks(tasks, workers: int) -> list:
     """Run a list of zero-argument callables, threaded when workers > 1."""
     return _run_all([(t, ()) for t in tasks], workers)
@@ -202,7 +197,7 @@ def run_planes(fn, nz: int, plane_voxels: int, workers: int) -> None:
         for k0 in range(lo, hi, step):
             fn(k0, min(k0 + step, hi))
 
-    run_slabs(do_slab, nz, plane_voxels, workers)
+    _run_all([(do_slab, r) for r in slab_partition(nz, plane_voxels, workers)], workers)
 
 
 def shared_arrays(specs) -> list[np.ndarray]:

@@ -275,12 +275,11 @@ def _gradient_transpose_planes(w, spacing, axes, k0: int, k1: int, out: np.ndarr
         out += o
 
 
-def image_gradient(img: Image3, workers: int = 1) -> VectorField3:
+def image_gradient(img: Image3) -> VectorField3:
     """Finite-difference spatial gradient on the image grid."""
     g = img.grid
     out = np.empty((3,) + g.shape, dtype=img.values.dtype)
-    run_planes(lambda k0, k1: _gradient_planes(img.values, g.spacing, k0, k1, out[:, k0:k1]),
-                g.shape[0], g.shape[1] * g.shape[2], workers)
+    _gradient_planes(img.values, g.spacing, 0, g.shape[0], out)
     return VectorField3(g, out)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from ngfreg import parallel
 from ngfreg.geometry import Grid3
+from ngfreg.ngf import SweepChildren
 
 
 @pytest.fixture
@@ -29,8 +30,9 @@ def default_chunks():
 @pytest.fixture
 def one_plane_chunks(monkeypatch):
     """Chunks of one z-plane, so that grids of one chunk or less still split
-    into several slabs and take the threaded paths; returns the number of
-    slabs of every run_slabs call made while the fixture is active."""
+    into several slabs: run_planes takes its threaded path and a sweep with
+    SweepChildren forks. Returns the number of slabs of every slab partition
+    made while the fixture is active: a bare sweep makes none."""
     monkeypatch.setattr(parallel, "_CHUNK_VOXELS", 1)
     counts = []
     slab_ranges = parallel.slab_ranges
@@ -42,6 +44,20 @@ def one_plane_chunks(monkeypatch):
 
     monkeypatch.setattr(parallel, "slab_ranges", counting_slab_ranges)
     return counts
+
+
+@pytest.fixture
+def sweep_children():
+    """A factory of SweepChildren(workers), each closed when the test ends."""
+    made = []
+
+    def make(workers):
+        made.append(SweepChildren(workers))
+        return made[-1]
+
+    yield make
+    for children in made:
+        children.close()
 
 
 def random_grid_pair(rng, max_dim=9):

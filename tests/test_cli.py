@@ -84,6 +84,22 @@ def test_bad_volume_file_is_io_error_naming_it(pair, tmp_path, capsys):
             assert f"error: {bad}: " in capsys.readouterr().err
 
 
+def test_header_the_data_file_cannot_honour_is_io_error_naming_it(pair, tmp_path, capsys):
+    # numpy raised on these: "negative dimensions" exited 3, naming no file,
+    # and a 7 PiB allocation exited 1 with a traceback
+    g, rp, tp = pair
+    ypath = str(tmp_path / "id.mha")
+    write_deformation(make_identity(g), ypath)
+    data = Path(tp).read_bytes()
+    bad = tmp_path / "bad.mha"
+    for content in (data.replace(b"ElementType", b"ElementNumberOfChannels = -1\nElementType", 1),
+                    data.replace(b"DimSize = 16 16 16", b"DimSize = 100000 100000 100000", 1)):
+        bad.write_bytes(content)
+        assert main(["warp", "--template", str(bad), "--deformation", ypath,
+                     "--out", str(tmp_path / "w.mha")]) == EXIT_IO
+        assert f"error: {bad}: " in capsys.readouterr().err
+
+
 def test_register_warp_evaluate_roundtrip(pair, tmp_path, capsys):
     g, rp, tp = pair
     ypath = str(tmp_path / "y.mha")
@@ -270,6 +286,23 @@ def test_evaluate_bad_landmarks_is_io_error(pair, tmp_path, capsys):
                    "--image-grid-from", rp, "--frame", "index1"])
         assert rc == EXIT_IO
         assert f"error: {lm}:{line}: " in capsys.readouterr().err
+
+
+def test_evaluate_landmarks_without_rows_is_io_error(pair, tmp_path, capsys):
+    # it printed "landmark error: 0.0000 +/- 0.0000 mm over 0 landmarks"
+    g, rp, tp = pair
+    ypath = str(tmp_path / "id.mha")
+    from ngfreg.multilevel import deformation_grid_for
+
+    write_deformation(make_identity(deformation_grid_for(g, 4)), ypath)
+    lm = str(tmp_path / "lm.txt")
+    with open(lm, "w") as fh:
+        fh.write("\n")
+    rc = main(["evaluate", "--deformation", ypath,
+               "--landmarks-ref", lm, "--landmarks-template", lm,
+               "--image-grid-from", rp, "--frame", "index1"])
+    assert rc == EXIT_IO
+    assert f"error: {lm}: no landmark rows" in capsys.readouterr().err
 
 
 def test_evaluate_non_text_landmarks_is_io_error(pair, tmp_path, capsys):

@@ -92,6 +92,33 @@ def test_truncated_payload_rejected(tmp_path):
         read_volume(path)
 
 
+def test_headers_the_data_file_cannot_honour_rejected_before_allocating(tmp_path):
+    # a channel count below 1, or dimensions whose payload (7 PiB here) the
+    # data file cannot hold, fail on the header, before numpy allocates
+    g = _grid((24, 24, 24))
+    path = tmp_path / "t.mha"
+    write_volume(smooth_random_volume(g, seed=2), str(path))
+    data = path.read_bytes()
+    bad = tmp_path / "bad.mha"
+    channels = b"ElementNumberOfChannels = %d\nElementType"
+    for old, new, match in (
+            (b"ElementType", channels % -1, "ElementNumberOfChannels = -1"),
+            (b"ElementType", channels % 0, "ElementNumberOfChannels = 0"),
+            (b"DimSize = 24 24 24", b"DimSize = 100000 100000 100000", "truncated payload")):
+        bad.write_bytes(data.replace(old, new, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(MetaImageError, match=re.escape(f"{bad}: {match}")):
+                read_volume(str(bad))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    bad.write_bytes(data.replace(b"ElementType", channels % -1, 1))
+    with pytest.raises(MetaImageError, match="ElementNumberOfChannels = -1"):
+        read_volume_grid(str(bad))
+
+
 def test_read_volume_reads_into_one_allocation(tmp_path):
     # the payload is read a z-plane at a time into the volume's array: no copy
     # of the file's bytes is held next to it
@@ -237,6 +264,15 @@ def test_landmark_parse_errors(tmp_path):
         p.write_text(f"1 2 3\n1 {entry} 3\n")
         with pytest.raises(LandmarkFileError, match=re.escape(f"{p}:2: non-finite")):
             read_landmarks(str(p), "world", g)
+
+
+def test_landmark_file_without_rows_rejected(tmp_path):
+    g = _grid((4, 4, 4))
+    p = tmp_path / "lm.txt"
+    for content in ("", "\n  \n\t\n"):
+        p.write_text(content)
+        with pytest.raises(LandmarkFileError, match=re.escape(f"{p}: no landmark rows")):
+            read_landmarks(str(p), "index1", g)
 
 
 def test_bad_grid_or_nonfinite_voxels_rejected_naming_the_file(tmp_path):

@@ -142,7 +142,7 @@ def test_gradient_matches_fd(rng):
         assert abs(fd - grad.field[c, k, j, i]) < 2e-5 * gnorm
 
 
-def test_variants_and_workers_agree(rng, one_plane_chunks):
+def test_variants_and_workers_agree(rng, one_plane_chunks, forks, sweep_children):
     gi = _grid((9, 8, 7))
     gd = Grid3((3, 4, 2),
                tuple(n * s / m for n, s, m in zip(gi.dims, gi.spacing, (3, 4, 2))),
@@ -155,26 +155,29 @@ def test_variants_and_workers_agree(rng, one_plane_chunks):
     y = DeformationField(gd, make_identity(gd).field
                          + 0.5 * rng.standard_normal((3,) + gd.shape))
     with default_chunks():  # the whole grid in one chunk
-        D0, g0 = distance_and_gradient(y, R, T, plan, params, "gather", workers=1)
+        D0, g0 = distance_and_gradient(y, R, T, plan, params, "gather")
+    children = sweep_children(4)
     scale = np.abs(g0.field).max() + 1e-30
     for variant in ("gather", "scatter", "redblack"):
-        D1, g1 = distance_and_gradient(y, R, T, plan, params, variant, workers=1)
-        D4, g4 = distance_and_gradient(y, R, T, plan, params, variant, workers=4)
+        D1, g1 = distance_and_gradient(y, R, T, plan, params, variant)
+        D4, g4 = distance_and_gradient(y, R, T, plan, params, variant, children=children)
         assert D1 == D4 == D0
         assert np.array_equal(g4.field, g1.field)
         assert np.max(np.abs(g1.field - g0.field)) <= 1e-12 * scale
         if variant == "gather":
             assert np.array_equal(g1.field, g0.field)
     assert max(one_plane_chunks) >= 2
+    assert len(forks) == max(one_plane_chunks) - 1  # forked once, for every variant
 
 
-def test_bytes_identical_across_workers_and_chunks(rng, monkeypatch):
+def test_bytes_identical_across_workers_and_chunks(rng, monkeypatch, forks, sweep_children):
     # 29 z-planes of 41 x 37: the slabs of 1, 2 and 3 workers end inside the
     # kernel's chunks of z-planes, at the module's chunk size and at 7 and 1
     # planes; 3 z-planes: every slab and chunk touches a boundary row of G^T
     from ngfreg import parallel
 
     chunks = (parallel._CHUNK_VOXELS, 7 * 41 * 37, 41 * 37)
+    kept = [sweep_children(w) for w in (1, 2, 3)]  # each forks again for new inputs
     for dims, def_dims in (((37, 41, 29), (10, 11, 8)), ((37, 41, 3), (10, 11, 2))):
         gi = _grid(dims)
         gd = Grid3(def_dims,
@@ -188,19 +191,20 @@ def test_bytes_identical_across_workers_and_chunks(rng, monkeypatch):
         y = DeformationField(gd, make_identity(gd).field
                              + 1.5 * rng.standard_normal((3,) + gd.shape))
         monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunks[0])
-        D0, g0 = distance_and_gradient(y, R, T, plan, params, workers=1)
+        D0, g0 = distance_and_gradient(y, R, T, plan, params)
         for chunk in chunks:
             monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunk)
-            for w in (1, 2, 3):
-                D, g = distance_and_gradient(y, R, T, plan, params, workers=w)
+            for children in kept:
+                D, g = distance_and_gradient(y, R, T, plan, params, children=children)
                 assert D == D0
                 assert g.field.tobytes() == g0.field.tobytes()
+    assert forks  # the slabs after the first ran in child processes
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("workers", [1, 2])
-def test_nonfinite_intermediate_is_floating_point_error(workers, request):
+def test_nonfinite_intermediate_is_floating_point_error(workers, request, sweep_children):
     # planes of +-3e38 are finite in f32, but their differences overflow, in
     # the template or in the reference. One worker runs the grid whole, in one
     # chunk; more run one-plane chunks so that the grid splits into slabs, and
@@ -213,10 +217,11 @@ def test_nonfinite_intermediate_is_floating_point_error(workers, request):
     smooth = smooth_random_volume(g, seed=5).astype(np.float32)
     params = NgfParams()
     plan = build_gather_plan(g, g)
+    children = sweep_children(workers)
     for T, R, match in ((huge, smooth, "template gradient"), (smooth, huge, "reference gradient")):
         with pytest.raises(FloatingPointError, match=match):
             distance_and_gradient(make_identity(g, np.float32), R, T, plan, params,
-                                  workers=workers)
+                                  children=children)
     # template planes 1e37 apart at a z-spacing of 0.01: the samples are finite
     # but their z-partials overflow, while the image and the deformation grid
     # have one z-plane, where every z-gradient is 0, so D stays finite
@@ -227,7 +232,7 @@ def test_nonfinite_intermediate_is_floating_point_error(workers, request):
     R = smooth_random_volume(gi, seed=5).astype(np.float32)
     with pytest.raises(FloatingPointError, match="template gradient"):
         distance_and_gradient(make_identity(gi, np.float32), R, T, build_gather_plan(gi, gi),
-                              params, workers=workers)
+                              params, children=children)
     if slab_counts is not None:
         assert max(slab_counts) == workers
 
@@ -240,17 +245,17 @@ def test_reference_off_the_plan_grid_is_grid_error():
         distance_and_gradient(make_identity(g), R, T, build_gather_plan(g, g), NgfParams())
 
 
-def _layered_chain(y, R, T, plan, params, variant, workers):
+def _layered_chain(y, R, T, plan, params, variant):
     """D and its gradient from the layers composed on whole image-grid arrays:
     P, the trilinear kernel with partials, G, r, q, G^T, the multiply, P^T."""
     g = plan.image_grid
-    yhat = apply_P(y, g, workers).field
+    yhat = apply_P(y, g).field
     dtype = yhat.dtype
     warped, inside, partials = _trilinear(T.values.astype(dtype).ravel(), T.grid, yhat,
                                           partials=True)
     np.copyto(warped, 0, where=~inside)
-    gT = image_gradient(Image3(g, warped), workers).field
-    gR = image_gradient(R, workers).field
+    gT = image_gradient(Image3(g, warped)).field
+    gR = image_gradient(R).field
     norm_T, norm_R = _norm(gT, params.tau), _norm(gR, params.rho)
     r = (np.sum(gT * gR, axis=0) + dtype.type(params.tau * params.rho)) / (norm_T * norm_R)
     D = g.cell_volume / 2 * float(np.sum(1 - r * r))
@@ -258,12 +263,12 @@ def _layered_chain(y, R, T, plan, params, variant, workers):
     q = np.stack([coef * (gR[a] * (1 / (norm_T * norm_R)) - r * gT[a] * (1 / (norm_T * norm_T)))
                   for a in range(3)])
     s = image_gradient_apply_transpose(VectorField3(g, q), g)
-    return D, apply_Pt(VectorField3(g, partials * s), plan, variant, workers).field
+    return D, apply_Pt(VectorField3(g, partials * s), plan, variant).field
 
 
 @pytest.mark.parametrize("dims, def_dims", [((9, 8, 1), (3, 3, 1)), ((9, 8, 2), (3, 3, 2)),
                                             ((9, 8, 3), (3, 3, 2)), ((37, 41, 29), (10, 11, 8))])
-def test_sweep_equals_layer_by_layer_chain(rng, monkeypatch, dims, def_dims):
+def test_sweep_equals_layer_by_layer_chain(rng, monkeypatch, sweep_children, dims, def_dims):
     # at the module's chunk size and at chunks of 2 and 1 planes, where every
     # chunk inside a slab uses the planes carried from the previous one; with
     # 3 workers on nz <= 3 every slab is one plane and all its halo is recomputed
@@ -276,15 +281,17 @@ def test_sweep_equals_layer_by_layer_chain(rng, monkeypatch, dims, def_dims):
     plan = build_gather_plan(gd, gi)
     plane = dims[0] * dims[1]
     chunks = (parallel._CHUNK_VOXELS, 2 * plane, plane)
+    kept = (None, sweep_children(2), sweep_children(3))  # each forks again for new inputs
     for dtype, d_tol in ((np.float64, 1e-13), (np.float32, 1e-6)):
         Rd, Td = R.astype(dtype), T.astype(dtype)
         y = DeformationField(gd, field.astype(dtype))
         for variant in PT_VARIANTS:
-            D_ref, g_ref = _layered_chain(y, Rd, Td, plan, params, variant, 1)
+            D_ref, g_ref = _layered_chain(y, Rd, Td, plan, params, variant)
             for chunk in chunks:
                 monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunk)
-                for w in (1, 2, 3):
-                    D, g = distance_and_gradient(y, Rd, Td, plan, params, variant, w)
+                for children in kept:
+                    D, g = distance_and_gradient(y, Rd, Td, plan, params, variant,
+                                                 children=children)
                     assert abs(D - D_ref) <= d_tol * abs(D_ref)
                     assert g.field.tobytes() == g_ref.tobytes()
 
@@ -346,7 +353,7 @@ import hashlib
 import numpy as np
 from ngfreg.geometry import Grid3, VectorField3
 from ngfreg.multilevel import deformation_grid_for
-from ngfreg.ngf import NgfParams, distance_and_gradient
+from ngfreg.ngf import NgfParams, SweepChildren, distance_and_gradient
 from ngfreg.parallel import slab_partition
 from ngfreg.synthetic import smooth_random_field, smooth_random_volume
 from ngfreg.transfer import apply_P, apply_Pt, build_gather_plan
@@ -356,7 +363,9 @@ plan = build_gather_plan(gd, gi)
 R, T = (smooth_random_volume(gi, seed=s) for s in (0, 1))
 y = smooth_random_field(gd, seed=2, amplitude_mm=2.0)
 assert len(slab_partition(4, 384 * 384, 2)) == 2
-D, g = distance_and_gradient(y, R, T, plan, NgfParams(), workers=2)
+children = SweepChildren(2)
+D, g = distance_and_gradient(y, R, T, plan, NgfParams(), children=children)
+children.close()
 r = VectorField3(gi, np.random.default_rng(3).standard_normal((3,) + gi.shape))
 for out in (np.float64(D), g.field, apply_P(y, gi).field, apply_Pt(r, plan).field):
     print(hashlib.sha256(np.asarray(out).tobytes()).hexdigest())

@@ -310,10 +310,3 @@ def test_plane_range_stencils_match_full_arrays(rng, nz):
         assert grad.tobytes() == full_grad.tobytes()
         assert gt.tobytes() == full_gt.tobytes()
 
-
-def test_image_gradient_bytes_identical_across_workers(rng):
-    g = _grid((37, 41, 29), (0.7, 1.3, 0.9))
-    img = Image3(g, rng.standard_normal(g.shape))
-    g1 = image_gradient(img, 1).field
-    for w in (2, 3):
-        assert image_gradient(img, w).field.tobytes() == g1.tobytes()
