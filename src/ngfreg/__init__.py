@@ -32,7 +32,7 @@ from .multilevel import (
     prolong_deformation,
     register,
 )
-from .ngf import NgfParams, distance_and_gradient
+from .ngf import LevelSweep, NgfParams, distance_and_gradient
 from .transfer import (
     GatherPlan,
     apply_P,
@@ -61,6 +61,7 @@ __all__ = [
     "Image3",
     "LandmarkSet",
     "LbfgsConfig",
+    "LevelSweep",
     "MultilevelConfig",
     "NgfParams",
     "RegistrationReport",

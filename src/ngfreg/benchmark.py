@@ -16,7 +16,7 @@ import numpy as np
 from .geometry import Grid3, VectorField3, precision_dtype
 from .lbfgs import LbfgsConfig
 from .multilevel import MultilevelConfig, deformation_grid_for, register
-from .ngf import NgfParams, SweepChildren, distance_and_gradient
+from .ngf import LevelSweep, NgfParams, distance_and_gradient
 from .synthetic import smooth_random_field, smooth_random_volume
 from .transfer import PT_VARIANTS, apply_P, apply_Pt, build_gather_plan
 
@@ -89,8 +89,8 @@ def run_benchmark(
 ) -> list[BenchmarkRecord]:
     """Time P, each P^T variant, one NGF evaluation and a short register call
     per precision and worker count, after the variant agreement gate. The NGF
-    evaluations keep one SweepChildren across the repetitions, as a level of
-    register does, so only the first of them forks.
+    evaluations share one LevelSweep, as a level of register does, so only
+    the first of them forks; it is closed after them.
 
     workers_list defaults to 1 and os.cpu_count(): more workers than cores
     would only measure oversubscription.
@@ -122,13 +122,12 @@ def run_benchmark(
                 records.append(BenchmarkRecord("apply_Pt", variant, precision, w, dims,
                                                reps, tmin, tmed, _checksum(out.field)))
 
-            # as register runs it: one set of sweep children across the calls
-            children = SweepChildren(w)
+            # as register runs it: one LevelSweep across the calls
+            sweep = LevelSweep(R, T, plan, params, "gather", w)
             try:
-                (D, g), tmin, tmed = _time(lambda: distance_and_gradient(
-                    y, R, T, plan, params, "gather", children=children), reps)
+                (D, g), tmin, tmed = _time(lambda: distance_and_gradient(y, sweep), reps)
             finally:
-                children.close()
+                sweep.close()
             records.append(BenchmarkRecord("ngf_value_grad", "gather", precision, w, dims,
                                            reps, tmin, tmed, _checksum(g.field)))
 

@@ -28,7 +28,6 @@ from .evaluation import min_jacobian_det
 from .lbfgs import IterationRecord, LbfgsConfig, StoppingRules, lbfgs_minimize
 from .ngf import NgfParams
 from .objective import LevelObjective
-from .parallel import run_tasks
 from .transfer import _z_schedule, apply_P, build_gather_plan
 
 __all__ = [
@@ -99,13 +98,18 @@ class RegistrationReport:
 
 
 def _downsample_axis(values: np.ndarray, axis: int) -> np.ndarray:
-    n = values.shape[axis]
-    starts = np.arange(0, n, 2)
-    sums = np.add.reduceat(values, starts, axis=axis)
-    counts = np.minimum(starts + 2, n) - starts
-    shape = [1] * values.ndim
-    shape[axis] = len(starts)
-    return sums / counts.astype(values.dtype).reshape(shape)
+    """Means of consecutive pairs of planes along axis, an odd last plane as
+    it is; integer values are summed and returned in float64."""
+    dtype = values.dtype if np.issubdtype(values.dtype, np.inexact) else np.dtype(np.float64)
+    shape = list(values.shape)
+    m = shape[axis] // 2
+    shape[axis] -= m
+    out = np.empty(shape, dtype)
+    v, o = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    np.add(v[0:2 * m:2], v[1:2 * m:2], out=o[:m], dtype=dtype)
+    o[:m] /= 2
+    o[m:] = v[2 * m:]
+    return out
 
 
 def downsample_image(img: Image3) -> Image3:
@@ -179,11 +183,8 @@ def register(R: Image3, T: Image3, cfg: MultilevelConfig = MultilevelConfig()):
     levels = cfg.num_levels or num_auto_levels(R.grid.dims, cfg.coarsest_min_dim)
 
     t0 = time.perf_counter()
-    pyr_R, pyr_T = run_tasks(
-        [lambda: build_pyramid(R.astype(dtype), levels),
-         lambda: build_pyramid(T.astype(dtype), levels)],
-        cfg.workers,
-    )
+    pyr_R = build_pyramid(R.astype(dtype), levels)
+    pyr_T = build_pyramid(T.astype(dtype), levels)
     report = RegistrationReport(seconds_pyramid=time.perf_counter() - t0)
 
     y: DeformationField | None = None

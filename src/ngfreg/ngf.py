@@ -23,9 +23,10 @@ recompute halo planes of the neighbouring slabs. The warped template
 and its partials share one window of planes, so each chunk samples the
 template once. The windows and every temporary of a chunk are arrays of the
 thread's Workspace, so once a level has been evaluated a chunk allocates
-nothing. Forked children of a SweepChildren run each slab after the first,
-because threads running the sweep's many small numpy calls mostly wait for
-the interpreter lock; without one the caller sweeps the whole grid.
+nothing. A LevelSweep binds the sweep to one level's images and plan. Its
+forked children run each slab after the first, because threads running the
+sweep's many small numpy calls mostly wait for the interpreter lock; with
+one slab, or where it cannot fork, the caller sweeps the whole grid.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .parallel import (ProcessGroup, Workspace, can_fork, plane_step, shared_arr
 from .transfer import GatherPlan, _interp_xy, _reduce_xy, _reduce_z, _z_schedule
 from .warp import _gradient_planes, _gradient_transpose_planes, _sample_planes
 
-__all__ = ["NgfParams", "SweepChildren", "distance_and_gradient"]
+__all__ = ["LevelSweep", "NgfParams", "distance_and_gradient"]
 
 
 @dataclass(frozen=True)
@@ -126,25 +127,12 @@ class _PlaneWindow:
         return self.at(k0, k1)
 
 
-def distance_and_gradient(
-    y: DeformationField,
-    ref: Image3,
-    template: Image3,
-    plan: GatherPlan,
-    params: NgfParams,
-    pt_variant: str = "gather",
-    *,
-    children: SweepChildren | None = None,
-) -> tuple[float, VectorField3]:
-    """NGF distance and its gradient with respect to y, in one sweep.
+def distance_and_gradient(y: DeformationField, sweep: LevelSweep) -> tuple[float, VectorField3]:
+    """NGF distance and its gradient with respect to y, in one sweep of the level.
 
-    Each slab walks its chunks of whole z-planes in order (_sweep_slab).
-    Without `children` the caller sweeps the whole grid as one slab. With
-    them (a LevelObjective's) it splits into at most children.workers slabs:
-    the caller runs the first and a kept child process each other one, or
-    the whole grid where it cannot fork. The variant's z schedule of P^T
-    then runs once, on the caller. A non-finite D or xy reduction raises
-    FloatingPointError.
+    The sweep walks each slab's chunks of whole z-planes in order
+    (_sweep_slab), and the variant's z schedule of P^T then runs once, on the
+    caller. A non-finite D or xy reduction raises FloatingPointError.
 
     Every plane gets the same operations in the same order as on whole
     arrays, so the gradient is the same for any worker count and chunk size.
@@ -152,71 +140,69 @@ def distance_and_gradient(
     same for any worker count and chunk size too, but a whole-array sum could
     differ from it by reassociation.
     """
-    z_schedule = _z_schedule(pt_variant)
+    plan = sweep.plan
     if y.grid != plan.def_grid:
         raise GridError("deformation grid does not match the plan's deformation grid")
-    image_grid: Grid3 = plan.image_grid
-    if ref.grid != image_grid:
-        raise GridError("reference grid does not match the plan's image grid")
     dtype = y.field.dtype
-    nz, ny, nx = image_grid.shape
-    inputs = (ref, template, plan, params, plane_step(ny * nx))
-    slabs = [(0, nz)] if children is None else slab_partition(nz, ny * nx, children.workers)
-    if len(slabs) > 1 and can_fork():
-        xy, d_planes = children.sweep(y.field, inputs, slabs)
-    else:
-        xy = np.empty((3, nz) + plan.def_grid.shape[1:], dtype=dtype)  # P^T's xy reduction
-        d_planes = np.empty(nz, dtype=dtype)                          # D's per-plane sums
-        _sweep_slab(y.field, *inputs, 0, nz, xy, d_planes)
-    D = float(image_grid.cell_volume / 2 * np.sum(d_planes, dtype=dtype))
+    xy, d_planes = sweep(y.field)
+    D = float(plan.image_grid.cell_volume / 2 * np.sum(d_planes, dtype=dtype))
     # both norms are >= tau, rho > 0: a non-finite gT, gR or q at a voxel makes r,
     # so D, non-finite; the template's partials reach only the gradient, via xy
     if not (np.isfinite(D) and np.isfinite(xy).all()):
         raise FloatingPointError("non-finite template gradient or reference gradient")
-    return D, _reduce_z(xy, plan, z_schedule)
+    return D, _reduce_z(xy, plan, sweep.z_schedule)
 
 
-class SweepChildren:
-    """The child processes that run the NGF sweep's slabs after the first, kept
-    between calls of distance_and_gradient on one level: no sweep forks without
-    them. A call's grid splits into at most `workers` slabs; it forks at the
-    first call that has more than one slab, one child per slab after the first,
-    and again when a call's inputs, dtype or slab partition differ from those
-    it forked with. Each child inherits the images and the plan copy-on-write,
-    so they must not change in place while it has children. One shared mapping
-    carries y to the children and their planes of P^T's xy reduction and of D's
-    per-plane sums back, so it serves one call at a time. close() ends the
-    children; a later call forks again.
+class LevelSweep:
+    """The NGF sweep of one level. The reference R, the template, the plan,
+    the parameters, P^T's z schedule, the plane step and the partition into
+    at most `workers` slabs of image z-planes are fixed at construction; a
+    call sweeps a deformation field over them.
+
+    Where there is more than one slab and it can fork (can_fork), the caller
+    runs the first slab and a kept child process each other one: the children
+    are forked at the first such call, and again only after close(), after a
+    child died, or for a field of another dtype. Each child inherits the
+    images and the plan copy-on-write, so they must not change in place while
+    the sweep has children. One shared mapping carries the field to the
+    children and their planes of P^T's xy reduction and of D's per-plane sums
+    back, so it serves one call at a time. Elsewhere the caller sweeps the
+    whole grid as one slab. close() ends the children; children never closed
+    end when their group is garbage-collected or at interpreter exit.
     """
 
-    def __init__(self, workers: int = 1):
-        self.workers = workers
-        self._key = None
+    def __init__(self, ref: Image3, template: Image3, plan: GatherPlan, params: NgfParams,
+                 pt_variant: str = "gather", workers: int = 1):
+        self.z_schedule = _z_schedule(pt_variant)
+        if ref.grid != plan.image_grid:
+            raise GridError("reference grid does not match the plan's image grid")
+        self.plan = plan
+        nz, ny, nx = plan.image_grid.shape
+        self._inputs = (ref, template, plan, params, plane_step(ny * nx))
+        self._slabs = slab_partition(nz, ny * nx, workers)
         self._group: ProcessGroup | None = None
         self._shared = ()
 
-    def sweep(self, field: np.ndarray, inputs: tuple, slabs: list) -> tuple:
-        """The sweep of field over every slab, the first on this thread: returns
-        P^T's xy reduction and D's per-plane sums, arrays of the shared mapping."""
-        # the children's tasks hold the inputs, so no other object has their ids
-        key = (*map(id, inputs[:3]), *inputs[3:], field.dtype, field.shape, tuple(slabs))
-        if self._group is None or self._group.closed or key != self._key:
+    def __call__(self, field: np.ndarray) -> tuple:
+        """P^T's xy reduction and D's per-plane sums of the sweep of field."""
+        nz = self.plan.image_grid.shape[0]
+        outputs = [((3, nz) + self.plan.def_grid.shape[1:], field.dtype), ((nz,), field.dtype)]
+        if len(self._slabs) == 1 or not can_fork():
+            xy, d_planes = (np.empty(shape, dtype) for shape, dtype in outputs)
+            _sweep_slab(field, *self._inputs, 0, nz, xy, d_planes)
+            return xy, d_planes
+        if self._group is None or self._group.closed or self._shared[0].dtype != field.dtype:
             self.close()
-            plan = inputs[2]
-            nz = plan.image_grid.shape[0]
-            self._shared = y, xy, d_planes = shared_arrays(
-                [(field.shape, field.dtype), ((3, nz) + plan.def_grid.shape[1:], field.dtype),
-                 ((nz,), field.dtype)])
+            self._shared = y, xy, d_planes = shared_arrays([(field.shape, field.dtype), *outputs])
             self._group = ProcessGroup(
-                [functools.partial(_sweep_slab, y, *inputs, lo, hi, xy, d_planes)
-                 for lo, hi in slabs[1:]],
-                [f"image z-planes {lo}:{hi}" for lo, hi in slabs[1:]])
-            self._key = key
+                [functools.partial(_sweep_slab, y, *self._inputs, lo, hi, xy, d_planes)
+                 for lo, hi in self._slabs[1:]],
+                [f"image z-planes {lo}:{hi}" for lo, hi in self._slabs[1:]])
         y, xy, d_planes = self._shared
         np.copyto(y, field)
         self._group.start()  # before this thread's own slab, so the children start at once
         try:
-            _sweep_slab(y, *inputs, *slabs[0], xy, d_planes)
+            _sweep_slab(y, *self._inputs, *self._slabs[0], xy, d_planes)
         except BaseException:
             with contextlib.suppress(Exception):  # the first slab's error comes first
                 self._group.wait()
@@ -225,10 +211,10 @@ class SweepChildren:
         return xy, d_planes
 
     def close(self) -> None:
-        """End and reap the children, if any."""
+        """End and reap the children, if any; a later call forks again."""
         if self._group is not None:
             self._group.close()
-        self._group, self._key, self._shared = None, None, ()
+        self._group, self._shared = None, ()
 
 
 def _sweep_slab(field: np.ndarray, ref: Image3, template: Image3, plan: GatherPlan,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .curvature import curvature_value_and_gradient
 from .geometry import DeformationField, Image3
-from .ngf import NgfParams, SweepChildren, distance_and_gradient
+from .ngf import LevelSweep, NgfParams, distance_and_gradient
 from .transfer import GatherPlan
 
 __all__ = ["LevelObjective"]
@@ -26,11 +26,12 @@ class LevelObjective:
     to `log`, (inf, nan, nan) for a non-finite trial point, and adds the wall
     seconds of the distance and of the curvature term to their totals.
 
-    With more than one worker, its first evaluation whose sweep has more than
-    one slab forks the sweep's child processes, SweepChildren(workers), which
-    it keeps for the later ones: the images must not change in place while it
-    has them. close() ends them; an objective that is never closed ends them
-    when it is garbage-collected or at interpreter exit."""
+    It builds the level's LevelSweep at construction. With more than one
+    worker, its first evaluation whose sweep has more than one slab forks the
+    sweep's child processes, which it keeps for the later ones: the images
+    must not change in place while it has them. close() ends them; an
+    objective that is never closed ends them when it is garbage-collected or
+    at interpreter exit."""
 
     template: Image3
     ref: Image3
@@ -44,7 +45,8 @@ class LevelObjective:
     seconds_curvature: float = 0.0
 
     def __post_init__(self):
-        self._children = SweepChildren(self.workers)
+        self._sweep = LevelSweep(self.ref, self.template, self.plan, self.params,
+                                 self.pt_variant, self.workers)
 
     def __call__(self, x: np.ndarray):
         if not np.all(np.isfinite(x)):
@@ -54,10 +56,7 @@ class LevelObjective:
         grid = self.plan.def_grid
         y = DeformationField(grid, x.reshape((3,) + grid.shape))
         t0 = time.perf_counter()
-        D, grad_D = distance_and_gradient(
-            y, self.ref, self.template, self.plan, self.params,
-            self.pt_variant, children=self._children,
-        )
+        D, grad_D = distance_and_gradient(y, self._sweep)
         t1 = time.perf_counter()
         S, grad_S = curvature_value_and_gradient(y)
         self.seconds_distance += t1 - t0
@@ -69,4 +68,4 @@ class LevelObjective:
 
     def close(self) -> None:
         """End the sweep's child processes; a later call forks them again."""
-        self._children.close()
+        self._sweep.close()

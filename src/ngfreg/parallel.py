@@ -23,13 +23,14 @@ buffer grows when that chunk's outermost frame closes.
 
 run_planes and run_tasks deal their calls to at most `workers` lanes: the
 caller runs the first, and a helper thread started for the call each other
-one. A call made inside a lane runs inline, so nested calls cannot deadlock
+one. The library calls run_planes only: register builds its two pyramids
+one after the other on the caller. A call made inside a lane runs inline, so nested calls cannot deadlock
 and a sweep there never forks, and every helper is joined before the call
 returns or raises: no thread outlives its call.
 
 The NGF sweep makes hundreds of numpy calls of tens of microseconds per
 chunk, and threads running it spend their time handing the interpreter lock
-to each other. So a kept ngf.SweepChildren runs its slabs in processes
+to each other. So an ngf.LevelSweep runs its slabs in kept processes
 (ProcessGroup): the caller runs the first slab itself, and each other slab
 runs in a daemonic child of multiprocessing's fork context, which inherits
 the sweep's inputs copy-on-write and exchanges its data through one

@@ -6,7 +6,7 @@ import pytest
 
 from ngfreg import parallel
 from ngfreg.geometry import Grid3
-from ngfreg.ngf import SweepChildren
+from ngfreg.ngf import LevelSweep, distance_and_gradient
 
 
 @pytest.fixture
@@ -30,9 +30,9 @@ def default_chunks():
 @pytest.fixture
 def one_plane_chunks(monkeypatch):
     """Chunks of one z-plane, so that grids of one chunk or less still split
-    into several slabs: run_planes takes its threaded path and a sweep with
-    SweepChildren forks. Returns the number of slabs of every slab partition
-    made while the fixture is active: a bare sweep makes none."""
+    into several slabs: run_planes takes its threaded path and a LevelSweep
+    built while the fixture is active forks. Returns the number of slabs of
+    every slab partition made while the fixture is active."""
     monkeypatch.setattr(parallel, "_CHUNK_VOXELS", 1)
     counts = []
     slab_ranges = parallel.slab_ranges
@@ -46,18 +46,14 @@ def one_plane_chunks(monkeypatch):
     return counts
 
 
-@pytest.fixture
-def sweep_children():
-    """A factory of SweepChildren(workers), each closed when the test ends."""
-    made = []
-
-    def make(workers):
-        made.append(SweepChildren(workers))
-        return made[-1]
-
-    yield make
-    for children in made:
-        children.close()
+def sweep_once(y, ref, template, plan, params, pt_variant="gather", workers=1):
+    """distance_and_gradient of y with a LevelSweep built for this call and
+    closed after it."""
+    sweep = LevelSweep(ref, template, plan, params, pt_variant, workers)
+    try:
+        return distance_and_gradient(y, sweep)
+    finally:
+        sweep.close()
 
 
 def random_grid_pair(rng, max_dim=9):

@@ -32,7 +32,7 @@ from ngfreg.geometry import (
     make_identity,
 )
 from ngfreg.multilevel import MultilevelConfig, deformation_grid_for, register
-from ngfreg.ngf import NgfParams, SweepChildren, _ratio, distance_and_gradient
+from ngfreg.ngf import LevelSweep, NgfParams, _ratio, distance_and_gradient
 from ngfreg.objective import LevelObjective
 from ngfreg.parallel import slab_partition
 from ngfreg.synthetic import (
@@ -49,6 +49,8 @@ from ngfreg.transfer import (
 )
 from ngfreg.fileio import read_deformation, write_volume
 from ngfreg.warp import image_gradient
+
+from conftest import sweep_once
 
 
 def _emit(capsys, line):
@@ -234,7 +236,7 @@ def test_criterion_4_stationarity(capsys):
     T = smooth_random_volume(g, seed=17)
     params = NgfParams(tau=10.0, rho=10.0)
     t0 = time.perf_counter()
-    D0, _ = distance_and_gradient(make_identity(g), T, T, build_gather_plan(g, g), params)
+    D0, _ = sweep_once(make_identity(g), T, T, build_gather_plan(g, g), params)
     y, _ = register(T, T, MultilevelConfig(grid_ratio=1))
     elapsed = time.perf_counter() - t0
     disp = float(np.abs(y.displacement()).max())  # 1 mm voxels
@@ -346,33 +348,33 @@ def test_criterion_8_variant_agreement(capsys, synthetic_case, gather_registrati
 def test_criterion_9_parallel_throughput(capsys, synthetic_case, forks):
     """Soft performance property: objective-evaluation throughput with one
     worker per core (os.cpu_count()) >= 2.5x the 1-worker throughput on the
-    64^3 case (gather pipeline), timed as register runs it: the calls keep one
-    SweepChildren, so only the first forks, and the 1-worker calls run on the
-    caller. The result is reported but a miss does not fail the suite: with
-    fewer than three cores the ratio cannot reach 2.5, and the P^T z schedule
-    and the fork hand-offs stay serial. A benchmark table, at 1 worker and
-    one per core, is emitted either way."""
+    64^3 case (gather pipeline), timed as register runs it: the calls of each
+    worker count share one LevelSweep, so only the first forks, and the
+    1-worker calls run on the caller. The result is reported but a miss does
+    not fail the suite: with fewer than three cores the ratio cannot reach
+    2.5, and the P^T z schedule and the fork hand-offs stay serial. A
+    benchmark table, at 1 worker and one per core, is emitted either way."""
     R, T, _, _ = synthetic_case
     params = NgfParams()
     def_grid = deformation_grid_for(SYN_GRID, 4)
     plan = build_gather_plan(def_grid, SYN_GRID)
     y = make_identity(def_grid)
 
-    def throughput(children=None):
+    def throughput(workers):
+        sweep = LevelSweep(R, T, plan, params, "gather", workers)
         times = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            distance_and_gradient(y, R, T, plan, params, "gather", children=children)
-            times.append(time.perf_counter() - t0)
+        try:
+            for _ in range(3):
+                t0 = time.perf_counter()
+                distance_and_gradient(y, sweep)
+                times.append(time.perf_counter() - t0)
+        finally:
+            sweep.close()
         return 1.0 / min(times)
 
     cores = os.cpu_count() or 1
-    thr1 = throughput()
-    children = SweepChildren(cores)
-    try:
-        ratio = throughput(children) / thr1
-    finally:
-        children.close()
+    thr1 = throughput(1)
+    ratio = throughput(cores) / thr1
     nz, ny, nx = SYN_GRID.shape
     assert len(forks) == len(slab_partition(nz, ny * nx, cores)) - 1  # at the first call only
 

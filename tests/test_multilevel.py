@@ -53,6 +53,37 @@ def test_downsample_even_axis_is_pairwise_mean():
     assert out.grid.spacing[0] == 2.0
 
 
+def _pairwise_mean(values, axis):
+    """The mean of each pair of planes 2i, 2i + 1 along axis, an odd last
+    plane as it is, in the dtype of the values or float64 for integers."""
+    dtype = values.dtype if np.issubdtype(values.dtype, np.floating) else np.dtype(np.float64)
+    v = np.moveaxis(values, axis, 0).astype(dtype)
+    planes = [(v[k] + v[k + 1]) / dtype.type(2) if k + 1 < len(v) else v[k]
+              for k in range(0, len(v), 2)]
+    return np.moveaxis(np.stack(planes), 0, axis)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(5, 6, 7), (6, 7, 5), (1, 2, 3)])
+def test_downsample_axis_bytes_are_pairwise_means(rng, dtype, shape):
+    values = rng.standard_normal(shape).astype(dtype)
+    for axis in range(3):
+        out = multilevel._downsample_axis(values, axis)
+        ref = _pairwise_mean(values, axis)
+        assert out.dtype == dtype and out.shape == ref.shape and out.flags.c_contiguous
+        assert out.tobytes() == ref.tobytes()
+
+
+def test_downsample_axis_of_integers_is_float64_without_wrapping():
+    values = np.full((3, 4, 5), 20000, dtype=np.int16)
+    values[2] = -32768
+    for axis in range(3):
+        out = multilevel._downsample_axis(values, axis)
+        assert out.dtype == np.float64
+        assert out.tobytes() == _pairwise_mean(values, axis).tobytes()
+    assert np.all(multilevel._downsample_axis(values, 1)[:2] == 20000.0)
+
+
 def test_num_auto_levels():
     assert num_auto_levels((64, 64, 64), 16) == 3
     assert num_auto_levels((16, 16, 16), 16) == 1

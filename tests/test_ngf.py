@@ -12,12 +12,12 @@ import ngfreg
 from ngfreg import parallel
 from ngfreg.geometry import DeformationField, Grid3, GridError, Image3, VectorField3, make_identity
 from ngfreg.objective import LevelObjective
-from ngfreg.ngf import NgfParams, _norm, distance_and_gradient
+from ngfreg.ngf import LevelSweep, NgfParams, _norm, distance_and_gradient
 from ngfreg.synthetic import make_volume, smooth_random_volume
 from ngfreg.transfer import PT_VARIANTS, apply_P, apply_Pt, build_gather_plan
 from ngfreg.warp import _trilinear, image_gradient, image_gradient_apply_transpose
 
-from conftest import default_chunks
+from conftest import assert_reaped, default_chunks, sweep_once
 
 
 def _grid(dims, spacing=(1, 1, 1), origin=(0, 0, 0)):
@@ -35,7 +35,7 @@ def _ramps(g):
 def _distance_at_identity(T, R, params):
     """D from distance_and_gradient at the identity, deformation grid = image grid."""
     g = T.grid
-    D, _ = distance_and_gradient(make_identity(g), R, T, build_gather_plan(g, g), params)
+    D, _ = sweep_once(make_identity(g), R, T, build_gather_plan(g, g), params)
     return D
 
 
@@ -71,7 +71,7 @@ def test_matched_images_identity_is_stationary():
     T = smooth_random_volume(g, seed=22)
     params = NgfParams(tau=5.0, rho=5.0)
     plan = build_gather_plan(g, g)
-    _, grad = distance_and_gradient(make_identity(g), T, T, plan, params)
+    _, grad = sweep_once(make_identity(g), T, T, plan, params)
     assert np.max(np.abs(grad.field)) < 1e-12
 
 
@@ -126,8 +126,8 @@ def test_gradient_matches_fd(rng):
     plan = build_gather_plan(gd, gi)
     # offsets of ~0.37 cells keep the image-grid samples off trilinear knots
     field = make_identity(gd).field + 0.37 + 0.1 * rng.standard_normal((3,) + gd.shape)
-    y = DeformationField(gd, field)
-    _, grad = distance_and_gradient(y, R, T, plan, params)
+    sweep = LevelSweep(R, T, plan, params)
+    _, grad = distance_and_gradient(DeformationField(gd, field), sweep)
     gnorm = max(float(np.max(np.abs(grad.field))), 1.0)
 
     eps = 1e-6
@@ -136,13 +136,13 @@ def test_gradient_matches_fd(rng):
         fp[c, k, j, i] += eps
         fm = field.copy()
         fm[c, k, j, i] -= eps
-        Dp, _ = distance_and_gradient(DeformationField(gd, fp), R, T, plan, params)
-        Dm, _ = distance_and_gradient(DeformationField(gd, fm), R, T, plan, params)
+        Dp, _ = distance_and_gradient(DeformationField(gd, fp), sweep)
+        Dm, _ = distance_and_gradient(DeformationField(gd, fm), sweep)
         fd = (Dp - Dm) / (2 * eps)
         assert abs(fd - grad.field[c, k, j, i]) < 2e-5 * gnorm
 
 
-def test_variants_and_workers_agree(rng, one_plane_chunks, forks, sweep_children):
+def test_variants_and_workers_agree(rng, one_plane_chunks, forks):
     gi = _grid((9, 8, 7))
     gd = Grid3((3, 4, 2),
                tuple(n * s / m for n, s, m in zip(gi.dims, gi.spacing, (3, 4, 2))),
@@ -155,29 +155,27 @@ def test_variants_and_workers_agree(rng, one_plane_chunks, forks, sweep_children
     y = DeformationField(gd, make_identity(gd).field
                          + 0.5 * rng.standard_normal((3,) + gd.shape))
     with default_chunks():  # the whole grid in one chunk
-        D0, g0 = distance_and_gradient(y, R, T, plan, params, "gather")
-    children = sweep_children(4)
+        D0, g0 = sweep_once(y, R, T, plan, params, "gather")
     scale = np.abs(g0.field).max() + 1e-30
     for variant in ("gather", "scatter", "redblack"):
-        D1, g1 = distance_and_gradient(y, R, T, plan, params, variant)
-        D4, g4 = distance_and_gradient(y, R, T, plan, params, variant, children=children)
+        D1, g1 = sweep_once(y, R, T, plan, params, variant)
+        D4, g4 = sweep_once(y, R, T, plan, params, variant, workers=4)
         assert D1 == D4 == D0
         assert np.array_equal(g4.field, g1.field)
         assert np.max(np.abs(g1.field - g0.field)) <= 1e-12 * scale
         if variant == "gather":
             assert np.array_equal(g1.field, g0.field)
     assert max(one_plane_chunks) >= 2
-    assert len(forks) == max(one_plane_chunks) - 1  # forked once, for every variant
+    assert len(forks) == 3 * (max(one_plane_chunks) - 1)  # forked once per variant
 
 
-def test_bytes_identical_across_workers_and_chunks(rng, monkeypatch, forks, sweep_children):
+def test_bytes_identical_across_workers_and_chunks(rng, monkeypatch, forks):
     # 29 z-planes of 41 x 37: the slabs of 1, 2 and 3 workers end inside the
     # kernel's chunks of z-planes, at the module's chunk size and at 7 and 1
     # planes; 3 z-planes: every slab and chunk touches a boundary row of G^T
     from ngfreg import parallel
 
     chunks = (parallel._CHUNK_VOXELS, 7 * 41 * 37, 41 * 37)
-    kept = [sweep_children(w) for w in (1, 2, 3)]  # each forks again for new inputs
     for dims, def_dims in (((37, 41, 29), (10, 11, 8)), ((37, 41, 3), (10, 11, 2))):
         gi = _grid(dims)
         gd = Grid3(def_dims,
@@ -191,11 +189,11 @@ def test_bytes_identical_across_workers_and_chunks(rng, monkeypatch, forks, swee
         y = DeformationField(gd, make_identity(gd).field
                              + 1.5 * rng.standard_normal((3,) + gd.shape))
         monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunks[0])
-        D0, g0 = distance_and_gradient(y, R, T, plan, params)
+        D0, g0 = sweep_once(y, R, T, plan, params)
         for chunk in chunks:
-            monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunk)
-            for children in kept:
-                D, g = distance_and_gradient(y, R, T, plan, params, children=children)
+            monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunk)  # before the sweep fixes it
+            for workers in (1, 2, 3):
+                D, g = sweep_once(y, R, T, plan, params, workers=workers)
                 assert D == D0
                 assert g.field.tobytes() == g0.field.tobytes()
     assert forks  # the slabs after the first ran in child processes
@@ -204,7 +202,7 @@ def test_bytes_identical_across_workers_and_chunks(rng, monkeypatch, forks, swee
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("workers", [1, 2])
-def test_nonfinite_intermediate_is_floating_point_error(workers, request, sweep_children):
+def test_nonfinite_intermediate_is_floating_point_error(workers, request):
     # planes of +-3e38 are finite in f32, but their differences overflow, in
     # the template or in the reference. One worker runs the grid whole, in one
     # chunk; more run one-plane chunks so that the grid splits into slabs, and
@@ -217,11 +215,9 @@ def test_nonfinite_intermediate_is_floating_point_error(workers, request, sweep_
     smooth = smooth_random_volume(g, seed=5).astype(np.float32)
     params = NgfParams()
     plan = build_gather_plan(g, g)
-    children = sweep_children(workers)
     for T, R, match in ((huge, smooth, "template gradient"), (smooth, huge, "reference gradient")):
         with pytest.raises(FloatingPointError, match=match):
-            distance_and_gradient(make_identity(g, np.float32), R, T, plan, params,
-                                  children=children)
+            sweep_once(make_identity(g, np.float32), R, T, plan, params, workers=workers)
     # template planes 1e37 apart at a z-spacing of 0.01: the samples are finite
     # but their z-partials overflow, while the image and the deformation grid
     # have one z-plane, where every z-gradient is 0, so D stays finite
@@ -231,8 +227,8 @@ def test_nonfinite_intermediate_is_floating_point_error(workers, request, sweep_
     gi = _grid((8, 7, 1), (1, 1, 0.01), (0, 0, 0.015))
     R = smooth_random_volume(gi, seed=5).astype(np.float32)
     with pytest.raises(FloatingPointError, match="template gradient"):
-        distance_and_gradient(make_identity(gi, np.float32), R, T, build_gather_plan(gi, gi),
-                              params, children=children)
+        sweep_once(make_identity(gi, np.float32), R, T, build_gather_plan(gi, gi), params,
+                   workers=workers)
     if slab_counts is not None:
         assert max(slab_counts) == workers
 
@@ -242,7 +238,38 @@ def test_reference_off_the_plan_grid_is_grid_error():
     T = smooth_random_volume(g, seed=6)
     R = smooth_random_volume(_grid((6, 5, 4), spacing=(1.5, 1, 1)), seed=7)
     with pytest.raises(GridError, match="reference grid"):
-        distance_and_gradient(make_identity(g), R, T, build_gather_plan(g, g), NgfParams())
+        LevelSweep(R, T, build_gather_plan(g, g), NgfParams())
+
+
+def test_deformation_off_the_plan_grid_is_grid_error_at_the_call():
+    g = _grid((6, 5, 4))
+    sweep = LevelSweep(smooth_random_volume(g, seed=7), smooth_random_volume(g, seed=6),
+                       build_gather_plan(_def_grid(g, (3, 3, 2)), g), NgfParams())
+    with pytest.raises(GridError, match="deformation grid"):
+        distance_and_gradient(make_identity(_def_grid(g, (3, 3, 3))), sweep)
+
+
+def test_a_field_of_another_dtype_forks_again(rng, one_plane_chunks, forks):
+    # the children's shared arrays have the dtype of the field they were forked
+    # for: an f32 call after an f64 one forks new children for f32
+    gi = _grid((9, 8, 7))
+    gd = _def_grid(gi, (3, 4, 2))
+    T, R = _extended_template(gi), make_volume(gi)
+    plan = build_gather_plan(gd, gi)
+    field = make_identity(gd).field + 0.5 * rng.standard_normal((3,) + gd.shape)
+    sweep = LevelSweep(R, T, plan, NgfParams(), workers=2)
+    try:
+        distance_and_gradient(DeformationField(gd, field), sweep)
+        assert len(forks) == 1
+        y32 = DeformationField(gd, field.astype(np.float32))
+        D, g = distance_and_gradient(y32, sweep)
+        assert len(forks) == 2
+        assert_reaped(forks[:1])
+    finally:
+        sweep.close()
+    D1, g1 = sweep_once(y32, R, T, plan, NgfParams())
+    assert g.field.dtype == np.float32
+    assert D == D1 and g.field.tobytes() == g1.field.tobytes()
 
 
 def _layered_chain(y, R, T, plan, params, variant):
@@ -268,7 +295,7 @@ def _layered_chain(y, R, T, plan, params, variant):
 
 @pytest.mark.parametrize("dims, def_dims", [((9, 8, 1), (3, 3, 1)), ((9, 8, 2), (3, 3, 2)),
                                             ((9, 8, 3), (3, 3, 2)), ((37, 41, 29), (10, 11, 8))])
-def test_sweep_equals_layer_by_layer_chain(rng, monkeypatch, sweep_children, dims, def_dims):
+def test_sweep_equals_layer_by_layer_chain(rng, monkeypatch, dims, def_dims):
     # at the module's chunk size and at chunks of 2 and 1 planes, where every
     # chunk inside a slab uses the planes carried from the previous one; with
     # 3 workers on nz <= 3 every slab is one plane and all its halo is recomputed
@@ -281,7 +308,6 @@ def test_sweep_equals_layer_by_layer_chain(rng, monkeypatch, sweep_children, dim
     plan = build_gather_plan(gd, gi)
     plane = dims[0] * dims[1]
     chunks = (parallel._CHUNK_VOXELS, 2 * plane, plane)
-    kept = (None, sweep_children(2), sweep_children(3))  # each forks again for new inputs
     for dtype, d_tol in ((np.float64, 1e-13), (np.float32, 1e-6)):
         Rd, Td = R.astype(dtype), T.astype(dtype)
         y = DeformationField(gd, field.astype(dtype))
@@ -289,9 +315,8 @@ def test_sweep_equals_layer_by_layer_chain(rng, monkeypatch, sweep_children, dim
             D_ref, g_ref = _layered_chain(y, Rd, Td, plan, params, variant)
             for chunk in chunks:
                 monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunk)
-                for children in kept:
-                    D, g = distance_and_gradient(y, Rd, Td, plan, params, variant,
-                                                 children=children)
+                for workers in (1, 2, 3):
+                    D, g = sweep_once(y, Rd, Td, plan, params, variant, workers)
                     assert abs(D - D_ref) <= d_tol * abs(D_ref)
                     assert g.field.tobytes() == g_ref.tobytes()
 
@@ -353,7 +378,7 @@ import hashlib
 import numpy as np
 from ngfreg.geometry import Grid3, VectorField3
 from ngfreg.multilevel import deformation_grid_for
-from ngfreg.ngf import NgfParams, SweepChildren, distance_and_gradient
+from ngfreg.ngf import LevelSweep, NgfParams, distance_and_gradient
 from ngfreg.parallel import slab_partition
 from ngfreg.synthetic import smooth_random_field, smooth_random_volume
 from ngfreg.transfer import apply_P, apply_Pt, build_gather_plan
@@ -363,9 +388,9 @@ plan = build_gather_plan(gd, gi)
 R, T = (smooth_random_volume(gi, seed=s) for s in (0, 1))
 y = smooth_random_field(gd, seed=2, amplitude_mm=2.0)
 assert len(slab_partition(4, 384 * 384, 2)) == 2
-children = SweepChildren(2)
-D, g = distance_and_gradient(y, R, T, plan, NgfParams(), children=children)
-children.close()
+sweep = LevelSweep(R, T, plan, NgfParams(), workers=2)
+D, g = distance_and_gradient(y, sweep)
+sweep.close()
 r = VectorField3(gi, np.random.default_rng(3).standard_normal((3,) + gi.shape))
 for out in (np.float64(D), g.field, apply_P(y, gi).field, apply_Pt(r, plan).field):
     print(hashlib.sha256(np.asarray(out).tobytes()).hexdigest())

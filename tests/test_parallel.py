@@ -15,13 +15,13 @@ from ngfreg import ngf, parallel
 from ngfreg.geometry import DeformationField, Grid3, Image3, VectorField3, make_identity
 from ngfreg.lbfgs import LbfgsConfig
 from ngfreg.multilevel import MultilevelConfig, deformation_grid_for, register
-from ngfreg.ngf import NgfParams, distance_and_gradient
+from ngfreg.ngf import NgfParams
 from ngfreg.objective import LevelObjective
 from ngfreg.synthetic import gaussian_bump_mapping, make_registration_pair, smooth_random_volume
 from ngfreg.transfer import apply_Pt, build_gather_plan
 from ngfreg.warp import warp_image
 
-from conftest import assert_reaped
+from conftest import assert_reaped, sweep_once
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -126,17 +126,17 @@ def test_concurrent_callers_each_get_their_own_results():
     assert all(np.all(o == 20) for o in outs)
 
 
-def test_grid_of_one_chunk_runs_inline(helpers, forks, sweep_children):
+def test_grid_of_one_chunk_runs_inline(helpers, forks):
     # a whole 16^3 evaluation is less than one chunk: with 2 workers its
-    # sweep is one slab, run on the caller's thread as a bare call runs it
+    # sweep is one slab, run on the caller's thread as 1 worker runs it
     g = Grid3((16, 16, 16), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     plan = build_gather_plan(deformation_grid_for(g, 2), g)
     args = (make_identity(plan.def_grid), smooth_random_volume(g, seed=1),
             smooth_random_volume(g, seed=2), plan, NgfParams())
-    D, grad = distance_and_gradient(*args, children=sweep_children(2))
+    D, grad = sweep_once(*args, workers=2)
     assert helpers == []
     assert forks == []
-    D1, grad1 = distance_and_gradient(*args)
+    D1, grad1 = sweep_once(*args)
     assert D == D1 and grad.field.tobytes() == grad1.field.tobytes()
 
 
@@ -242,7 +242,7 @@ def test_closing_one_objective_leaves_another_s_children_alive(one_plane_chunks,
     assert_reaped(forks)
 
 
-def test_sweep_on_a_helper_thread_runs_inline(one_plane_chunks, forks, sweep_children):
+def test_sweep_on_a_helper_thread_runs_inline(one_plane_chunks, forks):
     obj, x = _objective(2)
     grid = obj.plan.def_grid
     y = DeformationField(grid, x.reshape((3,) + grid.shape))
@@ -250,8 +250,7 @@ def test_sweep_on_a_helper_thread_runs_inline(one_plane_chunks, forks, sweep_chi
 
     def sweep():
         threads.append(threading.current_thread())
-        return distance_and_gradient(y, obj.ref, obj.template, obj.plan, obj.params,
-                                     children=sweep_children(2))
+        return sweep_once(y, obj.ref, obj.template, obj.plan, obj.params, workers=2)
 
     (D1, g1), (D2, g2) = parallel.run_tasks([sweep, sweep], 2)
     assert sorted(t is threading.current_thread() for t in threads) == [False, True]
@@ -260,22 +259,17 @@ def test_sweep_on_a_helper_thread_runs_inline(one_plane_chunks, forks, sweep_chi
     assert (D1, g1.field.tobytes()) == _sweep()
 
 
-def _sweep(children=None):
+def _sweep(workers=1):
     """D and the gradient's bytes of a sweep of an _objective(2)'s point."""
     obj, x = _objective(2)
     grid = obj.plan.def_grid
     y = DeformationField(grid, x.reshape((3,) + grid.shape))
-    D, g = distance_and_gradient(y, obj.ref, obj.template, obj.plan, obj.params,
-                                 children=children)
+    D, g = sweep_once(y, obj.ref, obj.template, obj.plan, obj.params, workers=workers)
     return D, g.field.tobytes()
 
 
 def _sweep_and_send(conn, forks):
-    children = ngf.SweepChildren(2)
-    try:
-        conn.send((*_sweep(children), len(forks)))
-    finally:
-        children.close()
+    conn.send((*_sweep(2), len(forks)))
 
 
 def test_sweep_in_a_daemonic_process_runs_inline(one_plane_chunks, forks):
@@ -309,6 +303,19 @@ def test_no_helper_thread_outlives_its_call(one_plane_chunks, helpers):
         call()
         assert len(helpers) > started, name  # it ran on helper threads
         assert threading.active_count() == before, name
+
+
+def test_register_starts_no_helper_thread(one_plane_chunks, helpers, forks):
+    # the pyramids are built one after the other on the caller, and the
+    # sweep's slabs after the first run in child processes
+    g = Grid3((32, 32, 32), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    center = tuple(o + e / 2 for o, e in zip(g.origin, g.extent))
+    R, T = make_registration_pair(
+        g, gaussian_bump_mapping(center, sigma_mm=10.0, amplitude_mm=(1.5, -1.0, 0.5)))
+    register(R, T, MultilevelConfig(coarsest_min_dim=16, workers=2,
+                                    lbfgs=LbfgsConfig(max_iterations=2)))
+    assert helpers == []
+    assert len(forks) == 2  # one child per level
 
 
 def test_register_forks_with_no_other_thread_alive(monkeypatch):
