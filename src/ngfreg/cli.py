@@ -149,10 +149,7 @@ def _write_report(path: str, report: RegistrationReport) -> None:
             f"stop_reason = {lv.stop_reason}",
             f"line_search_failed = {lv.line_search_failed}",
             f"min_det = {lv.min_det:.6f}",
-            f"seconds_setup = {lv.seconds_setup:.6f}",
-            f"seconds_optimize = {lv.seconds_optimize:.6f}",
-            f"seconds_distance = {lv.seconds_distance:.6f}",
-            f"seconds_curvature = {lv.seconds_curvature:.6f}",
+            *(f"seconds_{name} = {s:.6f}" for name, s in lv.seconds.items()),
             "iter\tJ\tD\tS\tgrad_inf\tstep\tls_evals",
         ]
         for rec, (J, D, S) in zip(lv.records, lv.J_trace):

@@ -101,7 +101,11 @@ class Image3:
         self.values = _check_values(self.grid, self.values, "values")
 
     def astype(self, dtype) -> "Image3":
-        return Image3(self.grid, self.values.astype(dtype, copy=False))
+        """The image itself if its values have dtype, else a checked copy in dtype."""
+        if self.values.dtype == dtype:
+            return self
+        with np.errstate(over="ignore"):  # an overflow is non-finite: Image3 rejects it
+            return Image3(self.grid, self.values.astype(dtype))
 
 
 @dataclass

@@ -64,7 +64,18 @@ class MultilevelConfig:
             raise ValueError("grid_ratio must be >= 1")
         if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
-        precision_dtype(self.precision)
+        dtype = precision_dtype(self.precision)
+        info = np.finfo(dtype)
+        for name, value in (("tau", self.ngf.tau), ("rho", self.ngf.rho)):
+            # the sweep adds tau^2 and rho^2 in the precision: an overflow makes D
+            # constant, an underflow the gradients non-finite
+            with np.errstate(all="ignore"):
+                square = dtype(value) ** 2
+            if not info.tiny <= square <= info.max:
+                raise ValueError(
+                    f"{name} = {value:g} is out of range for precision {self.precision}: "
+                    f"{name}^2 must be a finite normal number, so {name} in "
+                    f"[{np.sqrt(info.tiny):.3g}, {np.sqrt(info.max):.3g}]")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         _z_schedule(self.pt_variant)
@@ -83,10 +94,9 @@ class LevelReport:
     J_trace: list[tuple[float, float, float]]  # (J, D, S) per accepted iterate
     final_grad_inf: float
     min_det: float  # min det grad y of the level's result; <= 0 means it folds
-    seconds_setup: float
-    seconds_optimize: float  # includes the two below
-    seconds_distance: float  # in the NGF distance and its gradient
-    seconds_curvature: float  # in the curvature term and its gradient
+    # setup, optimize, then LevelObjective.seconds: the parts of optimize in the
+    # NGF distance and its gradient and in the curvature term and its gradient
+    seconds: dict[str, float]
 
 
 @dataclass
@@ -228,10 +238,7 @@ def register(R: Image3, T: Image3, cfg: MultilevelConfig = MultilevelConfig()):
             J_trace=accepted,
             final_grad_inf=final_g,
             min_det=min_jacobian_det(y),
-            seconds_setup=setup_s,
-            seconds_optimize=opt_s,
-            seconds_distance=obj.seconds_distance,
-            seconds_curvature=obj.seconds_curvature,
+            seconds={"setup": setup_s, "optimize": opt_s, **obj.seconds},
         ))
         report.final_grad_inf = final_g
 

@@ -8,7 +8,7 @@ The distance compares image-gradient directions voxel by voxel,
 with the smoothed norm ||v||_eps = sqrt(<v,v> + eps^2). The value and the
 gradient with respect to the deformation-grid variables come from one sweep
 over chunks of whole image z-planes, which forms no image-sized array and
-keeps nothing between evaluations but the reference R and the template T:
+keeps nothing between evaluations but R, T and the level's small buffers:
 per chunk it interpolates the deformation onto the chunk's planes, samples
 the template there with the interpolant's partial derivatives, computes both
 image gradients and the pointwise terms once, and applies the chain of small
@@ -23,10 +23,10 @@ recompute halo planes of the neighbouring slabs. The warped template
 and its partials share one window of planes, so each chunk samples the
 template once. The windows and every temporary of a chunk are arrays of the
 thread's Workspace, so once a level has been evaluated a chunk allocates
-nothing. A LevelSweep binds the sweep to one level's images and plan. Its
-forked children run each slab after the first, because threads running the
-sweep's many small numpy calls mostly wait for the interpreter lock; with
-one slab, or where it cannot fork, the caller sweeps the whole grid.
+nothing. A LevelSweep binds the sweep to one level's images, plan, dtype and
+buffers. Its forked children run each slab after the first, because threads
+running the sweep's many small numpy calls mostly wait for the interpreter
+lock; with one slab, or where it cannot fork, the caller sweeps the whole grid.
 """
 
 from __future__ import annotations
@@ -132,7 +132,8 @@ def distance_and_gradient(y: DeformationField, sweep: LevelSweep) -> tuple[float
 
     The sweep walks each slab's chunks of whole z-planes in order
     (_sweep_slab), and the variant's z schedule of P^T then runs once, on the
-    caller. A non-finite D or xy reduction raises FloatingPointError.
+    caller. A y of another dtype than the level's raises ValueError, and a
+    non-finite D or xy reduction FloatingPointError.
 
     Every plane gets the same operations in the same order as on whole
     arrays, so the gradient is the same for any worker count and chunk size.
@@ -155,20 +156,21 @@ def distance_and_gradient(y: DeformationField, sweep: LevelSweep) -> tuple[float
 
 class LevelSweep:
     """The NGF sweep of one level. The reference R, the template, the plan,
-    the parameters, P^T's z schedule, the plane step and the partition into
-    at most `workers` slabs of image z-planes are fixed at construction; a
-    call sweeps a deformation field over them.
+    the parameters, P^T's z schedule, the plane step, the partition into at
+    most `workers` slabs of image z-planes and the dtype of R and the
+    template are fixed at construction, and the level's buffers allocated
+    once, over one shared mapping: the field, P^T's xy reduction and D's
+    per-plane sums. A call copies a field of that dtype in and returns the
+    other two, which the next call overwrites.
 
     Where there is more than one slab and it can fork (can_fork), the caller
     runs the first slab and a kept child process each other one: the children
-    are forked at the first such call, and again only after close(), after a
-    child died, or for a field of another dtype. Each child inherits the
-    images and the plan copy-on-write, so they must not change in place while
-    the sweep has children. One shared mapping carries the field to the
-    children and their planes of P^T's xy reduction and of D's per-plane sums
-    back, so it serves one call at a time. Elsewhere the caller sweeps the
-    whole grid as one slab. close() ends the children; children never closed
-    end when their group is garbage-collected or at interpreter exit.
+    are forked at the first such call, and again only after close() or after
+    a child died. They inherit the images and the plan copy-on-write, so
+    these must not change in place while the sweep has children, and share
+    the buffers, so it serves one call at a time. Elsewhere the caller sweeps
+    the whole grid as one slab. close() ends the children; children never
+    closed end when their group is garbage-collected or at interpreter exit.
     """
 
     def __init__(self, ref: Image3, template: Image3, plan: GatherPlan, params: NgfParams,
@@ -176,33 +178,34 @@ class LevelSweep:
         self.z_schedule = _z_schedule(pt_variant)
         if ref.grid != plan.image_grid:
             raise GridError("reference grid does not match the plan's image grid")
+        dtype = ref.values.dtype
+        if dtype not in (np.float32, np.float64) or template.values.dtype != dtype:
+            raise ValueError("the reference and the template must share float32 or float64, "
+                             f"got {ref.values.dtype} and {template.values.dtype}")
         self.plan = plan
         nz, ny, nx = plan.image_grid.shape
-        self._inputs = (ref, template, plan, params, plane_step(ny * nx))
+        self._buffers = shared_arrays([((3,) + plan.def_grid.shape, dtype),
+                                       ((3, nz) + plan.def_grid.shape[1:], dtype), ((nz,), dtype)])
+        self._inputs = (*self._buffers, ref, template, plan, params, plane_step(ny * nx))
         self._slabs = slab_partition(nz, ny * nx, workers)
         self._group: ProcessGroup | None = None
-        self._shared = ()
 
     def __call__(self, field: np.ndarray) -> tuple:
         """P^T's xy reduction and D's per-plane sums of the sweep of field."""
-        nz = self.plan.image_grid.shape[0]
-        outputs = [((3, nz) + self.plan.def_grid.shape[1:], field.dtype), ((nz,), field.dtype)]
-        if len(self._slabs) == 1 or not can_fork():
-            xy, d_planes = (np.empty(shape, dtype) for shape, dtype in outputs)
-            _sweep_slab(field, *self._inputs, 0, nz, xy, d_planes)
-            return xy, d_planes
-        if self._group is None or self._group.closed or self._shared[0].dtype != field.dtype:
-            self.close()
-            self._shared = y, xy, d_planes = shared_arrays([(field.shape, field.dtype), *outputs])
-            self._group = ProcessGroup(
-                [functools.partial(_sweep_slab, y, *self._inputs, lo, hi, xy, d_planes)
-                 for lo, hi in self._slabs[1:]],
-                [f"image z-planes {lo}:{hi}" for lo, hi in self._slabs[1:]])
-        y, xy, d_planes = self._shared
+        y, xy, d_planes = self._buffers
+        if field.dtype != y.dtype:
+            raise ValueError(f"a {field.dtype} deformation field for a {y.dtype} level")
         np.copyto(y, field)
+        if len(self._slabs) == 1 or not can_fork():
+            _sweep_slab(*self._inputs, 0, self.plan.image_grid.shape[0])
+            return xy, d_planes
+        if self._group is None or self._group.closed:
+            self._group = ProcessGroup(
+                [functools.partial(_sweep_slab, *self._inputs, *slab) for slab in self._slabs[1:]],
+                [f"image z-planes {lo}:{hi}" for lo, hi in self._slabs[1:]])
         self._group.start()  # before this thread's own slab, so the children start at once
         try:
-            _sweep_slab(y, *self._inputs, *self._slabs[0], xy, d_planes)
+            _sweep_slab(*self._inputs, *self._slabs[0])
         except BaseException:
             with contextlib.suppress(Exception):  # the first slab's error comes first
                 self._group.wait()
@@ -214,15 +217,16 @@ class LevelSweep:
         """End and reap the children, if any; a later call forks again."""
         if self._group is not None:
             self._group.close()
-        self._group, self._shared = None, ()
+        self._group = None
 
 
-def _sweep_slab(field: np.ndarray, ref: Image3, template: Image3, plan: GatherPlan,
-                params: NgfParams, step: int, lo: int, hi: int, xy: np.ndarray,
-                d_planes: np.ndarray) -> None:
+def _sweep_slab(field: np.ndarray, xy: np.ndarray, d_planes: np.ndarray, ref: Image3,
+                template: Image3, plan: GatherPlan, params: NgfParams, step: int, lo: int,
+                hi: int) -> None:
     """The sweep over image z-planes lo:hi, in chunks of `step` planes, of the
     deformation field (3, nz_d, ny_d, nx_d): D's sums of those planes into
-    d_planes[lo:hi] and their xy reduction of P^T into xy[:, lo:hi].
+    d_planes[lo:hi] and their xy reduction of P^T into xy[:, lo:hi]. numpy's
+    floating-point warnings are off: distance_and_gradient checks D and xy.
 
     Per chunk it forms yhat = P y on the new planes from y interpolated along
     x and y, samples the template there (values and partials), takes the
@@ -241,7 +245,7 @@ def _sweep_slab(field: np.ndarray, ref: Image3, template: Image3, plan: GatherPl
     """
     dtype = field.dtype
     image_grid: Grid3 = plan.image_grid
-    flat = template.values.astype(dtype, copy=False).ravel()
+    flat = template.values.ravel()
     spacing = image_grid.spacing
     nz, ny, nx = image_grid.shape
     h_bar = image_grid.cell_volume
@@ -293,7 +297,7 @@ def _sweep_slab(field: np.ndarray, ref: Image3, template: Image3, plan: GatherPl
         g_hat *= s
         _reduce_xy(g_hat, plan, xy[:, k0:k1], ws)
 
-    with workspace().frame() as ws:
+    with np.errstate(all="ignore"), workspace().frame() as ws:
         y_xy = _interp_xy(field[:, c0:c1], weights, ws)
         W = _PlaneWindow(ws, 4, step + 4, (ny, nx), dtype, max(lo - 2, 0))  # T, partials
         Q = _PlaneWindow(ws, 3, step + 2, (ny, nx), dtype, max(lo - 1, 0))

@@ -24,7 +24,8 @@ __all__ = ["LevelObjective"]
 class LevelObjective:
     """Callable objective for one multilevel level. Each call appends (J, D, S)
     to `log`, (inf, nan, nan) for a non-finite trial point, and adds the wall
-    seconds of the distance and of the curvature term to their totals.
+    seconds of the distance and of the curvature term to `seconds`. x must have
+    the dtype of the images, which LevelSweep checks.
 
     It builds the level's LevelSweep at construction. With more than one
     worker, its first evaluation whose sweep has more than one slab forks the
@@ -41,8 +42,7 @@ class LevelObjective:
     pt_variant: str = "gather"
     workers: int = 1
     log: list = field(default_factory=list)
-    seconds_distance: float = 0.0
-    seconds_curvature: float = 0.0
+    seconds: dict = field(default_factory=lambda: {"distance": 0.0, "curvature": 0.0})
 
     def __post_init__(self):
         self._sweep = LevelSweep(self.ref, self.template, self.plan, self.params,
@@ -59,8 +59,8 @@ class LevelObjective:
         D, grad_D = distance_and_gradient(y, self._sweep)
         t1 = time.perf_counter()
         S, grad_S = curvature_value_and_gradient(y)
-        self.seconds_distance += t1 - t0
-        self.seconds_curvature += time.perf_counter() - t1
+        self.seconds["distance"] += t1 - t0
+        self.seconds["curvature"] += time.perf_counter() - t1
         grad = grad_D.field + y.field.dtype.type(self.alpha) * grad_S
         J = D + self.alpha * S
         self.log.append((J, D, S))

@@ -24,9 +24,10 @@ buffer grows when that chunk's outermost frame closes.
 run_planes and run_tasks deal their calls to at most `workers` lanes: the
 caller runs the first, and a helper thread started for the call each other
 one. The library calls run_planes only: register builds its two pyramids
-one after the other on the caller. A call made inside a lane runs inline, so nested calls cannot deadlock
-and a sweep there never forks, and every helper is joined before the call
-returns or raises: no thread outlives its call.
+one after the other on the caller. A call made inside a lane runs inline,
+so nested calls cannot deadlock and a sweep there never forks. Every
+helper is joined before the call returns or raises: no thread outlives its
+call.
 
 The NGF sweep makes hundreds of numpy calls of tens of microseconds per
 chunk, and threads running it spend their time handing the interpreter lock

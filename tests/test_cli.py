@@ -45,6 +45,28 @@ def test_register_bad_config_is_usage_error_before_reading(tmp_path, capsys, fla
     assert f"argument {flag[0]}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--precision", "f32", "--rho", "1e20"], "rho"),   # rho^2 overflows: D is constant
+    (["--precision", "f32", "--tau", "1e25"], "tau"),
+    (["--rho", "1e160"], "rho"),
+    (["--precision", "f32", "--tau", "1e-20"], "tau"),  # tau^2 underflows: non-finite gradients
+    (["--tau", "1e-300"], "tau")])
+def test_tau_or_rho_out_of_range_for_the_precision_is_usage_error_before_reading(
+        tmp_path, capsys, flags, name):
+    assert main(["register", "--reference", str(tmp_path / "no.mha"),
+                 "--template", str(tmp_path / "no2.mha"),
+                 "--out-deformation", str(tmp_path / "y.mha")] + flags) == EXIT_USAGE
+    assert re.search(rf"error: {name} = .* out of range for precision f(32|64)",
+                     capsys.readouterr().err)
+
+
+def test_small_tau_and_rho_run_in_f32(pair, tmp_path):
+    g, rp, tp = pair
+    assert main(["register", "--reference", rp, "--template", tp,
+                 "--out-deformation", str(tmp_path / "y.mha"), "--precision", "f32",
+                 "--tau", "1e-3", "--rho", "1e-3", "--levels", "1", "--max-iter", "3"]) == EXIT_OK
+
+
 def test_missing_input_is_io_error(tmp_path):
     out = str(tmp_path / "y.mha")
     assert main(["register", "--reference", str(tmp_path / "no.mha"),

@@ -49,6 +49,17 @@ def test_image_validation():
         Image3(g, np.full(g.shape, np.inf))
 
 
+def test_image_astype_returns_itself_or_a_checked_copy():
+    g = Grid3((2, 2, 2), (1, 1, 1), (0, 0, 0))
+    img = Image3(g, np.full(g.shape, 1e39))
+    assert img.astype(np.float64) is img
+    assert img.astype("float64") is img
+    with pytest.raises(GridError, match="non-finite"):  # 1e39 overflows f32
+        img.astype(np.float32)
+    small = Image3(g, np.full(g.shape, 3.0))
+    assert small.astype(np.float32).values.dtype == np.float32
+
+
 def test_identity_field_matches_world_coordinates():
     g = Grid3((3, 4, 2), (0.9, 1.1, 2.0), (5.0, -2.0, 1.0))
     f = identity_field_array(g)

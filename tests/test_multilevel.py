@@ -279,8 +279,9 @@ def test_report_counts_evaluations_and_records_each_accepted_iterate(monkeypatch
             assert not np.isnan([J, D, S]).any()
             assert float(J) == rec.J
         # every evaluation runs inside the optimizer
-        assert lv.seconds_distance > 0 and lv.seconds_curvature > 0
-        assert lv.seconds_distance + lv.seconds_curvature <= lv.seconds_optimize
+        assert list(lv.seconds) == ["setup", "optimize", "distance", "curvature"]
+        assert lv.seconds["distance"] > 0 and lv.seconds["curvature"] > 0
+        assert lv.seconds["distance"] + lv.seconds["curvature"] <= lv.seconds["optimize"]
 
 
 def test_objective_logs_every_call_and_a_nonfinite_trial_as_inf():

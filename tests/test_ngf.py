@@ -249,27 +249,38 @@ def test_deformation_off_the_plan_grid_is_grid_error_at_the_call():
         distance_and_gradient(make_identity(_def_grid(g, (3, 3, 3))), sweep)
 
 
-def test_a_field_of_another_dtype_forks_again(rng, one_plane_chunks, forks):
-    # the children's shared arrays have the dtype of the field they were forked
-    # for: an f32 call after an f64 one forks new children for f32
+def test_a_field_of_another_dtype_is_value_error_and_leaves_the_sweep_usable(
+        rng, one_plane_chunks, forks):
+    # the level's buffers have the images' dtype: an f32 field for an f64
+    # level is rejected before any slab runs, and forks nothing new
     gi = _grid((9, 8, 7))
     gd = _def_grid(gi, (3, 4, 2))
     T, R = _extended_template(gi), make_volume(gi)
     plan = build_gather_plan(gd, gi)
-    field = make_identity(gd).field + 0.5 * rng.standard_normal((3,) + gd.shape)
+    y = DeformationField(gd, make_identity(gd).field + 0.5 * rng.standard_normal((3,) + gd.shape))
     sweep = LevelSweep(R, T, plan, NgfParams(), workers=2)
     try:
-        distance_and_gradient(DeformationField(gd, field), sweep)
+        D, g = distance_and_gradient(y, sweep)
         assert len(forks) == 1
-        y32 = DeformationField(gd, field.astype(np.float32))
-        D, g = distance_and_gradient(y32, sweep)
-        assert len(forks) == 2
-        assert_reaped(forks[:1])
+        with pytest.raises(ValueError, match="float32.*float64"):
+            distance_and_gradient(DeformationField(gd, y.field.astype(np.float32)), sweep)
+        D2, g2 = distance_and_gradient(y, sweep)
+        assert len(forks) == 1
     finally:
         sweep.close()
-    D1, g1 = sweep_once(y32, R, T, plan, NgfParams())
-    assert g.field.dtype == np.float32
-    assert D == D1 and g.field.tobytes() == g1.field.tobytes()
+    assert D2 == D and g2.field.tobytes() == g.field.tobytes()
+
+
+@pytest.mark.parametrize("ref_dtype, template_dtype", [(np.float64, np.float32),
+                                                       (np.float32, np.float64),
+                                                       (np.float64, np.int16),
+                                                       (np.int16, np.int16)])
+def test_images_of_two_dtypes_or_integers_are_value_error(ref_dtype, template_dtype):
+    g = _grid((6, 5, 4))
+    R = smooth_random_volume(g, seed=7).astype(ref_dtype)
+    T = smooth_random_volume(g, seed=6).astype(template_dtype)
+    with pytest.raises(ValueError, match="float32 or float64"):
+        LevelSweep(R, T, build_gather_plan(g, g), NgfParams())
 
 
 def _layered_chain(y, R, T, plan, params, variant):
