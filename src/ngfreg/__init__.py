@@ -23,7 +23,7 @@ from .evaluation import (
     min_jacobian_det,
     sample_deformation,
 )
-from .lbfgs import LbfgsConfig, StoppingRules, lbfgs_minimize
+from .lbfgs import StoppingRules, lbfgs_minimize
 from .multilevel import (
     MultilevelConfig,
     RegistrationReport,
@@ -60,7 +60,6 @@ __all__ = [
     "GridError",
     "Image3",
     "LandmarkSet",
-    "LbfgsConfig",
     "LevelSweep",
     "MultilevelConfig",
     "NgfParams",

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Grid3, VectorField3, precision_dtype
-from .lbfgs import LbfgsConfig
 from .multilevel import MultilevelConfig, deformation_grid_for, register
 from .ngf import LevelSweep, NgfParams, distance_and_gradient
 from .synthetic import smooth_random_field, smooth_random_volume
@@ -131,10 +130,8 @@ def run_benchmark(
             records.append(BenchmarkRecord("ngf_value_grad", "gather", precision, w, dims,
                                            reps, tmin, tmed, _checksum(g.field)))
 
-            cfg = MultilevelConfig(
-                precision=precision, workers=w,
-                lbfgs=LbfgsConfig(max_iterations=register_max_iter),
-            )
+            cfg = MultilevelConfig(precision=precision, workers=w,
+                                   max_iterations=register_max_iter)
             (yfull, _), tmin, tmed = _time(lambda: register(R.astype(dtype), T.astype(dtype), cfg), reps)
             records.append(BenchmarkRecord("register", "gather", precision, w, dims,
                                            reps, tmin, tmed, _checksum(yfull.field)))

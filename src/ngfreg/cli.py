@@ -14,8 +14,7 @@ from . import fileio
 from .benchmark import VariantDisagreement, _check_reps, format_table, run_benchmark
 from .evaluation import field_difference_stats, landmark_error
 from .geometry import Grid3, GridError, Image3, precision_dtype
-from .lbfgs import LbfgsConfig
-from .multilevel import MultilevelConfig, RegistrationReport, register
+from .multilevel import MultilevelConfig, RegistrationReport, max_levels, register
 from .ngf import NgfParams
 from .parallel import run_planes, workspace
 from .transfer import PT_VARIANTS
@@ -91,7 +90,8 @@ def _build_parser() -> _Parser:
     reg.add_argument("--precision", choices=("f32", "f64"), default="f64")
     reg.add_argument("--threads", type=_option(int, MultilevelConfig, "workers"), default=1)
     reg.add_argument("--pt-variant", choices=PT_VARIANTS, default="gather")
-    reg.add_argument("--max-iter", type=_option(int, LbfgsConfig, "max_iterations"), default=100)
+    reg.add_argument("--max-iter", type=_option(int, MultilevelConfig, "max_iterations"),
+                     default=100, help="L-BFGS iterations per level, at most")
     reg.add_argument("--report", help="write a structured text report of traces/timings")
 
     warp = sub.add_parser("warp", help="apply a stored deformation to a volume")
@@ -168,7 +168,7 @@ def _cmd_register(args) -> int:
             grid_ratio=args.grid_ratio,
             alpha=args.alpha,
             ngf=NgfParams(tau=args.tau, rho=args.rho),
-            lbfgs=LbfgsConfig(max_iterations=args.max_iter),
+            max_iterations=args.max_iter,
             precision=args.precision,
             workers=args.threads,
             pt_variant=args.pt_variant,
@@ -177,6 +177,10 @@ def _cmd_register(args) -> int:
         raise _UsageExit(str(e)) from None
     dtype = precision_dtype(cfg.precision)
     R = fileio.read_volume(args.reference, promote_dtype=dtype)
+    most = max_levels(R.grid.dims)
+    if cfg.num_levels is not None and cfg.num_levels > most:
+        raise _UsageExit(f"argument --levels: {cfg.num_levels} levels asked for, but dims "
+                         f"{R.grid.dims} allow at most {most}")
     T = fileio.read_volume(args.template, promote_dtype=dtype)
     y, report = register(R, T, cfg)
     fileio.write_deformation(y, args.out_deformation)
@@ -210,10 +214,10 @@ def _cmd_warp(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     y = fileio.read_deformation(args.deformation)
-    donor = fileio.read_volume(args.image_grid_from)
-    lm_ref = fileio.read_landmarks(args.landmarks_ref, args.frame, donor.grid)
-    lm_tmpl = fileio.read_landmarks(args.landmarks_template, args.frame, donor.grid)
-    res = landmark_error(y, lm_ref, lm_tmpl, donor.grid)
+    grid = fileio.read_volume_grid(args.image_grid_from)
+    lm_ref = fileio.read_landmarks(args.landmarks_ref, args.frame, grid)
+    lm_tmpl = fileio.read_landmarks(args.landmarks_template, args.frame, grid)
+    res = landmark_error(y, lm_ref, lm_tmpl, grid)
     print(f"landmark error: {res.mean_mm:.4f} +/- {res.stddev_mm:.4f} mm "
           f"over {lm_ref.count} landmarks")
     if int(res.outside_domain.sum()):

@@ -1,16 +1,18 @@
 """Limited-memory BFGS with Armijo backtracking line search.
 
-Drives one multilevel level. History pairs are filtered for positive
-curvature so the two-loop recursion always produces a descent direction;
-a failed line search ends the level gracefully with the best iterate.
+Drives one multilevel level. The solver is fixed: it keeps the last
+``MEMORY`` curvature pairs, filtered for positive curvature so the two-loop
+recursion always produces a descent direction, and a failed line search
+ends the level gracefully with the best iterate. A start point whose J or
+gradient is not finite raises ``FloatingPointError``.
 
-The line search starts at ``initial_step``, never tries a longer step and
-stops at the first trial that satisfies the Armijo condition, so the
-accepted trial is the last objective evaluation of its iteration. After a
+The line search starts at ``INITIAL_STEP``, never tries a longer step and
+stops at the first trial that satisfies the Armijo condition with ``C1``, so
+the accepted trial is the last objective evaluation of its iteration. After a
 rejected trial t it tries the minimizer of the parabola through phi(0),
-phi'(0) and phi(t), phi(t) = J(x + t d), kept within [0.1 t, step_shrink t];
-a non-finite phi(t) gives step_shrink t (Nocedal & Wright, Numerical
-Optimization, Sec. 3.5).
+phi'(0) and phi(t), phi(t) = J(x + t d), kept within [0.1 t, STEP_SHRINK t];
+a non-finite phi(t) gives STEP_SHRINK t. It gives up after ``MAX_LS_STEPS``
+trials (Nocedal & Wright, Numerical Optimization, Sec. 3.5).
 """
 
 from __future__ import annotations
@@ -20,32 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["LbfgsConfig", "StoppingRules", "IterationRecord", "OptimizeTrace",
+__all__ = ["StoppingRules", "IterationRecord", "OptimizeTrace",
            "two_loop_direction", "lbfgs_minimize"]
 
 
-@dataclass(frozen=True)
-class LbfgsConfig:
-    memory: int = 5
-    max_iterations: int = 100
-    c1: float = 1e-4
-    initial_step: float = 1.0
-    step_shrink: float = 0.5
-    max_ls_steps: int = 20
-
-    def __post_init__(self):
-        if self.memory < 1:
-            raise ValueError("memory must be >= 1")
-        if not (0 < self.c1 < 1):
-            raise ValueError("c1 must be in (0, 1)")
-        if not (0 < self.step_shrink < 1):
-            raise ValueError("step_shrink must be in (0, 1)")
-        if not (math.isfinite(self.initial_step) and self.initial_step > 0):
-            raise ValueError("initial_step must be finite and > 0")
-        if self.max_ls_steps < 1:
-            raise ValueError("max_ls_steps must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+MEMORY = 5          # (s, y) pairs kept
+C1 = 1e-4           # Armijo sufficient-decrease constant
+INITIAL_STEP = 1.0  # first trial of every line search
+STEP_SHRINK = 0.5   # largest backtrack factor
+MAX_LS_STEPS = 20   # trials before the line search fails
 
 
 @dataclass(frozen=True)
@@ -111,12 +96,17 @@ def two_loop_direction(history: list[tuple[np.ndarray, np.ndarray]], g: np.ndarr
     return -q
 
 
-def lbfgs_minimize(f, x0: np.ndarray, cfg: LbfgsConfig = LbfgsConfig(),
+def lbfgs_minimize(f, x0: np.ndarray, max_iterations: int = 100,
                    stop: StoppingRules = StoppingRules()):
-    """Minimize f(x) -> (J, grad). Returns (best x, OptimizeTrace)."""
+    """Minimize f(x) -> (J, grad) in at most max_iterations iterations.
+    Returns (best x, OptimizeTrace)."""
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     x = np.asarray(x0).copy()
     J, g = f(x)
     g = np.asarray(g)
+    if not (np.isfinite(J) and np.isfinite(g).all()):
+        raise FloatingPointError("the objective or its gradient is not finite at the start point")
     trace = OptimizeTrace()
     g0_inf = float(np.max(np.abs(g))) if g.size else 0.0
     if g0_inf <= 0.0:
@@ -127,7 +117,7 @@ def lbfgs_minimize(f, x0: np.ndarray, cfg: LbfgsConfig = LbfgsConfig(),
     x_scale = max(math.sqrt(_dot(x, x)), 1.0)
     rejected_streak = 0
 
-    for it in range(cfg.max_iterations):
+    for it in range(max_iterations):
         d = two_loop_direction(history, g)
         slope = _dot(g, d)
         if slope >= 0:  # safeguard: fall back to steepest descent
@@ -135,18 +125,18 @@ def lbfgs_minimize(f, x0: np.ndarray, cfg: LbfgsConfig = LbfgsConfig(),
             slope = _dot(g, d)
             history.clear()
 
-        t = cfg.initial_step
-        for ls_evals in range(1, cfg.max_ls_steps + 1):
+        t = INITIAL_STEP
+        for ls_evals in range(1, MAX_LS_STEPS + 1):
             x_new = x + x.dtype.type(t) * d
             J_new, g_new = f(x_new)
             if not np.isfinite(J_new):
-                t *= cfg.step_shrink
-            elif J_new <= J + cfg.c1 * t * slope:
+                t *= STEP_SHRINK
+            elif J_new <= J + C1 * t * slope:
                 break
             else:  # the failed Armijo test makes the denominator positive; the
                 # lower safeguard is Dennis & Schnabel's (1983), Sec. 6.3.2
                 t_q = -slope * t * t / (2.0 * (J_new - J - slope * t))
-                t = min(max(t_q, 0.1 * t), cfg.step_shrink * t)
+                t = min(max(t_q, 0.1 * t), STEP_SHRINK * t)
         else:
             trace.stop_reason = "line search failed"
             trace.line_search_failed = True
@@ -158,7 +148,7 @@ def lbfgs_minimize(f, x0: np.ndarray, cfg: LbfgsConfig = LbfgsConfig(),
         step_norm = math.sqrt(_dot(s, s))
         if sy > 1e-10 * step_norm * math.sqrt(_dot(yv, yv)):
             history.append((s, yv))
-            if len(history) > cfg.memory:
+            if len(history) > MEMORY:
                 history.pop(0)
             rejected_streak = 0
         else:
@@ -166,7 +156,7 @@ def lbfgs_minimize(f, x0: np.ndarray, cfg: LbfgsConfig = LbfgsConfig(),
             rejected_streak += 1
             if history:
                 history.pop(0)
-            if rejected_streak >= cfg.memory:
+            if rejected_streak >= MEMORY:
                 history.clear()
 
         J_prev = J

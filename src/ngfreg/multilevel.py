@@ -25,7 +25,7 @@ from .geometry import (
     precision_dtype,
 )
 from .evaluation import min_jacobian_det
-from .lbfgs import IterationRecord, LbfgsConfig, StoppingRules, lbfgs_minimize
+from .lbfgs import IterationRecord, lbfgs_minimize
 from .ngf import NgfParams
 from .objective import LevelObjective
 from .transfer import _z_schedule, apply_P, build_gather_plan
@@ -36,6 +36,7 @@ __all__ = [
     "build_pyramid",
     "deformation_grid_for",
     "downsample_image",
+    "max_levels",
     "num_auto_levels",
     "prolong_deformation",
     "register",
@@ -49,8 +50,7 @@ class MultilevelConfig:
     grid_ratio: int = 4
     alpha: float = 1.0
     ngf: NgfParams = NgfParams()
-    lbfgs: LbfgsConfig = LbfgsConfig()
-    stopping: StoppingRules = StoppingRules()
+    max_iterations: int = 100              # L-BFGS iterations per level
     precision: str = "f64"
     workers: int = 1
     pt_variant: str = "gather"
@@ -62,10 +62,16 @@ class MultilevelConfig:
             raise ValueError("coarsest_min_dim must be >= 1")
         if self.grid_ratio < 1:
             raise ValueError("grid_ratio must be >= 1")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         dtype = precision_dtype(self.precision)
         info = np.finfo(dtype)
+        with np.errstate(all="ignore"):
+            alpha = dtype(self.alpha)
+        if not 0 < alpha <= info.max:  # the gradient adds alpha * grad S in the precision
+            raise ValueError(
+                f"alpha = {self.alpha:g} is out of range for precision {self.precision}: "
+                f"it must be > 0 and finite, so at most {info.max:.3g}")
         for name, value in (("tau", self.ngf.tau), ("rho", self.ngf.rho)):
             # the sweep adds tau^2 and rho^2 in the precision: an overflow makes D
             # constant, an underflow the gradients non-finite
@@ -147,16 +153,20 @@ def num_auto_levels(dims: tuple[int, int, int], coarsest_min_dim: int) -> int:
         levels += 1
 
 
+def max_levels(dims: tuple[int, int, int]) -> int:
+    """The most levels a pyramid can have: halving stops at 1 x 1 x 1."""
+    return (max(dims) - 1).bit_length() + 1
+
+
 def build_pyramid(img: Image3, levels: int) -> list[Image3]:
     """Repeatedly downsampled images, coarsest first (level 0 = coarsest)."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    most = max_levels(img.grid.dims)
+    if not 1 <= levels <= most:
+        raise ValueError(f"cannot build {levels} levels from dims {img.grid.dims}: "
+                         f"they allow 1 to {most}")
     out = [img]
     for _ in range(levels - 1):
-        nxt = downsample_image(out[-1])
-        if nxt.grid.dims == out[-1].grid.dims:
-            raise ValueError(f"cannot build {levels} levels from dims {img.grid.dims}")
-        out.append(nxt)
+        out.append(downsample_image(out[-1]))
     out.reverse()
     return out
 
@@ -216,7 +226,7 @@ def register(R: Image3, T: Image3, cfg: MultilevelConfig = MultilevelConfig()):
 
         t0 = time.perf_counter()
         try:
-            x, trace = lbfgs_minimize(obj, y.field.ravel(), cfg.lbfgs, cfg.stopping)
+            x, trace = lbfgs_minimize(obj, y.field.ravel(), cfg.max_iterations)
         finally:
             obj.close()
         y = DeformationField(def_grid, x.reshape((3,) + def_grid.shape))

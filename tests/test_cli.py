@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ngfreg import cli
+from ngfreg import cli, fileio
 from ngfreg.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from ngfreg.fileio import read_deformation, read_volume, write_deformation, write_volume
 from ngfreg.geometry import Grid3, Image3, identity_field_array, make_identity
@@ -36,7 +36,8 @@ def test_usage_errors():
 
 @pytest.mark.parametrize("flag", [["--max-iter", "0"], ["--max-iter", "-3"], ["--alpha", "0"],
                                   ["--threads", "0"], ["--threads", "-2"], ["--levels", "abc"],
-                                  ["--levels", "0"], ["--grid-ratio", "0"], ["--tau", "0"]])
+                                  ["--levels", "0"], ["--grid-ratio", "0"], ["--tau", "0"],
+                                  ["--alpha", "inf"], ["--alpha", "nan"]])
 def test_register_bad_config_is_usage_error_before_reading(tmp_path, capsys, flag):
     # the inputs do not exist: a usage error shows the config was checked first
     assert main(["register", "--reference", str(tmp_path / "no.mha"),
@@ -50,7 +51,8 @@ def test_register_bad_config_is_usage_error_before_reading(tmp_path, capsys, fla
     (["--precision", "f32", "--tau", "1e25"], "tau"),
     (["--rho", "1e160"], "rho"),
     (["--precision", "f32", "--tau", "1e-20"], "tau"),  # tau^2 underflows: non-finite gradients
-    (["--tau", "1e-300"], "tau")])
+    (["--tau", "1e-300"], "tau"),
+    (["--precision", "f32", "--alpha", "1e39"], "alpha")])  # alpha * grad S is inf
 def test_tau_or_rho_out_of_range_for_the_precision_is_usage_error_before_reading(
         tmp_path, capsys, flags, name):
     assert main(["register", "--reference", str(tmp_path / "no.mha"),
@@ -65,6 +67,14 @@ def test_small_tau_and_rho_run_in_f32(pair, tmp_path):
     assert main(["register", "--reference", rp, "--template", tp,
                  "--out-deformation", str(tmp_path / "y.mha"), "--precision", "f32",
                  "--tau", "1e-3", "--rho", "1e-3", "--levels", "1", "--max-iter", "3"]) == EXIT_OK
+
+
+def test_levels_above_what_the_grid_allows_is_usage_error_writing_nothing(pair, tmp_path, capsys):
+    g, rp, tp = pair
+    assert main(["register", "--reference", rp, "--template", tp,
+                 "--out-deformation", str(tmp_path / "y.mha"), "--levels", "6"]) == EXIT_USAGE
+    assert re.search(r"error: argument --levels: 6 .* at most 5", capsys.readouterr().err)
+    assert not (tmp_path / "y.mha").exists()
 
 
 def test_missing_input_is_io_error(tmp_path):
@@ -291,6 +301,25 @@ def test_evaluate_compare_deformation(pair, tmp_path, capsys):
     assert "field difference" in out
     # constant 0.5mm shift per component -> magnitude sqrt(3)/2 everywhere
     assert f"{np.sqrt(0.75):.6e}" in out
+
+
+def test_evaluate_reads_only_the_header_of_the_grid_donor(pair, tmp_path, monkeypatch):
+    g, rp, tp = pair
+    from ngfreg.multilevel import deformation_grid_for
+
+    ypath = str(tmp_path / "id.mha")
+    write_deformation(make_identity(deformation_grid_for(g, 4)), ypath)
+    lm = str(tmp_path / "lm.txt")
+    with open(lm, "w") as fh:
+        fh.write("8 8 8\n")
+
+    def no_volume(*args, **kwargs):
+        raise AssertionError("the donor's voxels were read")
+
+    monkeypatch.setattr(fileio, "read_volume", no_volume)
+    assert main(["evaluate", "--deformation", ypath, "--landmarks-ref", lm,
+                 "--landmarks-template", lm, "--image-grid-from", rp, "--frame", "world",
+                 "--out-per-landmark", str(tmp_path / "per.txt")]) == EXIT_OK
 
 
 def test_evaluate_bad_landmarks_is_io_error(pair, tmp_path, capsys):

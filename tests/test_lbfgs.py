@@ -8,7 +8,9 @@ import pytest
 
 import ngfreg
 from ngfreg.lbfgs import (
-    LbfgsConfig,
+    INITIAL_STEP,
+    MAX_LS_STEPS,
+    STEP_SHRINK,
     StoppingRules,
     lbfgs_minimize,
     two_loop_direction,
@@ -37,22 +39,31 @@ def rosenbrock(x):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        LbfgsConfig(memory=0)
-    with pytest.raises(ValueError):
-        LbfgsConfig(c1=1.5)
-    with pytest.raises(ValueError):
         StoppingRules(tol_J=0.0)
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"initial_step": 0.0}, {"initial_step": -1.0}, {"initial_step": float("nan")},
-    {"initial_step": float("inf")}, {"max_ls_steps": 0}, {"max_iterations": 0},
-    {"max_iterations": -3},
-])
-def test_config_rejects_what_the_line_search_cannot_honour(kwargs):
-    # initial_step=0 used to return the start point as "converged"
-    with pytest.raises(ValueError):
-        LbfgsConfig(**kwargs)
+@pytest.mark.parametrize("max_iterations", [0, -3])
+def test_max_iterations_below_one_is_value_error_before_evaluating(max_iterations):
+    def f(x):
+        raise AssertionError("evaluated")
+
+    with pytest.raises(ValueError, match="max_iterations"):
+        lbfgs_minimize(f, np.zeros(3), max_iterations)
+
+
+@pytest.mark.parametrize("J, g", [(float("nan"), [1.0, 0.0]), (float("inf"), [1.0, 0.0]),
+                                  (1.0, [float("nan"), 0.0]), (1.0, [0.0, float("-inf")])])
+def test_nonfinite_start_is_floating_point_error(J, g):
+    # a NaN start used to end the level as "line search failed" at the start point
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return J, np.array(g)
+
+    with pytest.raises(FloatingPointError, match="start point"):
+        lbfgs_minimize(f, np.zeros(2))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("eig_max", [1.5, 40.0])
@@ -69,15 +80,13 @@ def test_line_search_backtracks_from_initial_step_only(rng, eig_max):
         calls.append(x)
         return 0.5 * float(x @ (A @ x)) - float(b @ x), A @ x - b
 
-    cfg = LbfgsConfig()
-    _, trace = lbfgs_minimize(f, np.zeros(n), cfg)
+    _, trace = lbfgs_minimize(f, np.zeros(n))
     assert trace.iterations >= 3
     assert len(calls) == 1 + sum(r.ls_evals for r in trace.records)
+    assert INITIAL_STEP == 1.0 and STEP_SHRINK == 0.5
     for r in trace.records:
         k = r.ls_evals
-        assert (cfg.initial_step * 0.1 ** (k - 1) <= r.step
-                <= cfg.initial_step * cfg.step_shrink ** (k - 1))
-        assert r.step <= cfg.initial_step
+        assert 0.1 ** (k - 1) <= r.step <= 0.5 ** (k - 1)
     if eig_max < 2:
         assert all(r.ls_evals == 1 for r in trace.records)
     else:
@@ -99,7 +108,7 @@ def test_backtrack_lands_on_the_minimizer_of_a_quadratic():
     A = np.diag([2.0, 3.0, 5.0])
     x0 = np.array([1.0, -2.0, 0.5])
     f, calls = _recording(lambda x: (0.5 * float(x @ (A @ x)), A @ x))
-    _, trace = lbfgs_minimize(f, x0, LbfgsConfig(max_iterations=1))
+    _, trace = lbfgs_minimize(f, x0, 1)
     g = A @ x0
     t_star = float(g @ g) / float(g @ (A @ g))
     assert 0.1 < t_star < 0.5  # the unit step overshoots
@@ -116,19 +125,19 @@ def test_nonfinite_trial_shrinks_by_step_shrink():
             return float("inf"), np.zeros_like(x)
         return -float(np.sum(x)), -np.ones_like(x)
 
-    cfg = LbfgsConfig(step_shrink=0.3, max_iterations=1)
     f, calls = _recording(boxed)
-    _, trace = lbfgs_minimize(f, np.zeros(3), cfg)
+    _, trace = lbfgs_minimize(f, np.zeros(3), 1)
+    assert STEP_SHRINK == 0.5
     assert trace.records[0].ls_evals == 2
-    assert trace.records[0].step == cfg.step_shrink
-    assert np.array_equal(calls[2], np.full(3, cfg.step_shrink))
+    assert trace.records[0].step == 0.5
+    assert np.array_equal(calls[2], np.full(3, 0.5))
 
 
 def test_backtrack_is_at_least_a_tenth_of_the_rejected_step():
     # the parabola's minimizer t* = 1/50 lies below 0.1 * t for t = 1
     x0 = np.array([1.0, -1.0])
     f, calls = _recording(lambda x: (25.0 * float(x @ x), 50.0 * x))
-    _, trace = lbfgs_minimize(f, x0, LbfgsConfig(max_iterations=1))
+    _, trace = lbfgs_minimize(f, x0, 1)
     d = -(50.0 * x0)
     assert np.array_equal(calls[1], x0 + 1.0 * d)
     assert np.array_equal(calls[2], x0 + 0.1 * d)
@@ -170,7 +179,7 @@ def test_rosenbrock_converges(rng):
     x0 = np.full(8, -1.2)
     x, trace = lbfgs_minimize(
         rosenbrock, x0,
-        cfg=LbfgsConfig(max_iterations=300),
+        max_iterations=300,
         stop=StoppingRules(tol_grad=1e-10, tol_J=1e-18, tol_step=1e-14),
     )
     assert np.max(np.abs(x - 1.0)) < 1e-5
@@ -196,10 +205,10 @@ def test_monotone_decrease(rng):
 def test_line_search_failure_reported():
     # the "gradient" points away from descent, so every probe increases J
     # and backtracking must give up cleanly, returning the start point
-    def f(x):
-        return float(np.sum(x)), -np.ones_like(x)
-
-    x, trace = lbfgs_minimize(f, np.ones(3), cfg=LbfgsConfig(max_ls_steps=5))
+    f, calls = _recording(lambda x: (float(np.sum(x)), -np.ones_like(x)))
+    x, trace = lbfgs_minimize(f, np.ones(3))
+    assert MAX_LS_STEPS == 20
+    assert len(calls) == 1 + 20
     assert trace.line_search_failed
     assert trace.stop_reason == "line search failed"
     assert np.array_equal(x, np.ones(3))
@@ -209,7 +218,7 @@ def test_respects_max_iterations(rng):
     f, _ = quadratic_problem(rng, n=30)
     _, trace = lbfgs_minimize(
         f, rng.standard_normal(30),
-        cfg=LbfgsConfig(max_iterations=2),
+        max_iterations=2,
         stop=StoppingRules(tol_grad=1e-16, tol_J=1e-18, tol_step=1e-16, min_iterations=1),
     )
     assert trace.iterations <= 2

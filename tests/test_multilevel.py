@@ -4,7 +4,6 @@ import pytest
 from ngfreg import multilevel
 from ngfreg.evaluation import min_jacobian_det
 from ngfreg.geometry import DeformationField, Grid3, GridError, Image3, make_identity
-from ngfreg.lbfgs import LbfgsConfig
 from ngfreg.ngf import NgfParams
 from ngfreg.objective import LevelObjective
 from ngfreg.multilevel import (
@@ -12,6 +11,7 @@ from ngfreg.multilevel import (
     build_pyramid,
     deformation_grid_for,
     downsample_image,
+    max_levels,
     num_auto_levels,
     prolong_deformation,
     register,
@@ -98,6 +98,16 @@ def test_build_pyramid_coarsest_first():
         build_pyramid(Image3(_grid((1, 1, 1)), np.zeros((1, 1, 1))), 2)
 
 
+def test_max_levels_halves_down_to_one_voxel():
+    # 17 -> 9 -> 5 -> 3 -> 2 -> 1
+    dims = ((1, 1, 1), (2, 1, 1), (16, 16, 16), (17, 4, 4))
+    assert [max_levels(d) for d in dims] == [1, 2, 5, 6]
+    img = smooth_random_volume(_grid((16, 16, 16)), seed=3)
+    assert build_pyramid(img, 5)[0].grid.dims == (1, 1, 1)
+    with pytest.raises(ValueError, match="allow 1 to 5"):
+        build_pyramid(img, 6)
+
+
 def test_deformation_grid_covers_domain():
     g = _grid((30, 17, 9), (1.0, 1.5, 2.0), (1.0, 2.0, 3.0))
     d = deformation_grid_for(g, 4)
@@ -157,7 +167,9 @@ def test_config_validation():
     # values register used to run differently (workers < 1 ran 1 worker) or
     # reject only deep inside the run
     for bad in ({"workers": 0}, {"workers": -2}, {"pt_variant": "bogus"},
-                {"precision": "f16"}, {"coarsest_min_dim": 0}, {"alpha": float("nan")}):
+                {"precision": "f16"}, {"coarsest_min_dim": 0}, {"alpha": float("nan")},
+                {"alpha": float("inf")}, {"alpha": 1e39, "precision": "f32"},
+                {"max_iterations": 0}, {"max_iterations": -3}):
         with pytest.raises(ValueError):
             MultilevelConfig(**bad)
 
@@ -174,7 +186,7 @@ def test_register_recovers_synthetic_bump():
     center = tuple(o + e / 2 for o, e in zip(g.origin, g.extent))
     mapping = gaussian_bump_mapping(center, sigma_mm=9.0, amplitude_mm=(2.5, -2.0, 1.5))
     R, T = make_registration_pair(g, mapping)
-    cfg = MultilevelConfig(coarsest_min_dim=8, lbfgs=LbfgsConfig(max_iterations=60))
+    cfg = MultilevelConfig(coarsest_min_dim=8, max_iterations=60)
     y, report = register(R, T, cfg)
 
     from ngfreg.evaluation import sample_deformation
@@ -195,9 +207,9 @@ def test_register_deterministic_across_workers(one_plane_chunks):
     R, T = make_registration_pair(
         g, gaussian_bump_mapping(center, sigma_mm=8.0, amplitude_mm=(1.5, 0.0, -1.0)))
     cfg1 = MultilevelConfig(coarsest_min_dim=8, workers=1,
-                            lbfgs=LbfgsConfig(max_iterations=20))
+                            max_iterations=20)
     cfg4 = MultilevelConfig(coarsest_min_dim=8, workers=4,
-                            lbfgs=LbfgsConfig(max_iterations=20))
+                            max_iterations=20)
     with default_chunks():  # the whole grid in one chunk
         y1, _ = register(R, T, cfg1)
     y4, _ = register(R, T, cfg4)
@@ -205,14 +217,27 @@ def test_register_deterministic_across_workers(one_plane_chunks):
     assert max(one_plane_chunks) >= 2
 
 
+def test_max_iterations_caps_every_level():
+    g = _grid((16, 16, 16), (2.0, 2.0, 2.0))
+    center = tuple(o + e / 2 for o, e in zip(g.origin, g.extent))
+    R, T = make_registration_pair(
+        g, gaussian_bump_mapping(center, sigma_mm=8.0, amplitude_mm=(1.5, 0.0, -1.0)))
+    _, report = register(R, T, MultilevelConfig(coarsest_min_dim=8, max_iterations=2))
+    assert len(report.levels) == 2
+    for lv in report.levels:
+        assert lv.iterations == 2
+        assert lv.stop_reason == "max iterations"
+
+
 def test_register_f32_runs_and_matches_f64_roughly():
     g = _grid((16, 16, 16), (2.0, 2.0, 2.0))
     center = tuple(o + e / 2 for o, e in zip(g.origin, g.extent))
     R, T = make_registration_pair(
         g, gaussian_bump_mapping(center, sigma_mm=8.0, amplitude_mm=(1.5, -1.0, 0.5)))
-    lb = LbfgsConfig(max_iterations=15)
-    y32, _ = register(R, T, MultilevelConfig(coarsest_min_dim=8, precision="f32", lbfgs=lb))
-    y64, _ = register(R, T, MultilevelConfig(coarsest_min_dim=8, precision="f64", lbfgs=lb))
+    y32, _ = register(R, T, MultilevelConfig(coarsest_min_dim=8, precision="f32",
+                                             max_iterations=15))
+    y64, _ = register(R, T, MultilevelConfig(coarsest_min_dim=8, precision="f64",
+                                             max_iterations=15))
     assert y32.field.dtype == np.float32
     assert y64.field.dtype == np.float64
     d = y32.field.astype(np.float64) - y64.field
@@ -226,7 +251,7 @@ def test_identical_images_stay_near_identity_in_interior():
     g = _grid((16, 16, 16), (2.0, 2.0, 2.0))
     T = smooth_random_volume(g, seed=8)
     y, _ = register(T, T, MultilevelConfig(coarsest_min_dim=8,
-                                           lbfgs=LbfgsConfig(max_iterations=10)))
+                                           max_iterations=10))
 
     from ngfreg.evaluation import sample_deformation
 
@@ -267,7 +292,7 @@ def test_report_counts_evaluations_and_records_each_accepted_iterate(monkeypatch
     R, T = make_registration_pair(
         g, gaussian_bump_mapping(center, sigma_mm=8.0, amplitude_mm=(1.5, -1.0, 0.5)))
     cfg = MultilevelConfig(coarsest_min_dim=8, precision=precision,
-                           lbfgs=LbfgsConfig(max_iterations=20))
+                           max_iterations=20)
     _, report = register(R, T, cfg)
 
     assert calls == [lv.evaluations for lv in report.levels]

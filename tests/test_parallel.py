@@ -13,7 +13,6 @@ import pytest
 
 from ngfreg import ngf, parallel
 from ngfreg.geometry import DeformationField, Grid3, Image3, VectorField3, make_identity
-from ngfreg.lbfgs import LbfgsConfig
 from ngfreg.multilevel import MultilevelConfig, deformation_grid_for, register
 from ngfreg.ngf import NgfParams
 from ngfreg.objective import LevelObjective
@@ -313,7 +312,7 @@ def test_register_starts_no_helper_thread(one_plane_chunks, helpers, forks):
     R, T = make_registration_pair(
         g, gaussian_bump_mapping(center, sigma_mm=10.0, amplitude_mm=(1.5, -1.0, 0.5)))
     register(R, T, MultilevelConfig(coarsest_min_dim=16, workers=2,
-                                    lbfgs=LbfgsConfig(max_iterations=2)))
+                                    max_iterations=2))
     assert helpers == []
     assert len(forks) == 2  # one child per level
 
@@ -332,7 +331,7 @@ def test_register_forks_with_no_other_thread_alive(monkeypatch):
     center = tuple(o + e / 2 for o, e in zip(g.origin, g.extent))
     R, T = make_registration_pair(
         g, gaussian_bump_mapping(center, sigma_mm=18.0, amplitude_mm=(3.0, -2.0, 1.5)))
-    register(R, T, MultilevelConfig(workers=2, lbfgs=LbfgsConfig(max_iterations=2)))
+    register(R, T, MultilevelConfig(workers=2, max_iterations=2))
     assert live and live == [1] * len(live)
 
 
@@ -341,7 +340,7 @@ def test_register_reaps_every_level_s_children(one_plane_chunks, forks):
     center = tuple(o + e / 2 for o, e in zip(g.origin, g.extent))
     R, T = make_registration_pair(
         g, gaussian_bump_mapping(center, sigma_mm=8.0, amplitude_mm=(1.5, -1.0, 0.5)))
-    cfg = MultilevelConfig(coarsest_min_dim=8, workers=2, lbfgs=LbfgsConfig(max_iterations=3))
+    cfg = MultilevelConfig(coarsest_min_dim=8, workers=2, max_iterations=3)
     register(R, T, cfg)
     assert len(forks) == 2  # one child per level
     assert_reaped(forks)
