@@ -143,14 +143,15 @@ def downsample_image(img: Image3) -> Image3:
 
 
 def num_auto_levels(dims: tuple[int, int, int], coarsest_min_dim: int) -> int:
-    levels = 1
-    d = list(dims)
-    while True:
-        nxt = [-(-x // 2) for x in d]
-        if min(nxt) < coarsest_min_dim:
-            return levels
-        d = nxt
+    """The most levels whose coarsest image has at least coarsest_min_dim
+    voxels along every axis: at least 1, at most max_levels(dims)."""
+    levels, d = 1, list(dims)
+    while levels < max_levels(dims):
+        d = [-(-x // 2) for x in d]
+        if min(d) < coarsest_min_dim:
+            break
         levels += 1
+    return levels
 
 
 def max_levels(dims: tuple[int, int, int]) -> int:
@@ -210,7 +211,10 @@ def register(R: Image3, T: Image3, cfg: MultilevelConfig = MultilevelConfig()):
     y: DeformationField | None = None
     for lvl in range(levels):
         t0 = time.perf_counter()
+        # the level's objective holds its images from here on, so they are
+        # freed once the next level's objective replaces it
         Rl, Tl = pyr_R[lvl], pyr_T[lvl]
+        pyr_R[lvl] = pyr_T[lvl] = None
         image_grid = Rl.grid
         def_grid = deformation_grid_for(image_grid, cfg.grid_ratio)
         plan = build_gather_plan(def_grid, image_grid)

@@ -9,7 +9,8 @@ with the smoothed norm ||v||_eps = sqrt(<v,v> + eps^2). The value and the
 gradient with respect to the deformation-grid variables come from one sweep
 over chunks of whole image z-planes, which forms no image-sized array and
 keeps nothing between evaluations but R, T and the level's small buffers:
-per chunk it interpolates the deformation onto the chunk's planes, samples
+per chunk it interpolates the deformation onto the chunk's planes from the
+few coarse planes that these read, samples
 the template there with the interpolant's partial derivatives, computes both
 image gradients and the pointwise terms once, and applies the chain of small
 local operators: the gradient-stencil transpose, a multiply by the partials,
@@ -40,7 +41,7 @@ import numpy as np
 from .geometry import DeformationField, Grid3, GridError, Image3, VectorField3
 from .parallel import (ProcessGroup, Workspace, can_fork, plane_step, shared_arrays,
                        slab_partition, workspace)
-from .transfer import GatherPlan, _interp_xy, _reduce_xy, _reduce_z, _z_schedule
+from .transfer import GatherPlan, _reduce_xy, _reduce_z, _z_schedule
 from .warp import _gradient_planes, _gradient_transpose_planes, _sample_planes
 
 __all__ = ["LevelSweep", "NgfParams", "distance_and_gradient"]
@@ -228,20 +229,19 @@ def _sweep_slab(field: np.ndarray, xy: np.ndarray, d_planes: np.ndarray, ref: Im
     d_planes[lo:hi] and their xy reduction of P^T into xy[:, lo:hi]. numpy's
     floating-point warnings are off: distance_and_gradient checks D and xy.
 
-    Per chunk it forms yhat = P y on the new planes from y interpolated along
-    x and y, samples the template there (values and partials), takes the
-    gradients of the warped template and of `ref` (R), r, the terms 1 - r^2
-    and their derivative q on the planes whose neighbours are now known, then
-    for the chunk's own planes s = G^T q, the partials times s, and the xy
-    reduction of P^T. y is interpolated along x and y once per call, on the
-    coarse z-planes that the slab's planes read only.
+    Per chunk it forms yhat = P y on the new planes from the coarse planes of
+    y that they read (transfer._P_planes), samples the template there
+    (values and partials), takes the gradients of the warped template and of
+    `ref` (R), r, the terms 1 - r^2 and their derivative q on the planes
+    whose neighbours are now known, then for the chunk's own planes
+    s = G^T q, the partials times s, and the xy reduction of P^T.
 
     The stencils make the chunk's last planes depend on planes beyond it, so
     the warp runs two planes ahead of the chunk and q one plane ahead. The
     warped template and its partials share one window of 4-channel planes,
     q has another, and each window carries the two planes a later chunk
-    needs; both, y interpolated along x and y and the chunk's scratch are
-    arrays of this thread's Workspace.
+    needs; both and the chunk's scratch, yhat among it, are arrays of this
+    thread's Workspace, whose size depends on the plane, not on the slab.
     """
     dtype = field.dtype
     image_grid: Grid3 = plan.image_grid
@@ -249,12 +249,7 @@ def _sweep_slab(field: np.ndarray, xy: np.ndarray, d_planes: np.ndarray, ref: Im
     spacing = image_grid.spacing
     nz, ny, nx = image_grid.shape
     h_bar = image_grid.cell_volume
-    bx, by, bz, (i0, i1, w0, w1) = plan.weights(dtype)
-    # the template is sampled on the planes lo - 2:hi + 2; c0:c1 are the
-    # coarse planes that P reads there, and i0, i1 count from c0
-    c0 = i0[max(lo - 2, 0)]
-    c1 = min(i1[min(hi + 2, nz) - 1], field.shape[1] - 1) + 1
-    weights = (bx, by, bz, (i0 - c0, i1 - c0, w0, w1))
+    weights = plan.weights(dtype)
 
     def pointwise(W, Q, k0, q1, ws):
         """gR, r, the terms of D and q on the planes Q.end:q1, q into Q."""
@@ -298,7 +293,6 @@ def _sweep_slab(field: np.ndarray, xy: np.ndarray, d_planes: np.ndarray, ref: Im
         _reduce_xy(g_hat, plan, xy[:, k0:k1], ws)
 
     with np.errstate(all="ignore"), workspace().frame() as ws:
-        y_xy = _interp_xy(field[:, c0:c1], weights, ws)
         W = _PlaneWindow(ws, 4, step + 4, (ny, nx), dtype, max(lo - 2, 0))  # T, partials
         Q = _PlaneWindow(ws, 3, step + 2, (ny, nx), dtype, max(lo - 1, 0))
         for k0 in range(lo, hi, step):
@@ -310,7 +304,7 @@ def _sweep_slab(field: np.ndarray, xy: np.ndarray, d_planes: np.ndarray, ref: Im
             for a in range(w0, t1, step):  # at most a chunk of planes at a time
                 b = min(a + step, t1)
                 new = W.at(a, b)
-                _sample_planes(flat, template.grid, y_xy, weights, a, b, new[0], new[1:], ws)
+                _sample_planes(flat, template.grid, field, weights, a, b, new[0], new[1:], ws)
             with ws.frame():
                 pointwise(W, Q, k0, q1, ws)
             with ws.frame():

@@ -7,10 +7,11 @@ Along each axis it is a 1-D factor F (n_image, n_def) with two nonzeros per
 row, so F is a band. One GatherPlan per grid pair holds, per dtype, F of each
 axis cut into small dense blocks (AxisBlocks): at grid ratio 4 a block of 8
 coarse points meets at most 36 image points, and the image points whose lower
-coarse point lies in such a block meet at most 9 coarse points. P multiplies
-each z-plane by the blocks of x and y, then interpolates per chunk of image
-z-planes from the z band, so the NGF sweep and the warp form P y chunk by
-chunk. No 3-D matrix is formed.
+coarse point lies in such a block meet at most 9 coarse points. P is formed
+per chunk of image z-planes (_P_planes): the coarse z-planes that the chunk
+reads are multiplied by the blocks of x and y, then interpolated from the z
+band, so apply_P, the NGF sweep and the warp form P y chunk by chunk from the
+coarse field. No 3-D matrix is formed, and nothing image-sized either.
 
 The blocks are applied with np.matmul, one BLAS product per plane (or row)
 and block. Each product has one shape per plane and block, whatever the
@@ -164,34 +165,30 @@ def build_gather_plan(def_grid: Grid3, image_grid: Grid3) -> GatherPlan:
     return GatherPlan(def_grid=def_grid, image_grid=image_grid, transfers=transfers)
 
 
-def _interp_xy(field: np.ndarray, weights, ws: Workspace | None = None) -> np.ndarray:
-    """A field (3, nz_d, ny_d, nx_d) interpolated along x, then y: (3, nz_d, ny, nx),
-    an array of ws if given; weights are its plan's weights. Each plane is
-    multiplied by each block on its own."""
-    ws = Workspace() if ws is None else ws
+def _P_planes(field: np.ndarray, weights, k0: int, k1: int, ws: Workspace) -> np.ndarray:
+    """Image z-planes k0:k1 of P y from the field (3, nz_d, ny_d, nx_d) of y, as
+    an array of ws; weights are its plan's weights. The coarse planes that
+    these planes read are interpolated along x, then y, each plane multiplied
+    by each block on its own, so the bytes do not depend on k0:k1; then the
+    planes i0 * (1 - w1) + the planes i1 * w1."""
     bx, by = weights[:2]
-    c, nzd, nyd, _ = field.shape
-    out = ws.array((c, nzd, by.size, bx.size), field.dtype)
-    with ws.frame():
-        x = ws.array((c, nzd, nyd, bx.size), field.dtype)
-        for i, k, A in bx.interp:
-            np.matmul(field[..., k], A, out=x[..., i])
-        for i, k, A in by.interp:
-            np.matmul(A, x[..., k, :], out=out[..., i, :])
-    return out
-
-
-def _interp_z(xy: np.ndarray, weights, k0: int, k1: int, ws: Workspace) -> np.ndarray:
-    """Image z-planes k0:k1 of P y from y interpolated along x and y (_interp_xy),
-    as an array of ws: the planes i0 * (1 - w1) + the planes i1 * w1."""
     i0, i1, w0, w1 = (w[k0:k1] for w in weights[3])
-    shape = xy.shape[:1] + (k1 - k0,) + xy.shape[2:]
-    out = ws.array(shape, xy.dtype)
+    c0 = i0[0]
+    coarse = field[:, c0:min(i1[-1], field.shape[1] - 1) + 1]
+    shape = (3, k1 - k0, by.size, bx.size)
+    out = ws.array(shape, field.dtype)
     with ws.frame():
-        upper = ws.array(shape, xy.dtype)
-        np.take(xy, i0, axis=1, out=out, mode="clip")
+        xy = ws.array((3, coarse.shape[1]) + shape[2:], field.dtype)
+        with ws.frame():
+            x = ws.array(coarse.shape[:3] + shape[3:], field.dtype)
+            for i, k, A in bx.interp:
+                np.matmul(coarse[..., k], A, out=x[..., i])
+            for i, k, A in by.interp:
+                np.matmul(A, x[..., k, :], out=xy[..., i, :])
+        upper = ws.array(shape, field.dtype)
+        np.take(xy, i0 - c0, axis=1, out=out, mode="clip")
         out *= w0[:, None, None]
-        np.take(xy, i1, axis=1, out=upper, mode="clip")
+        np.take(xy, i1 - c0, axis=1, out=upper, mode="clip")
         upper *= w1[:, None, None]
         out += upper
     return out
@@ -200,12 +197,11 @@ def _interp_z(xy: np.ndarray, weights, k0: int, k1: int, ws: Workspace) -> np.nd
 def apply_P(y: VectorField3, image_grid: Grid3, workers: int = 1) -> VectorField3:
     """Convert a field, a deformation say, from its (coarse) grid to the image grid."""
     weights = build_gather_plan(y.grid, image_grid).weights(y.field.dtype)
-    xy = _interp_xy(y.field, weights)
     out = np.empty((3,) + image_grid.shape, dtype=y.field.dtype)
 
     def do_chunk(k0, k1):
         with workspace().frame() as ws:
-            out[:, k0:k1] = _interp_z(xy, weights, k0, k1, ws)
+            out[:, k0:k1] = _P_planes(y.field, weights, k0, k1, ws)
 
     nz, ny, nx = image_grid.shape
     run_planes(do_chunk, nz, ny * nx, workers)

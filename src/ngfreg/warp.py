@@ -2,8 +2,9 @@
 
 One trilinear kernel serves every interpolation of grid samples at world
 positions: the warp at P y and its derivative, which one helper takes per
-chunk of z-planes for the NGF sweep and for warp_image alike, resampling
-and the evaluation of deformation fields at landmarks. The
+chunk of z-planes for the NGF sweep and for warp_image alike, with P y of
+the chunk's planes formed from the coarse field (transfer._P_planes),
+resampling and the evaluation of deformation fields at landmarks. The
 gradient stencil comes with its exact transpose, so the distance gradient is
 assembled by the chain rule without materializing any operator matrix; both
 run on whole arrays or on windows of z-planes.
@@ -15,7 +16,7 @@ import numpy as np
 
 from .geometry import DeformationField, Grid3, Image3, VectorField3
 from .parallel import Workspace, run_planes, workspace
-from .transfer import _interp_xy, _interp_z, build_gather_plan
+from .transfer import _P_planes, build_gather_plan
 
 __all__ = [
     "image_gradient",
@@ -149,33 +150,33 @@ def _corners(flat: np.ndarray, grid: Grid3, f: np.ndarray, base: np.ndarray,
     np.copyto(partials, 0, where=outside)
 
 
-def _sample_planes(flat: np.ndarray, grid: Grid3, y_xy: np.ndarray, weights,
+def _sample_planes(flat: np.ndarray, grid: Grid3, field: np.ndarray, weights,
                    k0: int, k1: int, value: np.ndarray, partials: np.ndarray | None,
                    ws: Workspace) -> None:
     """The template samples flat of `grid` at image z-planes k0:k1 of P y into
-    value, 0 outside the template's cell-center hull, from y interpolated along
-    x and y (_interp_xy, with the plan's weights); and the partials into
-    partials unless it is None, 0 there too. P y is formed above the kernel's
-    cell arrays, so its memory is free again when the corners are taken."""
+    value, 0 outside the template's cell-center hull, from the field of y and
+    its plan's weights (_P_planes); and the partials into partials unless it
+    is None, 0 there too. P y is formed above the kernel's cell arrays, so its
+    memory is free again when the corners are taken."""
     with ws.frame():
-        cells = _cell_arrays((3, k1 - k0) + y_xy.shape[2:], value.dtype, ws)
+        cells = _cell_arrays((3,) + value.shape, value.dtype, ws)
         with ws.frame():
-            _cells(grid, _interp_z(y_xy, weights, k0, k1, ws), *cells, ws)
+            _cells(grid, _P_planes(field, weights, k0, k1, ws), *cells, ws)
         _corners(flat, grid, *cells, value, partials, ws)
         np.copyto(value, 0, where=cells[2])
 
 
 def warp_image(template: Image3, y: DeformationField, workers: int = 1) -> Image3:
     """The template sampled at P y on its own grid, 0 outside its cell-center hull;
-    P y is formed per chunk of z-planes, as in the NGF sweep, never image-sized."""
+    P y is formed per chunk of z-planes from y's coarse planes, as in the NGF
+    sweep, never image-sized."""
     grid = template.grid
     weights = build_gather_plan(y.grid, grid).weights(y.field.dtype)
     flat = template.values.astype(y.field.dtype, copy=False).ravel()
-    y_xy = _interp_xy(y.field, weights)
     out = np.empty(grid.shape, dtype=flat.dtype)
 
     def do_chunk(k0, k1):
-        _sample_planes(flat, grid, y_xy, weights, k0, k1, out[k0:k1], None, workspace())
+        _sample_planes(flat, grid, y.field, weights, k0, k1, out[k0:k1], None, workspace())
 
     run_planes(do_chunk, grid.dims[2], grid.dims[0] * grid.dims[1], workers)
     return Image3(grid, out)

@@ -68,6 +68,26 @@ def random_grid_pair(rng, max_dim=9):
     return Grid3(dd, hd, od), image_grid
 
 
+def def_grid_over(image_grid, def_dims):
+    """The deformation grid of def_dims points over the image grid's domain."""
+    spacing = tuple(n * s / m for n, s, m in zip(image_grid.dims, image_grid.spacing, def_dims))
+    origin = tuple(o - s / 2 + sd / 2
+                   for o, s, sd in zip(image_grid.origin, image_grid.spacing, spacing))
+    return Grid3(def_dims, spacing, origin)
+
+
+def coarse_plane_grid_pairs():
+    """(def_grid, image_grid) pairs whose chunks of image z-planes read
+    coarse z-planes in other patterns than at grid ratio 4: grid ratios 3
+    and 5, a z axis of one coarse plane (its upper coarse plane is clipped),
+    and an anisotropic, off-origin grid of DIR-lab shape."""
+    g = Grid3((23, 19, 17), (1.1, 0.9, 1.3), (-3.0, 2.0, 0.5))
+    one = Grid3((9, 8, 5), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    aniso = Grid3((40, 37, 15), (0.97, 0.97, 2.5), (-120.3, -80.0, 310.0))
+    return [(def_grid_over(g, (8, 7, 6)), g), (def_grid_over(g, (5, 4, 4)), g),
+            (def_grid_over(one, (3, 3, 1)), one), (def_grid_over(aniso, (10, 10, 4)), aniso)]
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The pids of every child process forked while the fixture is active."""

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ngfreg
 from ngfreg import multilevel
 from ngfreg.evaluation import min_jacobian_det
 from ngfreg.geometry import DeformationField, Grid3, GridError, Image3, make_identity
@@ -88,6 +95,30 @@ def test_num_auto_levels():
     assert num_auto_levels((64, 64, 64), 16) == 3
     assert num_auto_levels((16, 16, 16), 16) == 1
     assert num_auto_levels((256, 256, 128), 16) == 4
+
+
+_ONE_VOXEL_SCRIPT = """
+from ngfreg.geometry import Grid3
+from ngfreg.multilevel import MultilevelConfig, num_auto_levels, register
+from ngfreg.synthetic import smooth_random_volume
+g = Grid3((16, 16, 16), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+print(num_auto_levels(g.dims, 1))
+R, T = (smooth_random_volume(g, seed=s) for s in (0, 1))
+_, report = register(R, T, MultilevelConfig(coarsest_min_dim=1, max_iterations=2))
+print(*(lvl.image_dims[0] for lvl in report.levels))
+"""
+
+
+def test_auto_levels_down_to_one_voxel_end():
+    # ceil-halving never takes an axis below 1 voxel, so a coarsest_min_dim
+    # of 1 is met at every level: the count stops at max_levels. Run in a
+    # process of its own, so that a count that never ends fails here
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(ngfreg.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _ONE_VOXEL_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["5", "1 2 4 8 16"]
 
 
 def test_build_pyramid_coarsest_first():
@@ -215,6 +246,29 @@ def test_register_deterministic_across_workers(one_plane_chunks):
     y4, _ = register(R, T, cfg4)
     assert np.array_equal(y1.field, y4.field)
     assert max(one_plane_chunks) >= 2
+
+
+def test_register_frees_each_level_s_images_once_it_is_solved(monkeypatch):
+    # when a level's solve starts, no image of a coarser level is left:
+    # neither the pyramids nor an objective of an earlier level holds one
+    images = []
+    objective, minimize = multilevel.LevelObjective, multilevel.lbfgs_minimize
+
+    def recording_objective(**kwargs):
+        images.append([weakref.ref(kwargs[k]) for k in ("template", "ref")])
+        return objective(**kwargs)
+
+    def checking_minimize(*args):
+        assert all(ref() is None for level in images[:-1] for ref in level)
+        assert all(ref() is not None for ref in images[-1])
+        return minimize(*args)
+
+    monkeypatch.setattr(multilevel, "LevelObjective", recording_objective)
+    monkeypatch.setattr(multilevel, "lbfgs_minimize", checking_minimize)
+    g = _grid((16, 16, 16), (2.0, 2.0, 2.0))
+    R, T = (smooth_random_volume(g, seed=s) for s in (1, 2))
+    _, report = register(R, T, MultilevelConfig(coarsest_min_dim=4, max_iterations=2))
+    assert len(images) == len(report.levels) == 3
 
 
 def test_max_iterations_caps_every_level():

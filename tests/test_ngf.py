@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +18,8 @@ from ngfreg.synthetic import make_volume, smooth_random_volume
 from ngfreg.transfer import PT_VARIANTS, apply_P, apply_Pt, build_gather_plan
 from ngfreg.warp import _trilinear, image_gradient, image_gradient_apply_transpose
 
-from conftest import assert_reaped, default_chunks, sweep_once
+from conftest import (DEFAULT_CHUNK, assert_reaped, coarse_plane_grid_pairs,
+                      def_grid_over, default_chunks, sweep_once)
 
 
 def _grid(dims, spacing=(1, 1, 1), origin=(0, 0, 0)):
@@ -97,15 +99,6 @@ def test_distance_bounded_by_domain_volume():
     assert 0.0 <= D <= g.cell_volume / 2 * g.num_points + 1e-12
 
 
-def _def_grid(image_grid, def_dims):
-    """Deformation grid of def_dims cells over the image grid's domain."""
-    gi = image_grid
-    return Grid3(def_dims,
-                 tuple(n * s / m for n, s, m in zip(gi.dims, gi.spacing, def_dims)),
-                 tuple(o - s / 2 + n * s / m / 2
-                       for o, s, n, m in zip(gi.origin, gi.spacing, gi.dims, def_dims)))
-
-
 def _extended_template(image_grid, pad=2):
     """Template covering the image grid plus a margin, so test perturbations
     never touch the Dirichlet boundary of the hull."""
@@ -172,23 +165,21 @@ def test_variants_and_workers_agree(rng, one_plane_chunks, forks):
 def test_bytes_identical_across_workers_and_chunks(rng, monkeypatch, forks):
     # 29 z-planes of 41 x 37: the slabs of 1, 2 and 3 workers end inside the
     # kernel's chunks of z-planes, at the module's chunk size and at 7 and 1
-    # planes; 3 z-planes: every slab and chunk touches a boundary row of G^T
-    from ngfreg import parallel
-
-    chunks = (parallel._CHUNK_VOXELS, 7 * 41 * 37, 41 * 37)
-    for dims, def_dims in (((37, 41, 29), (10, 11, 8)), ((37, 41, 3), (10, 11, 2))):
-        gi = _grid(dims)
-        gd = Grid3(def_dims,
-                   tuple(n * s / m for n, s, m in zip(gi.dims, gi.spacing, def_dims)),
-                   tuple(o - s / 2 + n * s / m / 2
-                         for o, s, n, m in zip(gi.origin, gi.spacing, gi.dims, def_dims)))
+    # planes; 3 z-planes: every slab and chunk touches a boundary row of G^T.
+    # Against the whole grid in one chunk, on these and on the grid pairs
+    # whose chunks read coarse z-planes in other patterns
+    pairs = [(def_grid_over(gi, def_dims), gi) for gi, def_dims in
+             ((_grid((37, 41, 29)), (10, 11, 8)), (_grid((37, 41, 3)), (10, 11, 2)))]
+    for gd, gi in pairs + coarse_plane_grid_pairs():
+        plane = gi.dims[0] * gi.dims[1]
+        chunks = (DEFAULT_CHUNK, 7 * plane, plane)
         T = _extended_template(gi)
         R = make_volume(gi)
         params = NgfParams()
         plan = build_gather_plan(gd, gi)
         y = DeformationField(gd, make_identity(gd).field
                              + 1.5 * rng.standard_normal((3,) + gd.shape))
-        monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunks[0])
+        monkeypatch.setattr(parallel, "_CHUNK_VOXELS", gi.num_points)
         D0, g0 = sweep_once(y, R, T, plan, params)
         for chunk in chunks:
             monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunk)  # before the sweep fixes it
@@ -244,9 +235,9 @@ def test_reference_off_the_plan_grid_is_grid_error():
 def test_deformation_off_the_plan_grid_is_grid_error_at_the_call():
     g = _grid((6, 5, 4))
     sweep = LevelSweep(smooth_random_volume(g, seed=7), smooth_random_volume(g, seed=6),
-                       build_gather_plan(_def_grid(g, (3, 3, 2)), g), NgfParams())
+                       build_gather_plan(def_grid_over(g, (3, 3, 2)), g), NgfParams())
     with pytest.raises(GridError, match="deformation grid"):
-        distance_and_gradient(make_identity(_def_grid(g, (3, 3, 3))), sweep)
+        distance_and_gradient(make_identity(def_grid_over(g, (3, 3, 3))), sweep)
 
 
 def test_a_field_of_another_dtype_is_value_error_and_leaves_the_sweep_usable(
@@ -254,7 +245,7 @@ def test_a_field_of_another_dtype_is_value_error_and_leaves_the_sweep_usable(
     # the level's buffers have the images' dtype: an f32 field for an f64
     # level is rejected before any slab runs, and forks nothing new
     gi = _grid((9, 8, 7))
-    gd = _def_grid(gi, (3, 4, 2))
+    gd = def_grid_over(gi, (3, 4, 2))
     T, R = _extended_template(gi), make_volume(gi)
     plan = build_gather_plan(gd, gi)
     y = DeformationField(gd, make_identity(gd).field + 0.5 * rng.standard_normal((3,) + gd.shape))
@@ -311,7 +302,7 @@ def test_sweep_equals_layer_by_layer_chain(rng, monkeypatch, dims, def_dims):
     # chunk inside a slab uses the planes carried from the previous one; with
     # 3 workers on nz <= 3 every slab is one plane and all its halo is recomputed
     gi = _grid(dims, (1.0, 1.1, 0.9))
-    gd = _def_grid(gi, def_dims)
+    gd = def_grid_over(gi, def_dims)
     T = _extended_template(gi)
     R = make_volume(gi)
     field = make_identity(gd).field + 1.5 * rng.standard_normal((3,) + gd.shape)
@@ -336,14 +327,15 @@ def test_sweep_equals_layer_by_layer_chain(rng, monkeypatch, dims, def_dims):
 def test_evaluation_allocates_no_image_sized_temporaries(rng, workers):
     # A 128^3 f64 level set-up and one evaluation. Composed on whole arrays
     # the chain allocated 176 MiB, eleven image-sized arrays of 16 MiB; a
-    # set-up that stored grad R and its norm (64 MiB) peaked at 121 MiB. What
-    # the sweep allocates is the gather plan, the P^T buffer (3 MiB) and per
-    # slab its workspace: y interpolated along x and y on the slab's coarse
-    # planes, its windows and one chunk's temporaries. tracemalloc sees this
-    # process only: with 1 worker it runs the whole sweep, with 2 a child
-    # runs the second slab.
+    # set-up that stored grad R and its norm (64 MiB) peaked at 121 MiB, and
+    # y interpolated along x and y on a slab's coarse planes took it to
+    # 36.7 MiB (1 worker). What the sweep allocates is the gather plan, the
+    # P^T buffer (3 MiB) and per slab its workspace: its windows and one
+    # chunk's temporaries, P y of the chunk's planes among them; 12.7 MiB in
+    # all. tracemalloc sees this process only: with 1 worker it runs the
+    # whole sweep, with 2 a child runs the second slab.
     g = _grid((128, 128, 128))
-    gd = _def_grid(g, (32, 32, 32))
+    gd = def_grid_over(g, (32, 32, 32))
     T = Image3(g, rng.standard_normal(g.shape))
     R = Image3(g, rng.standard_normal(g.shape))
     x = (make_identity(gd).field + 2 * rng.standard_normal((3,) + gd.shape)).ravel()
@@ -355,20 +347,48 @@ def test_evaluation_allocates_no_image_sized_temporaries(rng, workers):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 24 * 2**20
+
+
+def test_sweep_workspace_does_not_grow_with_the_slab(rng):
+    # a 1-worker sweep's workspace holds the slab's windows of planes and one
+    # chunk's temporaries, P y of the chunk's planes among them: its size
+    # depends on the plane, not on the number of planes. y interpolated
+    # along x and y on the slab's coarse planes made it 7.6 MiB at 64^3 and
+    # 12.1 MiB at 64 x 64 x 256 (f64); each sweep runs on a new thread, so
+    # on a new workspace
+    sizes = []
+    for nz in (64, 256):
+        g = _grid((64, 64, nz))
+        gd = def_grid_over(g, (16, 16, nz // 4))
+        T = Image3(g, rng.standard_normal(g.shape))
+        R = Image3(g, rng.standard_normal(g.shape))
+        y = DeformationField(gd, make_identity(gd).field
+                             + 2 * rng.standard_normal((3,) + gd.shape))
+
+        def run():
+            sweep_once(y, R, T, build_gather_plan(gd, g), NgfParams())
+            sizes.append(parallel.workspace()._buf.nbytes)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert len(sizes) == 2
+    assert sizes[0] == sizes[1]
 
 
 @pytest.mark.parametrize("n, workers", [(48, 1), (64, 2)])
 def test_evaluation_after_the_first_allocates_no_chunk_sized_temporaries(rng, n, workers):
     # Once a worker has run a slab, its chunks take every temporary from its
-    # thread's workspace. What an evaluation still allocates is its own:
-    # y interpolated along x and y (0.7 MiB at 48^3, 1.5 MiB at 64^3, f64),
-    # a buffer of the same size to form it, P^T's buffer and the curvature
-    # term. Allocated per chunk, the temporaries peaked at 15.4 MiB (48^3,
-    # 1 worker) and 30.6 MiB (64^3, 2 workers). With 2 workers the caller
-    # runs the first slab, the one it ran before, and a child the second.
+    # thread's workspace. What an evaluation still allocates is its own: the
+    # output of P^T's z schedule, the curvature term and the gradient (0.2
+    # MiB at 48^3, 0.4 MiB at 64^3, f64). Allocated per chunk, the
+    # temporaries peaked at 15.4 MiB (48^3, 1 worker) and 30.6 MiB (64^3, 2
+    # workers). With 2 workers the caller runs the first slab, the one it ran
+    # before, and a child the second.
     g = _grid((n, n, n))
-    gd = _def_grid(g, (n // 4,) * 3)
+    gd = def_grid_over(g, (n // 4,) * 3)
     T = Image3(g, rng.standard_normal(g.shape))
     R = Image3(g, rng.standard_normal(g.shape))
     x = (make_identity(gd).field + 2 * rng.standard_normal((3,) + gd.shape)).ravel()

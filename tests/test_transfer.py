@@ -13,18 +13,12 @@ from ngfreg.transfer import (
     dense_P_oracle,
 )
 
-from conftest import DEFAULT_CHUNK, default_chunks, random_grid_pair
+from conftest import (DEFAULT_CHUNK, coarse_plane_grid_pairs, def_grid_over, default_chunks,
+                      random_grid_pair)
 
 
 def _grid(dims, spacing=(1, 1, 1), origin=(0, 0, 0)):
     return Grid3(dims, spacing, origin)
-
-
-def _def_grid_like(image_grid, dd):
-    hd = tuple(n * s / m for n, s, m in zip(image_grid.dims, image_grid.spacing, dd))
-    od = tuple(o - s / 2 + sd / 2
-               for o, s, sd in zip(image_grid.origin, image_grid.spacing, hd))
-    return Grid3(dd, hd, od)
 
 
 def test_apply_P_identity_when_grids_match(rng):
@@ -45,7 +39,7 @@ def test_apply_P_preserves_constants(rng):
 
 def test_apply_P_matches_dense_oracle_1d():
     gi = _grid((4, 1, 1))
-    gd = _def_grid_like(gi, (2, 1, 1))
+    gd = def_grid_over(gi, (2, 1, 1))
     P = dense_P_oracle(gd, gi)
     y = DeformationField(gd, make_identity(gd).field * 1.7 + 0.3)
     out = apply_P(y, gi)
@@ -111,7 +105,7 @@ def test_blocks_assemble_to_the_axis_factor(rng, dtype):
     # the last pair has several blocks along y and z and a one-point coarse x axis
     gi = _grid((5, 40, 70))
     pairs = [random_grid_pair(rng, max_dim=40) for _ in range(10)]
-    pairs.append((_def_grid_like(gi, (1, 10, 18)), gi))
+    pairs.append((def_grid_over(gi, (1, 10, 18)), gi))
     for gd, gi in pairs:
         plan = build_gather_plan(gd, gi)
         for a, blocks in enumerate(plan.weights(dtype)[:3]):
@@ -124,7 +118,7 @@ def test_blocks_assemble_to_the_axis_factor(rng, dtype):
 def test_one_point_coarse_axes_match_dense_oracle(rng):
     gi = _grid((6, 5, 7), (0.9, 1.1, 1.3), (1.0, -2.0, 0.5))
     for dd in ((1, 1, 1), (1, 3, 2), (4, 1, 1)):
-        gd = _def_grid_like(gi, dd)
+        gd = def_grid_over(gi, dd)
         P = dense_P_oracle(gd, gi)
         plan = build_gather_plan(gd, gi)
         y = DeformationField(gd, rng.standard_normal((3,) + gd.shape))
@@ -142,7 +136,7 @@ def test_block_products_stay_below_blas_threading(n):
     # size at the default grid ratio for grids of 256^3 and 512^3 points
     gi = _grid((n, n, n))
     nd = n // 4
-    gd = _def_grid_like(gi, (nd, nd, nd))
+    gd = def_grid_over(gi, (nd, nd, nd))
     bx, by, bz, _ = build_gather_plan(gd, gi).weights(np.float64)
     products = [(n, *B.shape) for _, _, B in bx.reduce]            # P^T along x: (ny, nx) planes
     products += [(*B.shape, nd) for _, _, B in by.reduce]          # then along y: (ny, nx_d)
@@ -203,7 +197,7 @@ def test_gather_bit_identical_across_workers(rng, monkeypatch, one_plane_chunks)
     # The second pair feeds about 6 image planes into each output plane, so
     # a summation order that followed the worker partition would show.
     gi = _grid((9, 7, 31))
-    for gd, gi in (random_grid_pair(rng), (_def_grid_like(gi, (3, 2, 5)), gi)):
+    for gd, gi in (random_grid_pair(rng), (def_grid_over(gi, (3, 2, 5)), gi)):
         plan = build_gather_plan(gd, gi)
         r = VectorField3(gi, rng.standard_normal((3,) + gi.shape))
         for variant in PT_VARIANTS:
@@ -218,11 +212,15 @@ def test_gather_bit_identical_across_workers(rng, monkeypatch, one_plane_chunks)
 
 
 def test_apply_P_bit_identical_across_workers(rng, one_plane_chunks):
-    gd, gi = random_grid_pair(rng)
-    y = DeformationField(gd, make_identity(gd).field + rng.standard_normal((3,) + gd.shape))
-    base = apply_P(y, gi, workers=1).field
-    for w in (2, 8):
-        assert np.array_equal(apply_P(y, gi, workers=w).field, base)
+    # a random pair, then the pairs whose chunks read coarse z-planes in
+    # other patterns; one-plane chunks against the whole grid in one chunk
+    for gd, gi in [random_grid_pair(rng)] + coarse_plane_grid_pairs():
+        y = DeformationField(gd, make_identity(gd).field + rng.standard_normal((3,) + gd.shape))
+        with default_chunks():
+            assert gi.num_points <= DEFAULT_CHUNK
+            base = apply_P(y, gi, workers=1).field
+        for w in (1, 2, 8):
+            assert apply_P(y, gi, workers=w).field.tobytes() == base.tobytes()
     assert max(one_plane_chunks) >= 2
 
 
@@ -244,7 +242,7 @@ def test_dense_oracle_identity_and_rows():
     g = _grid((2, 2, 2))
     P = dense_P_oracle(g, g)
     assert np.array_equal(P, np.eye(8))
-    gd, gi = _def_grid_like(_grid((5, 4, 3)), (2, 2, 2)), _grid((5, 4, 3))
+    gd, gi = def_grid_over(_grid((5, 4, 3)), (2, 2, 2)), _grid((5, 4, 3))
     P = dense_P_oracle(gd, gi)
     assert np.allclose(P.sum(axis=1), 1.0, atol=1e-13)
 

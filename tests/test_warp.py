@@ -13,7 +13,7 @@ from ngfreg.warp import (
     image_gradient_apply_transpose, warp_image,
 )
 
-from conftest import default_chunks
+from conftest import DEFAULT_CHUNK, coarse_plane_grid_pairs, default_chunks
 
 
 def _grid(dims, spacing=(1, 1, 1), origin=(0, 0, 0)):
@@ -59,14 +59,18 @@ def test_warp_outside_hull_is_zero_with_mask():
 
 
 def test_warp_bit_identical_across_workers(rng, one_plane_chunks):
+    # y on the image grid, then on the grid pairs whose chunks read coarse
+    # z-planes in other patterns; one-plane chunks against the whole grid
     g = _grid((9, 8, 7), (1.1, 0.9, 1.3))
-    T = smooth_random_volume(g, seed=3)
-    y = smooth_random_field(g, seed=4, amplitude_mm=0.8)
-    with default_chunks():  # the whole grid in one chunk
-        base = warp_image(T, y, workers=1)
-    for w in (2, 8):
-        out = warp_image(T, y, workers=w)
-        assert out.values.tobytes() == base.values.tobytes()
+    for gd, gi in [(g, g)] + coarse_plane_grid_pairs():
+        T = smooth_random_volume(gi, seed=3)
+        y = smooth_random_field(gd, seed=4, amplitude_mm=0.8)
+        with default_chunks():  # the whole grid in one chunk
+            assert gi.num_points <= DEFAULT_CHUNK
+            base = warp_image(T, y, workers=1)
+        for w in (1, 2, 8):
+            out = warp_image(T, y, workers=w)
+            assert out.values.tobytes() == base.values.tobytes()
     assert max(one_plane_chunks) >= 2
 
 
@@ -95,9 +99,11 @@ def test_warp_at_P_y_matches_layered_reference(one_plane_chunks, dtype):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_warp_memory_is_chunk_sized(rng, workers):
-    # a 128^3 f64 warp holds the template, the output, y interpolated along
-    # x and y and one chunk's temporaries per worker; an image-sized P y
-    # alone would be 48 MiB
+    # a 128^3 f64 warp holds the template, the output and one chunk's
+    # temporaries per worker, P y of the chunk's planes among them: 18.1 MiB
+    # with 1 worker and 20.7 MiB with 2. y interpolated along x and y on
+    # every coarse plane added 12 MiB, and an image-sized P y alone would be
+    # 48 MiB
     g = _grid((128, 128, 128))
     T = Image3(g, rng.standard_normal(g.shape))
     y = smooth_random_field(deformation_grid_for(g, 4), seed=2, amplitude_mm=2.0)
@@ -108,7 +114,7 @@ def test_warp_memory_is_chunk_sized(rng, workers):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 28 * 2**20
 
 
 def test_warp_jacobian_matches_fd(rng):
