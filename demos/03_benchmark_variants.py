@@ -9,14 +9,18 @@ identical bits across runs and worker counts. The variants sum in
 different orders, so they agree with each other only up to floating-point
 reassociation, which the gate checks.
 
-The worker count is a cap: no slab gets less work than one chunk of whole
-z-planes (about 32k voxels). The 32^3 case here is one such chunk per
-operation, so every slab call runs one slab, inline, at every worker count.
+P and P^T run on the caller, so they are timed once per precision, at 1
+worker; the NGF evaluation and register are timed per worker count. The
+worker count is a cap on the slabs of the NGF sweep: no slab gets less work
+than one chunk of whole z-planes (about 32k voxels). The 32^3 case here is
+one such chunk, so its sweep runs one slab, on the caller, at every worker
+count.
 """
 
 from ngfreg import format_table, run_benchmark
 
-# worker counts: 1 and every core (run_benchmark's default)
+# worker counts of the NGF evaluation and register: 1 and every core
+# (run_benchmark's default)
 records = run_benchmark(
     dims=(32, 32, 32),
     precisions=("f64", "f32"),
@@ -28,11 +32,11 @@ records = run_benchmark(
 print(format_table(records))
 
 print()
-for variant in ("gather", "scatter", "redblack"):
+for operation in ("ngf_value_grad", "register"):
     per_precision = {}
     for r in records:
-        if r.operation == "apply_Pt" and r.variant == variant:
+        if r.operation == operation:
             per_precision.setdefault(r.precision, set()).add(r.checksum)
     for precision, sums in sorted(per_precision.items()):
-        print(f"{variant} P^T checksums across worker counts ({precision}): "
+        print(f"{operation} checksums across worker counts ({precision}): "
               f"{'identical' if len(sums) == 1 else 'DIFFERENT'}")

@@ -86,7 +86,8 @@ def run_benchmark(
     seed: int = 0,
     register_max_iter: int = 10,
 ) -> list[BenchmarkRecord]:
-    """Time P, each P^T variant, one NGF evaluation and a short register call
+    """Time P and each P^T variant per precision, which run on the caller
+    (recorded at 1 worker), and one NGF evaluation and a short register call
     per precision and worker count, after the variant agreement gate. The NGF
     evaluations share one LevelSweep, as a level of register does, so only
     the first of them forks; it is closed after them.
@@ -112,15 +113,15 @@ def run_benchmark(
         y.field = y.field.astype(dtype)
         params = NgfParams(tau=10.0, rho=10.0)
 
-        for w in workers_list:
-            yhat, tmin, tmed = _time(lambda: apply_P(y, image_grid, workers=w), reps)
-            records.append(BenchmarkRecord("apply_P", "-", precision, w, dims, reps,
-                                           tmin, tmed, _checksum(yhat.field)))
-            for variant in variants:
-                out, tmin, tmed = _time(lambda: apply_Pt(yhat, plan, variant, w), reps)
-                records.append(BenchmarkRecord("apply_Pt", variant, precision, w, dims,
-                                               reps, tmin, tmed, _checksum(out.field)))
+        yhat, tmin, tmed = _time(lambda: apply_P(y, image_grid), reps)
+        records.append(BenchmarkRecord("apply_P", "-", precision, 1, dims, reps,
+                                       tmin, tmed, _checksum(yhat.field)))
+        for variant in variants:
+            out, tmin, tmed = _time(lambda: apply_Pt(yhat, plan, variant), reps)
+            records.append(BenchmarkRecord("apply_Pt", variant, precision, 1, dims,
+                                           reps, tmin, tmed, _checksum(out.field)))
 
+        for w in workers_list:
             # as register runs it: one LevelSweep across the calls
             sweep = LevelSweep(R, T, plan, params, "gather", w)
             try:

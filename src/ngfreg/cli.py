@@ -185,7 +185,7 @@ def _cmd_register(args) -> int:
     y, report = register(R, T, cfg)
     fileio.write_deformation(y, args.out_deformation)
     if args.out_warped:
-        fileio.write_volume(warp_image(T, y, cfg.workers), args.out_warped)
+        fileio.write_volume(warp_image(T, y), args.out_warped)
     if args.report:
         _write_report(args.report, report)
     print(f"registered {args.template} -> {args.reference}: "
@@ -265,7 +265,7 @@ def _cmd_resample(args) -> int:
             pos[0], pos[1], pos[2] = x, y[:, None], z[k0:k1, None, None]
             _trilinear_into(flat, src.grid, pos, out[k0:k1], None, ws)
 
-    run_planes(do_chunk, grid.shape[0], grid.shape[1] * grid.shape[2], 1)
+    run_planes(do_chunk, grid.shape[0], grid.shape[1] * grid.shape[2])
     fileio.write_volume(Image3(grid, out), args.out)
     return EXIT_OK
 

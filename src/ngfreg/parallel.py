@@ -1,17 +1,16 @@
-"""Slab-based parallelism: helper threads, and the NGF sweep's forked processes.
+"""Slab-based parallelism: the NGF sweep's forked processes.
 
-Heavy operations are data-parallel over contiguous index ranges ("slabs").
-Each slab computation is a pure function writing to a disjoint output region,
-so results are independent of the worker count; for the gather-style
-operations they are bit-identical by construction.
+The NGF sweep works over contiguous ranges ("slabs") of whole image
+z-planes. Each slab computation is a pure function writing to a disjoint
+output region, so its results are bit-identical for any worker count.
 
 `workers` is a cap, not a demand: no slab gets less work than one chunk of
 about _CHUNK_VOXELS voxels (slab_partition), so a range of one chunk or less
-(a whole 32^3 grid, say) runs inline on the caller's thread.
+(a whole 32^3 grid, say) is one slab, run on the caller.
 
-run_planes splits each slab further into chunks of whole z-planes of a fixed
-size (plane_step planes); the warp, P and P^T chunk their work through it,
-and the NGF sweep walks its slabs' chunks itself.
+run_planes walks a range of z-planes in chunks of a fixed size (plane_step
+planes) on the caller; the warp, P and P^T chunk their work through it, and
+the NGF sweep walks its slabs' chunks itself.
 
 Each thread has one Workspace (workspace()): a LIFO stack of arrays over one
 buffer that a chunk takes its temporaries from and gives back when its frame
@@ -19,32 +18,26 @@ closes, so the next chunk, and the next evaluation, reuses the same memory
 while it is still in cache, and a chunk allocates nothing once the buffer has
 grown to the deepest stack that a chunk of the grid needs. A thread's first
 chunk of a larger grid allocates its temporaries as numpy would, and the
-buffer grows when that chunk's outermost frame closes.
-
-run_planes and run_tasks deal their calls to at most `workers` lanes: the
-caller runs the first, and a helper thread started for the call each other
-one. The library calls run_planes only: register builds its two pyramids
-one after the other on the caller. A call made inside a lane runs inline,
-so nested calls cannot deadlock and a sweep there never forks. Every
-helper is joined before the call returns or raises: no thread outlives its
-call.
+buffer grows when that chunk's outermost frame closes. The library starts no
+thread, but a caller's own threads may call it at once: each chunks its work
+through its own Workspace.
 
 The NGF sweep makes hundreds of numpy calls of tens of microseconds per
 chunk, and threads running it spend their time handing the interpreter lock
 to each other. So an ngf.LevelSweep runs its slabs in kept processes
-(ProcessGroup): the caller runs the first slab itself, and each other slab
-runs in a daemonic child of multiprocessing's fork context, which inherits
-the sweep's inputs copy-on-write and exchanges its data through one
-anonymous shared mapping (shared_arrays); one connection per child carries
-its go messages and its replies. multiprocessing flushes the caller's
-stdout and stderr before each fork. A daemonic process may start no
-children, so a sweep in a Pool's worker, say, runs whole on it. A child
-starts no helper thread and no nested group (can_fork is false in it),
-closes the caller's connections of every group, its own included, writes
-nothing to stdout or stderr and ignores SIGINT; it exits when its
-connection to the caller reaches end of file, so also when the caller
-dies, or at interpreter exit by SIGTERM if multiprocessing's exit hook
-runs before the group's finalizer.
+(ProcessGroup), the library's only parallel mechanism: the caller runs the
+first slab itself, and each other slab runs in a daemonic child of
+multiprocessing's fork context, which inherits the sweep's inputs
+copy-on-write and exchanges its data through one anonymous shared mapping
+(shared_arrays); one connection per child carries its go messages and its
+replies. multiprocessing flushes the caller's stdout and stderr before each
+fork. A daemonic process may start no children, so a sweep in a Pool's
+worker, say, runs whole on it, and so does a sweep in a child (can_fork is
+false in both). A child closes the caller's connections of every group, its
+own included, writes nothing to stdout or stderr and ignores SIGINT; it
+exits when its connection to the caller reaches end of file, so also when
+the caller dies, or at interpreter exit by SIGTERM if multiprocessing's exit
+hook runs before the group's finalizer.
 """
 
 from __future__ import annotations
@@ -126,44 +119,10 @@ def workspace() -> Workspace:
 
 
 def can_fork() -> bool:
-    """Whether a call here may fork a ProcessGroup: os.fork exists, this
-    thread runs no lane of a slab call and is no forked child, and this is no
-    daemonic multiprocessing process (a Pool's worker, say), which may start none."""
-    return (hasattr(os, "fork") and not getattr(_local, "inline", False)
-            and not multiprocessing.current_process().daemon)
-
-
-def _run_all(calls, workers: int) -> list:
-    """Run (fn, args) pairs in at most `workers` lanes, inline inside a lane;
-    join every helper, then return the results or raise the first error in
-    call order."""
-    if workers <= 1 or len(calls) <= 1 or getattr(_local, "inline", False):
-        return [fn(*args) for fn, args in calls]
-    lanes = min(workers, len(calls))
-    results, errors = [None] * len(calls), [None] * len(calls)
-
-    def run_lane(lane):
-        _local.inline = True
-        for i in range(lane, len(calls), lanes):
-            try:
-                results[i] = calls[i][0](*calls[i][1])
-            except BaseException as exc:
-                errors[i] = exc
-
-    helpers = [threading.Thread(target=run_lane, args=(lane,)) for lane in range(1, lanes)]
-    try:
-        for helper in helpers:
-            helper.start()
-        run_lane(0)
-    finally:
-        _local.inline = False
-        for helper in helpers:
-            if helper.ident is not None:  # it started
-                helper.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+    """Whether a call here may fork a ProcessGroup: os.fork exists and this is
+    no daemonic multiprocessing process (a sweep's child, or a Pool's worker,
+    say), which may start none."""
+    return hasattr(os, "fork") and not multiprocessing.current_process().daemon
 
 
 def slab_ranges(n: int, workers: int) -> list[tuple[int, int]]:
@@ -180,26 +139,24 @@ def slab_partition(n: int, voxels: int, workers: int) -> list[tuple[int, int]]:
     return slab_ranges(n, min(workers, -(-n // plane_step(voxels))))
 
 
-def run_tasks(tasks, workers: int) -> list:
-    """Run a list of zero-argument callables, threaded when workers > 1."""
-    return _run_all([(t, ()) for t in tasks], workers)
-
-
 def plane_step(plane_voxels: int) -> int:
     """Whole z-planes per chunk of about _CHUNK_VOXELS voxels."""
     return max(1, _CHUNK_VOXELS // plane_voxels)
 
 
-def run_planes(fn, nz: int, plane_voxels: int, workers: int) -> None:
-    """Run fn(k0, k1) over chunks of whole z-planes of about _CHUNK_VOXELS
-    voxels; the slabs of the worker partition are split into such chunks."""
+def run_planes(fn, nz: int, plane_voxels: int) -> None:
+    """Run fn(k0, k1) on the caller over range(nz) in chunks of whole z-planes
+    of about _CHUNK_VOXELS voxels."""
     step = plane_step(plane_voxels)
+    for k0 in range(0, nz, step):
+        fn(k0, min(k0 + step, nz))
 
-    def do_slab(lo, hi):
-        for k0 in range(lo, hi, step):
-            fn(k0, min(k0 + step, hi))
 
-    _run_all([(do_slab, r) for r in slab_partition(nz, plane_voxels, workers)], workers)
+def run_tasks(tasks, workers: int) -> list:
+    """The results of a list of zero-argument callables, run in order on the
+    caller; `workers` does nothing. Kept only for perfbench/, which still
+    calls it; ROADMAP item 2 deletes it with that call."""
+    return [task() for task in tasks]
 
 
 def shared_arrays(specs) -> list[np.ndarray]:
@@ -323,7 +280,6 @@ def _child(task, conn) -> None:
     os.dup2(devnull, 2)
     os.close(devnull)
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles an interrupt
-    _local.inline = True
     _local.workspace = None  # the caller's buffer stays the caller's
     while True:
         try:

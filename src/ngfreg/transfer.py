@@ -15,7 +15,7 @@ coarse field. No 3-D matrix is formed, and nothing image-sized either.
 
 The blocks are applied with np.matmul, one BLAS product per plane (or row)
 and block. Each product has one shape per plane and block, whatever the
-chunk, so its bytes cannot depend on the worker count or the chunk size. Each
+chunk, so its bytes cannot depend on the chunk size or the sweep's slabs. Each
 is also small: M*N*K <= 2^18 on grids up to 512^3 at ratio 4, where OpenBLAS
 runs a product on one thread, so the BLAS thread count cannot change the bits
 either. (BLAS dot products are another matter; see lbfgs._dot.)
@@ -34,11 +34,10 @@ compares:
                  the groups of even parity first, then the odd ones, so
                  groups of one parity never write the same plane.
 
-All three run on the caller, in the order above, so each is bit-identical
-for any worker count and chunk size. (On two cores, threads never paid for
-them: the scatter and redblack z steps were no faster at 2 workers than at 1
-at 128^3 and 256^3.) The NGF sweep reduces its own chunks into that buffer
-and then runs the variant's schedule once.
+apply_P, apply_Pt and every schedule, in its order above, run on the
+caller, so each is bit-identical for any chunk size. The NGF sweep reduces
+its own chunks into that buffer, in its slabs, and then runs the variant's
+schedule once, so its bytes do not depend on the worker count either.
 """
 
 from __future__ import annotations
@@ -195,7 +194,9 @@ def _P_planes(field: np.ndarray, weights, k0: int, k1: int, ws: Workspace) -> np
 
 
 def apply_P(y: VectorField3, image_grid: Grid3, workers: int = 1) -> VectorField3:
-    """Convert a field, a deformation say, from its (coarse) grid to the image grid."""
+    """Convert a field, a deformation say, from its (coarse) grid to the image
+    grid, on the caller. `workers` does nothing: it is kept only for
+    perfbench/, which still passes it; ROADMAP item 2 deletes it."""
     weights = build_gather_plan(y.grid, image_grid).weights(y.field.dtype)
     out = np.empty((3,) + image_grid.shape, dtype=y.field.dtype)
 
@@ -204,7 +205,7 @@ def apply_P(y: VectorField3, image_grid: Grid3, workers: int = 1) -> VectorField
             out[:, k0:k1] = _P_planes(y.field, weights, k0, k1, ws)
 
     nz, ny, nx = image_grid.shape
-    run_planes(do_chunk, nz, ny * nx, workers)
+    run_planes(do_chunk, nz, ny * nx)
     return VectorField3(image_grid, out)
 
 
@@ -278,8 +279,9 @@ def _reduce_z(xy: np.ndarray, plan: GatherPlan, z_schedule) -> VectorField3:
 
 
 def apply_Pt(r: VectorField3, plan: GatherPlan, variant: str = "gather", workers: int = 1) -> VectorField3:
-    """P^T r: the plan's xy reduction, on `workers` threads, then the
-    variant's z schedule on the caller."""
+    """P^T r: the plan's xy reduction, then the variant's z schedule, on the
+    caller. `workers` does nothing: it is kept only for perfbench/, which
+    still passes it; ROADMAP item 2 deletes it."""
     z_schedule = _z_schedule(variant)
     if r.grid != plan.image_grid:
         raise GridError("input field grid does not match the plan's image grid")
@@ -290,7 +292,7 @@ def apply_Pt(r: VectorField3, plan: GatherPlan, variant: str = "gather", workers
         with workspace().frame() as ws:
             _reduce_xy(r.field[:, k0:k1], plan, xy[:, k0:k1], ws)
 
-    run_planes(reduce_xy, nz, ny * nx, workers)
+    run_planes(reduce_xy, nz, ny * nx)
     return _reduce_z(xy, plan, z_schedule)
 
 

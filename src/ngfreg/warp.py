@@ -4,10 +4,12 @@ One trilinear kernel serves every interpolation of grid samples at world
 positions: the warp at P y and its derivative, which one helper takes per
 chunk of z-planes for the NGF sweep and for warp_image alike, with P y of
 the chunk's planes formed from the coarse field (transfer._P_planes),
-resampling and the evaluation of deformation fields at landmarks. The
-gradient stencil comes with its exact transpose, so the distance gradient is
-assembled by the chain rule without materializing any operator matrix; both
-run on whole arrays or on windows of z-planes.
+resampling and the evaluation of deformation fields at landmarks.
+warp_image walks its chunks on the caller; only the sweep runs in parallel,
+in its LevelSweep's processes. The gradient stencil comes with its exact
+transpose, so the distance gradient is assembled by the chain rule without
+materializing any operator matrix; both run on whole arrays or on windows
+of z-planes.
 """
 
 from __future__ import annotations
@@ -166,10 +168,10 @@ def _sample_planes(flat: np.ndarray, grid: Grid3, field: np.ndarray, weights,
         np.copyto(value, 0, where=cells[2])
 
 
-def warp_image(template: Image3, y: DeformationField, workers: int = 1) -> Image3:
+def warp_image(template: Image3, y: DeformationField) -> Image3:
     """The template sampled at P y on its own grid, 0 outside its cell-center hull;
     P y is formed per chunk of z-planes from y's coarse planes, as in the NGF
-    sweep, never image-sized."""
+    sweep, never image-sized. It runs on the caller."""
     grid = template.grid
     weights = build_gather_plan(y.grid, grid).weights(y.field.dtype)
     flat = template.values.astype(y.field.dtype, copy=False).ravel()
@@ -178,7 +180,7 @@ def warp_image(template: Image3, y: DeformationField, workers: int = 1) -> Image
     def do_chunk(k0, k1):
         _sample_planes(flat, grid, y.field, weights, k0, k1, out[k0:k1], None, workspace())
 
-    run_planes(do_chunk, grid.dims[2], grid.dims[0] * grid.dims[1], workers)
+    run_planes(do_chunk, grid.dims[2], grid.dims[0] * grid.dims[1])
     return Image3(grid, out)
 
 

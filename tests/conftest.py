@@ -4,7 +4,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from ngfreg import parallel
+from ngfreg import cli, ngf, parallel, transfer, warp
 from ngfreg.geometry import Grid3
 from ngfreg.ngf import LevelSweep, distance_and_gradient
 
@@ -30,19 +30,27 @@ def default_chunks():
 @pytest.fixture
 def one_plane_chunks(monkeypatch):
     """Chunks of one z-plane, so that grids of one chunk or less still split
-    into several slabs: run_planes takes its threaded path and a LevelSweep
-    built while the fixture is active forks. Returns the number of slabs of
-    every slab partition made while the fixture is active."""
+    into several chunks and slabs: run_planes walks more than one chunk and a
+    LevelSweep built while the fixture is active forks. Returns the chunk
+    count of every run_planes call and the slab count of every LevelSweep
+    built while the fixture is active."""
     monkeypatch.setattr(parallel, "_CHUNK_VOXELS", 1)
     counts = []
-    slab_ranges = parallel.slab_ranges
+    run_planes, slab_partition = parallel.run_planes, ngf.slab_partition
 
-    def counting_slab_ranges(n, workers):
-        ranges = slab_ranges(n, workers)
-        counts.append(len(ranges))
-        return ranges
+    def counting_run_planes(fn, nz, plane_voxels):
+        counts.append(-(-nz // parallel.plane_step(plane_voxels)))
+        run_planes(fn, nz, plane_voxels)
 
-    monkeypatch.setattr(parallel, "slab_ranges", counting_slab_ranges)
+    def counting_slab_partition(n, voxels, workers):
+        slabs = slab_partition(n, voxels, workers)
+        counts.append(len(slabs))
+        return slabs
+
+    # the modules that import run_planes by name
+    for module in (parallel, transfer, warp, cli):
+        monkeypatch.setattr(module, "run_planes", counting_run_planes)
+    monkeypatch.setattr(ngf, "slab_partition", counting_slab_partition)
     return counts
 
 

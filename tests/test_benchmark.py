@@ -39,6 +39,8 @@ def test_run_benchmark_smoke_and_checksums(one_plane_chunks):
     records = run_benchmark(workers_list=(1, 2), **case)
     ops = {r.operation for r in records}
     assert ops == {"apply_P", "apply_Pt", "ngf_value_grad", "register"}
+    # P and P^T run on the caller: timed once per precision, at 1 worker
+    assert {r.workers for r in records if r.operation.startswith("apply_")} == {1}
     # Worker count must not change any result (README table): every P^T
     # variant, P, the NGF gradient and register are bit-identical for any
     # worker count and chunk size, so their checksums must match across the

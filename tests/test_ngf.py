@@ -333,21 +333,32 @@ def test_evaluation_allocates_no_image_sized_temporaries(rng, workers):
     # P^T buffer (3 MiB) and per slab its workspace: its windows and one
     # chunk's temporaries, P y of the chunk's planes among them; 12.7 MiB in
     # all. tracemalloc sees this process only: with 1 worker it runs the
-    # whole sweep, with 2 a child runs the second slab.
+    # whole sweep, with 2 a child runs the second slab. Each case runs on a
+    # new thread, so on a new workspace, as a fresh process would.
     g = _grid((128, 128, 128))
     gd = def_grid_over(g, (32, 32, 32))
     T = Image3(g, rng.standard_normal(g.shape))
     R = Image3(g, rng.standard_normal(g.shape))
     x = (make_identity(gd).field + 2 * rng.standard_normal((3,) + gd.shape)).ravel()
-    tracemalloc.start()
-    try:
+    peaks = []
+
+    def run():
         obj = LevelObjective(template=T, ref=R, plan=build_gather_plan(gd, g),
                              params=NgfParams(), alpha=1.0, workers=workers)
         obj(x)
-        peak = tracemalloc.get_traced_memory()[1]
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        obj.close()
+
+    tracemalloc.start()
+    try:
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert not thread.is_alive()
+    assert len(peaks) == 1
+    assert peaks[0] < 24 * 2**20
 
 
 def test_sweep_workspace_does_not_grow_with_the_slab(rng):

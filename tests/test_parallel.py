@@ -5,7 +5,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -16,116 +15,91 @@ from ngfreg.geometry import DeformationField, Grid3, Image3, VectorField3, make_
 from ngfreg.multilevel import MultilevelConfig, deformation_grid_for, register
 from ngfreg.ngf import NgfParams
 from ngfreg.objective import LevelObjective
-from ngfreg.synthetic import gaussian_bump_mapping, make_registration_pair, smooth_random_volume
-from ngfreg.transfer import apply_Pt, build_gather_plan
+from ngfreg.synthetic import (gaussian_bump_mapping, make_registration_pair, smooth_random_field,
+                              smooth_random_volume)
+from ngfreg.transfer import PT_VARIANTS, apply_P, apply_Pt, build_gather_plan
 from ngfreg.warp import warp_image
 
 from conftest import assert_reaped, sweep_once
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# voxels per index that make every index one chunk, so the slab count is
-# min(workers, n) as the tests of the lanes expect
-CHUNK = parallel._CHUNK_VOXELS
-
 
 @pytest.fixture
-def helpers(monkeypatch):
-    """Every thread started while the fixture is active: the helpers of slab calls."""
+def threads(monkeypatch):
+    """Every thread started while the fixture is active, by any module."""
     started = []
+    start = threading.Thread.start
 
-    class RecordingThread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    def recording_start(self):
+        started.append(self)
+        start(self)
 
-    monkeypatch.setattr(parallel.threading, "Thread", RecordingThread)
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
     return started
 
 
-def test_nested_call_runs_inline():
-    out = np.zeros((6, 8))
-
-    def outer(lo, hi):
-        def inner(c0, c1):
-            out[lo:hi, c0:c1] = np.arange(lo, hi)[:, None] * 10 + np.arange(c0, c1)
-
-        parallel.run_planes(inner, 8, CHUNK, 2)
-
-    # a deadlock would hang the caller, so it runs on a thread with a deadline
-    caller = threading.Thread(target=parallel.run_planes, args=(outer, 6, CHUNK, 2), daemon=True)
-    caller.start()
-    caller.join(timeout=20)
-    assert not caller.is_alive(), "nested run_planes deadlocked"
-    assert np.array_equal(out, np.arange(6)[:, None] * 10 + np.arange(8))
-
-
-def test_error_waits_for_every_slab():
-    finished = []
-    lock = threading.Lock()
-
-    def fn(lo, hi):
-        if lo == 0:
-            raise RuntimeError("slab 0 failed")
-        time.sleep(0.2)
-        with lock:
-            finished.append(lo)
-
-    with pytest.raises(RuntimeError, match="slab 0 failed"):
-        parallel.run_planes(fn, 3, CHUNK, 3)
-    assert sorted(finished) == [1, 2]
-    out = np.zeros(3)
-    parallel.run_planes(lambda lo, hi: out.__setitem__(slice(lo, hi), 1.0), 3, CHUNK, 3)
-    assert np.all(out == 1.0)
+def test_no_library_call_starts_a_thread(one_plane_chunks, threads):
+    # run_planes walks its chunks in order on the caller, and P, P^T and the
+    # warp chunk their work through it; run_tasks and the workers of apply_P
+    # and apply_Pt are kept for perfbench/ and do nothing. register is
+    # checked by test_register_starts_no_helper_thread
+    g = Grid3((8, 8, 8), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    plan = build_gather_plan(deformation_grid_for(g, 2), g)
+    y = make_identity(plan.def_grid)
+    r = VectorField3(g, np.ones((3,) + g.shape))
+    chunks = []
+    parallel.run_planes(lambda k0, k1: chunks.append((k0, k1, threading.current_thread())),
+                        8, 1)
+    assert chunks == [(k, k + 1, threading.current_thread()) for k in range(8)]
+    assert parallel.run_tasks([lambda i=i: i for i in range(3)], 2) == [0, 1, 2]
+    warp_image(smooth_random_volume(g, seed=1), y)
+    apply_P(y, g, 2)
+    for variant in PT_VARIANTS:
+        apply_Pt(r, plan, variant, 2)
+    assert threads == []
+    assert max(one_plane_chunks) >= 2
 
 
-def test_helper_that_cannot_start_fails_the_call_after_the_started_one(monkeypatch):
-    finished, starts = [], []
+def test_concurrent_callers_each_get_their_own_results(one_plane_chunks):
+    # more callers than cores warp and apply P^T at once, on one-plane chunks
+    # with frequent thread switches: each thread's chunks take their
+    # temporaries from its own Workspace, so every caller gets the bytes of a
+    # call made alone
+    g = Grid3((12, 11, 10), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    plan = build_gather_plan(deformation_grid_for(g, 2), g)
+    rng = np.random.default_rng(3)
+    inputs = [(smooth_random_volume(g, seed=s),
+               smooth_random_field(plan.def_grid, seed=s + 10, amplitude_mm=0.8),
+               VectorField3(g, rng.standard_normal((3,) + g.shape))) for s in range(6)]
 
-    class FailingThread(threading.Thread):
-        def start(self):
-            starts.append(self)
-            if len(starts) == 2:  # the second helper
-                raise RuntimeError("can't start new thread")
-            super().start()
+    def call(T, y, r):
+        return warp_image(T, y).values.tobytes(), apply_Pt(r, plan, "scatter").field.tobytes()
 
-    def fn(lo, hi):
-        time.sleep(0.2)
-        finished.append(lo)
+    expected = [call(*args) for args in inputs]
+    results = [[] for _ in inputs]
 
-    before = threading.active_count()
-    monkeypatch.setattr(parallel.threading, "Thread", FailingThread)
-    with pytest.raises(RuntimeError, match="can't start new thread"):
-        parallel.run_planes(fn, 3, CHUNK, 3)
-    assert finished == [1]  # the caller's lane never ran; the started helper's did
-    assert threading.active_count() == before
-
-
-def test_concurrent_callers_each_get_their_own_results():
-    # more callers and workers than cores, with frequent thread switches:
-    # every caller gets its own correct result
-    outs = [np.zeros(60) for _ in range(6)]
-
-    def caller(out):
-        for _ in range(20):
-            parallel.run_planes(lambda lo, hi: out.__setitem__(slice(lo, hi), out[lo:hi] + 1),
-                                60, CHUNK, 3)
+    def caller(i):
+        for _ in range(5):
+            results[i].append(call(*inputs[i]))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=caller, args=(o,), daemon=True) for o in outs]
-        for t in threads:
+        callers = [threading.Thread(target=caller, args=(i,), daemon=True)
+                   for i in range(len(inputs))]
+        for t in callers:
             t.start()
-        for t in threads:
-            t.join(timeout=20)
+        for t in callers:
+            t.join(timeout=60)
     finally:
         sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert all(np.all(o == 20) for o in outs)
+    assert not any(t.is_alive() for t in callers)
+    assert results == [[e] * 5 for e in expected]
+    assert max(one_plane_chunks) >= 2
 
 
-def test_grid_of_one_chunk_runs_inline(helpers, forks):
+def test_grid_of_one_chunk_runs_inline(threads, forks):
     # a whole 16^3 evaluation is less than one chunk: with 2 workers its
     # sweep is one slab, run on the caller's thread as 1 worker runs it
     g = Grid3((16, 16, 16), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
@@ -133,26 +107,18 @@ def test_grid_of_one_chunk_runs_inline(helpers, forks):
     args = (make_identity(plan.def_grid), smooth_random_volume(g, seed=1),
             smooth_random_volume(g, seed=2), plan, NgfParams())
     D, grad = sweep_once(*args, workers=2)
-    assert helpers == []
+    assert threads == []
     assert forks == []
     D1, grad1 = sweep_once(*args)
     assert D == D1 and grad.field.tobytes() == grad1.field.tobytes()
 
 
-def test_workers_are_a_cap(helpers):
+def test_workers_are_a_cap():
     plane = 64 * 64
     step = parallel.plane_step(plane)
-    chunks = []
-    parallel.run_planes(lambda k0, k1: chunks.append((k0, k1)), 64, plane, 2)
-    assert sorted(chunks) == [(k, k + step) for k in range(0, 64, step)]
-    assert len(helpers) == 1  # a 64^3 sweep: 2 slabs, the caller runs the first
-
-    slabs = []
-    parallel.run_planes(lambda lo, hi: slabs.append((lo, hi)), 3 * step, plane, 8)
-    assert sorted(slabs) == [(0, step), (step, 2 * step), (2 * step, 3 * step)]
-    assert len(helpers) == 3
-    assert parallel.run_tasks([lambda i=i: i for i in range(5)], 2) == list(range(5))
-    assert len(helpers) == 4  # five tasks in two lanes
+    assert parallel.slab_partition(64, plane, 2) == [(0, 32), (32, 64)]  # a 64^3 sweep
+    assert parallel.slab_partition(3 * step, plane, 8) == [
+        (0, step), (step, 2 * step), (2 * step, 3 * step)]  # no slab below one chunk
 
 
 def test_workspace_is_a_stack_that_grows_to_its_deepest_frame_once():
@@ -241,23 +207,6 @@ def test_closing_one_objective_leaves_another_s_children_alive(one_plane_chunks,
     assert_reaped(forks)
 
 
-def test_sweep_on_a_helper_thread_runs_inline(one_plane_chunks, forks):
-    obj, x = _objective(2)
-    grid = obj.plan.def_grid
-    y = DeformationField(grid, x.reshape((3,) + grid.shape))
-    threads = []
-
-    def sweep():
-        threads.append(threading.current_thread())
-        return sweep_once(y, obj.ref, obj.template, obj.plan, obj.params, workers=2)
-
-    (D1, g1), (D2, g2) = parallel.run_tasks([sweep, sweep], 2)
-    assert sorted(t is threading.current_thread() for t in threads) == [False, True]
-    assert forks == []  # neither on the helper nor on the caller while it lives
-    assert D1 == D2 and g1.field.tobytes() == g2.field.tobytes()
-    assert (D1, g1.field.tobytes()) == _sweep()
-
-
 def _sweep(workers=1):
     """D and the gradient's bytes of a sweep of an _objective(2)'s point."""
     obj, x = _objective(2)
@@ -286,34 +235,16 @@ def test_sweep_in_a_daemonic_process_runs_inline(one_plane_chunks, forks):
     assert (D, g) == _sweep()
 
 
-def test_no_helper_thread_outlives_its_call(one_plane_chunks, helpers):
-    g = Grid3((8, 8, 8), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-    plan = build_gather_plan(deformation_grid_for(g, 2), g)
-    y = make_identity(plan.def_grid)
-    r = VectorField3(g, np.ones((3,) + g.shape))
-    calls = {
-        "run_planes": lambda: parallel.run_planes(lambda k0, k1: None, 8, 1, 2),
-        "run_tasks": lambda: parallel.run_tasks([lambda: None] * 3, 2),
-        "warp_image": lambda: warp_image(smooth_random_volume(g, seed=1), y, 2),
-        "apply_Pt": lambda: apply_Pt(r, plan, "scatter", 2),
-    }
-    for name, call in calls.items():
-        before, started = threading.active_count(), len(helpers)
-        call()
-        assert len(helpers) > started, name  # it ran on helper threads
-        assert threading.active_count() == before, name
-
-
-def test_register_starts_no_helper_thread(one_plane_chunks, helpers, forks):
+def test_register_starts_no_helper_thread(one_plane_chunks, threads, forks):
     # the pyramids are built one after the other on the caller, and the
-    # sweep's slabs after the first run in child processes
+    # sweep's slabs after the first run in child processes: one per level
     g = Grid3((32, 32, 32), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     center = tuple(o + e / 2 for o, e in zip(g.origin, g.extent))
     R, T = make_registration_pair(
         g, gaussian_bump_mapping(center, sigma_mm=10.0, amplitude_mm=(1.5, -1.0, 0.5)))
     register(R, T, MultilevelConfig(coarsest_min_dim=16, workers=2,
                                     max_iterations=2))
-    assert helpers == []
+    assert threads == []
     assert len(forks) == 2  # one child per level
 
 

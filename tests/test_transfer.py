@@ -190,24 +190,22 @@ def test_adjoint_identity(rng):
 
 
 def test_gather_bit_identical_across_workers(rng, monkeypatch, one_plane_chunks):
-    # every variant is bit-identical for any worker count (README);
-    # the base runs whole, in one chunk of the module's size, and a one-plane
-    # chunk size also splits the xy reduction at every z-plane and lets these
-    # grids of less than one module chunk run several slabs.
+    # every variant is bit-identical for any chunk size (README), and so for
+    # any worker count of the sweep, whose slabs are runs of chunks; the base
+    # runs whole, in one chunk of the module's size, and a one-plane chunk
+    # size splits the xy reduction at every z-plane.
     # The second pair feeds about 6 image planes into each output plane, so
-    # a summation order that followed the worker partition would show.
+    # a summation order that followed the chunks would show.
     gi = _grid((9, 7, 31))
     for gd, gi in (random_grid_pair(rng), (def_grid_over(gi, (3, 2, 5)), gi)):
         plan = build_gather_plan(gd, gi)
         r = VectorField3(gi, rng.standard_normal((3,) + gi.shape))
         for variant in PT_VARIANTS:
             with default_chunks():
-                base = apply_Pt(r, plan, variant, workers=1).field
+                base = apply_Pt(r, plan, variant).field
             for chunk in (DEFAULT_CHUNK, 1):
                 monkeypatch.setattr(parallel, "_CHUNK_VOXELS", chunk)
-                for w in (1, 2, 8):
-                    out = apply_Pt(r, plan, variant, workers=w).field
-                    assert out.tobytes() == base.tobytes()
+                assert apply_Pt(r, plan, variant).field.tobytes() == base.tobytes()
     assert max(one_plane_chunks) >= 2
 
 
@@ -218,9 +216,8 @@ def test_apply_P_bit_identical_across_workers(rng, one_plane_chunks):
         y = DeformationField(gd, make_identity(gd).field + rng.standard_normal((3,) + gd.shape))
         with default_chunks():
             assert gi.num_points <= DEFAULT_CHUNK
-            base = apply_P(y, gi, workers=1).field
-        for w in (1, 2, 8):
-            assert apply_P(y, gi, workers=w).field.tobytes() == base.tobytes()
+            base = apply_P(y, gi).field
+        assert apply_P(y, gi).field.tobytes() == base.tobytes()
     assert max(one_plane_chunks) >= 2
 
 
@@ -233,7 +230,7 @@ def test_variants_agree_on_random_inputs(rng, one_plane_chunks):
             a = apply_Pt(r, plan, "gather").field
         scale = np.abs(a).max() + 1
         for variant in ("scatter", "redblack"):
-            out = apply_Pt(r, plan, variant, workers=4)
+            out = apply_Pt(r, plan, variant)
             assert np.max(np.abs(out.field - a)) <= 1e-12 * scale
     assert max(one_plane_chunks) >= 2
 

@@ -67,10 +67,8 @@ def test_warp_bit_identical_across_workers(rng, one_plane_chunks):
         y = smooth_random_field(gd, seed=4, amplitude_mm=0.8)
         with default_chunks():  # the whole grid in one chunk
             assert gi.num_points <= DEFAULT_CHUNK
-            base = warp_image(T, y, workers=1)
-        for w in (1, 2, 8):
-            out = warp_image(T, y, workers=w)
-            assert out.values.tobytes() == base.values.tobytes()
+            base = warp_image(T, y)
+        assert warp_image(T, y).values.tobytes() == base.values.tobytes()
     assert max(one_plane_chunks) >= 2
 
 
@@ -89,28 +87,25 @@ def test_warp_at_P_y_matches_layered_reference(one_plane_chunks, dtype):
     expected = np.where(inside, value, 0)
     for chunks in (default_chunks, contextlib.nullcontext):  # one chunk, then one plane
         with chunks():
-            for w in (1, 2, 3):
-                warped = warp_image(T, y, workers=w).values
-                assert warped.dtype == dtype
-                assert np.all(warped[~inside] == 0)
-                assert warped.tobytes() == expected.tobytes()
+            warped = warp_image(T, y).values
+            assert warped.dtype == dtype
+            assert np.all(warped[~inside] == 0)
+            assert warped.tobytes() == expected.tobytes()
     assert max(one_plane_chunks) >= 2
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_warp_memory_is_chunk_sized(rng, workers):
+def test_warp_memory_is_chunk_sized(rng):
     # a 128^3 f64 warp holds the template, the output and one chunk's
-    # temporaries per worker, P y of the chunk's planes among them: 18.1 MiB
-    # with 1 worker and 20.7 MiB with 2. y interpolated along x and y on
-    # every coarse plane added 12 MiB, and an image-sized P y alone would be
-    # 48 MiB
+    # temporaries, P y of the chunk's planes among them: 18.1 MiB. y
+    # interpolated along x and y on every coarse plane added 12 MiB, and an
+    # image-sized P y alone would be 48 MiB
     g = _grid((128, 128, 128))
     T = Image3(g, rng.standard_normal(g.shape))
     y = smooth_random_field(deformation_grid_for(g, 4), seed=2, amplitude_mm=2.0)
-    warp_image(T, y, workers)  # the caller's workspace has grown before the measurement
+    warp_image(T, y)  # the caller's workspace has grown before the measurement
     tracemalloc.start()
     try:
-        warp_image(T, y, workers)
+        warp_image(T, y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
