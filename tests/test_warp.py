@@ -94,18 +94,21 @@ def test_warp_at_P_y_matches_layered_reference(one_plane_chunks, dtype):
     assert max(one_plane_chunks) >= 2
 
 
-def test_warp_memory_is_chunk_sized(rng):
+@pytest.mark.parametrize("calls", [1, 2])
+def test_warp_memory_is_chunk_sized(rng, calls):
     # a 128^3 f64 warp holds the template, the output and one chunk's
     # temporaries, P y of the chunk's planes among them: 18.1 MiB. y
     # interpolated along x and y on every coarse plane added 12 MiB, and an
-    # image-sized P y alone would be 48 MiB
+    # image-sized P y alone would be 48 MiB. A second warp in the measured
+    # window reuses the workspace, so the bound holds for it too
     g = _grid((128, 128, 128))
     T = Image3(g, rng.standard_normal(g.shape))
     y = smooth_random_field(deformation_grid_for(g, 4), seed=2, amplitude_mm=2.0)
     warp_image(T, y)  # the caller's workspace has grown before the measurement
     tracemalloc.start()
     try:
-        warp_image(T, y)
+        for _ in range(calls):
+            warp_image(T, y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
