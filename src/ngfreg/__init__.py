@@ -23,7 +23,7 @@ from .evaluation import (
     min_jacobian_det,
     sample_deformation,
 )
-from .lbfgs import StoppingRules, lbfgs_minimize
+from .lbfgs import lbfgs_minimize
 from .multilevel import (
     MultilevelConfig,
     RegistrationReport,
@@ -48,7 +48,7 @@ from .synthetic import (
     smooth_random_field,
     smooth_random_volume,
 )
-from .warp import image_gradient, image_gradient_apply_transpose, warp_image
+from .warp import warp_image
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "MultilevelConfig",
     "NgfParams",
     "RegistrationReport",
-    "StoppingRules",
     "VectorField3",
     "apply_P",
     "apply_Pt",
@@ -79,8 +78,6 @@ __all__ = [
     "format_table",
     "gaussian_bump_mapping",
     "identity_field_array",
-    "image_gradient",
-    "image_gradient_apply_transpose",
     "landmark_error",
     "lbfgs_minimize",
     "make_identity",

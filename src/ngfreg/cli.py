@@ -16,7 +16,7 @@ from .evaluation import field_difference_stats, landmark_error
 from .geometry import Grid3, GridError, Image3, precision_dtype
 from .multilevel import MultilevelConfig, RegistrationReport, max_levels, register
 from .ngf import NgfParams
-from .parallel import run_planes, workspace
+from .parallel import run_planes
 from .transfer import PT_VARIANTS
 from .warp import _trilinear_into, warp_image
 
@@ -88,7 +88,8 @@ def _build_parser() -> _Parser:
                      default=None, help="number of levels or 'auto' (the default)")
     reg.add_argument("--grid-ratio", type=_option(int, MultilevelConfig, "grid_ratio"), default=4)
     reg.add_argument("--precision", choices=("f32", "f64"), default="f64")
-    reg.add_argument("--threads", type=_option(int, MultilevelConfig, "workers"), default=1)
+    reg.add_argument("--threads", type=_option(int, MultilevelConfig, "workers"), default=1,
+                     help="worker processes of the NGF sweep, the caller included")
     reg.add_argument("--pt-variant", choices=PT_VARIANTS, default="gather")
     reg.add_argument("--max-iter", type=_option(int, MultilevelConfig, "max_iterations"),
                      default=100, help="L-BFGS iterations per level, at most")
@@ -116,7 +117,8 @@ def _build_parser() -> _Parser:
                     default="64,64,64")
     bm.add_argument("--threads", type=_option(int, MultilevelConfig, "workers", many=True),
                     default=None,
-                    help="comma-separated worker counts (default: 1 and the number of cores)")
+                    help="comma-separated worker counts, each the NGF sweep's worker "
+                         "processes (default: 1 and the number of cores)")
     bm.add_argument("--precision", type=_option(str, MultilevelConfig, "precision", many=True),
                     default="f64", help="comma-separated: f32,f64")
     bm.add_argument("--pt-variant", type=_option(str, MultilevelConfig, "pt_variant", many=True),
@@ -259,11 +261,10 @@ def _cmd_resample(args) -> int:
     flat = src.values.ravel()
     out = np.empty(grid.shape, dtype=dtype)
 
-    def do_chunk(k0, k1):
-        with workspace().frame() as ws:
-            pos = ws.array((3, k1 - k0) + grid.shape[1:], dtype)
-            pos[0], pos[1], pos[2] = x, y[:, None], z[k0:k1, None, None]
-            _trilinear_into(flat, src.grid, pos, out[k0:k1], None, ws)
+    def do_chunk(k0, k1, ws):
+        pos = ws.array((3, k1 - k0) + grid.shape[1:], dtype)
+        pos[0], pos[1], pos[2] = x, y[:, None], z[k0:k1, None, None]
+        _trilinear_into(flat, src.grid, pos, out[k0:k1], None, ws)
 
     run_planes(do_chunk, grid.shape[0], grid.shape[1] * grid.shape[2])
     fileio.write_volume(Image3(grid, out), args.out)

@@ -12,6 +12,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,18 +66,21 @@ class Grid3:
         """Full world extent per axis (dims * spacing)."""
         return tuple(n * h for n, h in zip(self.dims, self.spacing))
 
+    def with_dims(self, dims) -> "Grid3":
+        """The grid of `dims` (m per axis) cells over this grid's world domain:
+        spacing n * h / m, origin (o - h / 2) + spacing / 2."""
+        spacing = tuple(n * h / m for n, h, m in zip(self.dims, self.spacing, dims))
+        return Grid3(dims, spacing, tuple(lo + s / 2 for lo, s in zip(self.domain_min, spacing)))
+
     def axis_centers(self, axis: int) -> np.ndarray:
         """World coordinates of the cell centers along one axis (0=x,1=y,2=z)."""
         return self.origin[axis] + self.spacing[axis] * np.arange(self.dims[axis], dtype=np.float64)
 
     def same_extent(self, other: "Grid3", tol: float = 1e-9) -> bool:
         """True if both grids cover the same world domain (cell-edge to cell-edge)."""
-        for a in range(3):
-            lo_s = self.origin[a] - self.spacing[a] / 2
-            lo_o = other.origin[a] - other.spacing[a] / 2
-            if abs(lo_s - lo_o) > tol:
-                return False
-            if abs(lo_s + self.extent[a] - (lo_o + other.extent[a])) > tol:
+        for lo_s, lo_o, ext_s, ext_o in zip(self.domain_min, other.domain_min,
+                                            self.extent, other.extent):
+            if abs(lo_s - lo_o) > tol or abs(lo_s + ext_s - (lo_o + ext_o)) > tol:
                 return False
         return True
 
@@ -145,6 +149,20 @@ class DeformationField(VectorField3):
 
 def make_identity(grid: Grid3, dtype=np.float64) -> DeformationField:
     return DeformationField(grid, identity_field_array(grid, dtype))
+
+
+def check_real(name: str, value, kind=numbers.Real, what: str = "a real number") -> None:
+    """Raise ValueError naming the setting `name` unless value is a Python or
+    numpy number of `kind`, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """check_real for a Python or numpy integer of at least `minimum`."""
+    check_real(name, value, numbers.Integral, "an integer")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 _PRECISIONS = {"f32": np.float32, "f64": np.float64}

@@ -13,6 +13,11 @@ rejected trial t it tries the minimizer of the parabola through phi(0),
 phi'(0) and phi(t), phi(t) = J(x + t d), kept within [0.1 t, STEP_SHRINK t];
 a non-finite phi(t) gives STEP_SHRINK t. It gives up after ``MAX_LS_STEPS``
 trials (Nocedal & Wright, Numerical Optimization, Sec. 3.5).
+
+From iteration ``MIN_ITERATIONS`` on it stops at the first iteration where
+the change in J is at most ``TOL_J`` |J|, |g|_inf at most ``TOL_GRAD`` times
+the start's, or the step norm at most ``TOL_STEP`` max(|x0|, 1), tested in
+that order. No caller sets these constants; they are read at each call.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["StoppingRules", "IterationRecord", "OptimizeTrace",
-           "two_loop_direction", "lbfgs_minimize"]
+from .geometry import check_integer
+
+__all__ = ["IterationRecord", "OptimizeTrace", "two_loop_direction", "lbfgs_minimize"]
 
 
 MEMORY = 5          # (s, y) pairs kept
@@ -31,18 +37,10 @@ C1 = 1e-4           # Armijo sufficient-decrease constant
 INITIAL_STEP = 1.0  # first trial of every line search
 STEP_SHRINK = 0.5   # largest backtrack factor
 MAX_LS_STEPS = 20   # trials before the line search fails
-
-
-@dataclass(frozen=True)
-class StoppingRules:
-    tol_J: float = 1e-4        # relative objective change
-    tol_grad: float = 1e-3     # |g|_inf relative to the initial gradient
-    tol_step: float = 1e-5     # relative step norm
-    min_iterations: int = 3
-
-    def __post_init__(self):
-        if min(self.tol_J, self.tol_grad, self.tol_step) <= 0:
-            raise ValueError("all tolerances must be > 0")
+TOL_J = 1e-4        # relative objective change
+TOL_GRAD = 1e-3     # |g|_inf relative to the initial gradient
+TOL_STEP = 1e-5     # step norm relative to max(|x0|, 1)
+MIN_ITERATIONS = 3  # iterations before any test may stop the level
 
 
 @dataclass
@@ -96,12 +94,10 @@ def two_loop_direction(history: list[tuple[np.ndarray, np.ndarray]], g: np.ndarr
     return -q
 
 
-def lbfgs_minimize(f, x0: np.ndarray, max_iterations: int = 100,
-                   stop: StoppingRules = StoppingRules()):
+def lbfgs_minimize(f, x0: np.ndarray, max_iterations: int = 100):
     """Minimize f(x) -> (J, grad) in at most max_iterations iterations.
     Returns (best x, OptimizeTrace)."""
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+    check_integer("max_iterations", max_iterations, 1)
     x = np.asarray(x0).copy()
     J, g = f(x)
     g = np.asarray(g)
@@ -164,14 +160,14 @@ def lbfgs_minimize(f, x0: np.ndarray, max_iterations: int = 100,
         g_inf = float(np.max(np.abs(g)))
         trace.records.append(IterationRecord(it, J, g_inf, t, ls_evals))
 
-        if it + 1 >= stop.min_iterations:
-            if abs(J_prev - J) <= stop.tol_J * max(abs(J_prev), 1e-30):
+        if it + 1 >= MIN_ITERATIONS:
+            if abs(J_prev - J) <= TOL_J * max(abs(J_prev), 1e-30):
                 trace.stop_reason = "objective change below tolerance"
                 break
-            if g_inf <= stop.tol_grad * g0_inf:
+            if g_inf <= TOL_GRAD * g0_inf:
                 trace.stop_reason = "gradient below tolerance"
                 break
-            if step_norm <= stop.tol_step * x_scale:
+            if step_norm <= TOL_STEP * x_scale:
                 trace.stop_reason = "step below tolerance"
                 break
     else:

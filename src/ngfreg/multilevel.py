@@ -20,6 +20,8 @@ from .geometry import (
     GridError,
     Image3,
     VectorField3,
+    check_integer,
+    check_real,
     identity_field_array,
     make_identity,
     precision_dtype,
@@ -56,14 +58,11 @@ class MultilevelConfig:
     pt_variant: str = "gather"
 
     def __post_init__(self):
-        if self.num_levels is not None and self.num_levels < 1:
-            raise ValueError("num_levels must be >= 1")
-        if self.coarsest_min_dim < 1:
-            raise ValueError("coarsest_min_dim must be >= 1")
-        if self.grid_ratio < 1:
-            raise ValueError("grid_ratio must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.num_levels is not None:
+            check_integer("num_levels", self.num_levels, 1)
+        for name in ("coarsest_min_dim", "grid_ratio", "max_iterations", "workers"):
+            check_integer(name, getattr(self, name), 1)
+        check_real("alpha", self.alpha)
         dtype = precision_dtype(self.precision)
         info = np.finfo(dtype)
         with np.errstate(all="ignore"):
@@ -82,8 +81,6 @@ class MultilevelConfig:
                     f"{name} = {value:g} is out of range for precision {self.precision}: "
                     f"{name}^2 must be a finite normal number, so {name} in "
                     f"[{np.sqrt(info.tiny):.3g}, {np.sqrt(info.max):.3g}]")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         _z_schedule(self.pt_variant)
 
 
@@ -135,11 +132,7 @@ def downsample_image(img: Image3) -> Image3:
     for np_axis in (0, 1, 2):
         if values.shape[np_axis] > 1:
             values = _downsample_axis(values, np_axis)
-    g = img.grid
-    new_dims = tuple(-(-d // 2) for d in g.dims)
-    new_spacing = tuple(d * h / nd for d, h, nd in zip(g.dims, g.spacing, new_dims))
-    new_origin = tuple(o - h / 2 + nh / 2 for o, h, nh in zip(g.origin, g.spacing, new_spacing))
-    return Image3(Grid3(new_dims, new_spacing, new_origin), values)
+    return Image3(img.grid.with_dims(tuple(-(-d // 2) for d in img.grid.dims)), values)
 
 
 def num_auto_levels(dims: tuple[int, int, int], coarsest_min_dim: int) -> int:
@@ -174,16 +167,8 @@ def build_pyramid(img: Image3, levels: int) -> list[Image3]:
 
 def deformation_grid_for(image_grid: Grid3, grid_ratio: int) -> Grid3:
     """Deformation grid covering the same world domain at reduced resolution."""
-    dims = []
-    for n in image_grid.dims:
-        if n == 1:
-            dims.append(1)
-        else:
-            dims.append(max(2, -(-n // grid_ratio)))
-    spacing = tuple(n * h / nd for n, h, nd in zip(image_grid.dims, image_grid.spacing, dims))
-    origin = tuple(o - h / 2 + nh / 2
-                   for o, h, nh in zip(image_grid.origin, image_grid.spacing, spacing))
-    return Grid3(tuple(dims), spacing, origin)
+    return image_grid.with_dims(tuple(1 if n == 1 else max(2, -(-n // grid_ratio))
+                                      for n in image_grid.dims))
 
 
 def prolong_deformation(y: DeformationField, finer_def_grid: Grid3) -> DeformationField:

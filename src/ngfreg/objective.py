@@ -24,8 +24,9 @@ __all__ = ["LevelObjective"]
 class LevelObjective:
     """Callable objective for one multilevel level. Each call appends (J, D, S)
     to `log`, (inf, nan, nan) for a non-finite trial point, and adds the wall
-    seconds of the distance and of the curvature term to `seconds`. x must have
-    the dtype of the images, which LevelSweep checks.
+    seconds of the distance and of the curvature term to `seconds`; both are
+    outputs, which start empty and at zero. x must have the dtype of the
+    images, which LevelSweep checks.
 
     It builds the level's LevelSweep at construction. With more than one
     worker, its first evaluation whose sweep has more than one slab forks the
@@ -41,8 +42,8 @@ class LevelObjective:
     alpha: float
     pt_variant: str = "gather"
     workers: int = 1
-    log: list = field(default_factory=list)
-    seconds: dict = field(default_factory=lambda: {"distance": 0.0, "curvature": 0.0})
+    log: list = field(init=False, default_factory=list)
+    seconds: dict = field(init=False, default_factory=lambda: {"distance": 0.0, "curvature": 0.0})
 
     def __post_init__(self):
         self._sweep = LevelSweep(self.ref, self.template, self.plan, self.params,

@@ -9,8 +9,10 @@ about _CHUNK_VOXELS voxels (slab_partition), so a range of one chunk or less
 (a whole 32^3 grid, say) is one slab, run on the caller.
 
 run_planes walks a range of z-planes in chunks of a fixed size (plane_step
-planes) on the caller; the warp, P and P^T chunk their work through it, and
-the NGF sweep walks its slabs' chunks itself.
+planes) on the caller, and opens a frame of the thread's Workspace for each
+chunk: the warp, P, P^T and the CLI's resampling chunk their work through
+it and take their temporaries from the Workspace it passes. The NGF sweep
+walks its slabs' chunks itself, and the curvature term opens its own frames.
 
 Each thread has one Workspace (workspace()): a LIFO stack of arrays over one
 buffer that a chunk takes its temporaries from and gives back when its frame
@@ -67,6 +69,13 @@ _CHUNK_VOXELS = 1 << 15
 
 _local = threading.local()
 
+_LINE = 64  # bytes: every Workspace array and shared array starts on a cache line
+
+
+def _line_bytes(shape, dtype) -> int:
+    """The bytes of an array of shape and dtype, rounded up to whole cache lines."""
+    return -(-math.prod(shape) * np.dtype(dtype).itemsize // _LINE) * _LINE
+
 
 class Workspace:
     """Scratch arrays for one thread: a LIFO stack of views over one buffer.
@@ -79,8 +88,6 @@ class Workspace:
     the deepest chunk and never holds a second copy.
     """
 
-    _ALIGN = 64  # bytes: every array starts on a cache line
-
     def __init__(self):
         self._buf = np.empty(0, dtype=np.uint8)
         self._top = 0
@@ -88,9 +95,8 @@ class Workspace:
 
     def array(self, shape, dtype) -> np.ndarray:
         """An uninitialized array that lives until the enclosing frame closes."""
-        dtype = np.dtype(dtype)
         start = self._top
-        self._top = start + -(-math.prod(shape) * dtype.itemsize // self._ALIGN) * self._ALIGN
+        self._top = start + _line_bytes(shape, dtype)
         self._peak = max(self._peak, self._top)
         if self._top > self._buf.size:
             return np.empty(shape, dtype=dtype)
@@ -105,8 +111,8 @@ class Workspace:
         finally:
             self._top = top
             if top == 0 and self._peak > self._buf.size:  # nothing is taken: resize
-                raw = np.empty(self._peak + self._ALIGN, dtype=np.uint8)
-                skip = -raw.ctypes.data % self._ALIGN
+                raw = np.empty(self._peak + _LINE, dtype=np.uint8)
+                skip = -raw.ctypes.data % _LINE
                 self._buf = raw[skip:skip + self._peak]
 
 
@@ -125,18 +131,14 @@ def can_fork() -> bool:
     return hasattr(os, "fork") and not multiprocessing.current_process().daemon
 
 
-def slab_ranges(n: int, workers: int) -> list[tuple[int, int]]:
-    """Split range(n) into at most `workers` contiguous chunks."""
-    workers = max(1, min(workers, n))
-    base, rem = divmod(n, workers)
-    bounds = [w * base + min(w, rem) for w in range(workers + 1)]
-    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-
-
 def slab_partition(n: int, voxels: int, workers: int) -> list[tuple[int, int]]:
     """The slabs of range(n) where each index is about `voxels` voxels of work:
-    at most `workers`, and no more than there are chunks of _CHUNK_VOXELS voxels."""
-    return slab_ranges(n, min(workers, -(-n // plane_step(voxels))))
+    at most `workers` ranges of lengths within one, and no more than there are
+    chunks of _CHUNK_VOXELS voxels."""
+    slabs = max(1, min(workers, n, -(-n // plane_step(voxels))))
+    base, rem = divmod(n, slabs)
+    bounds = [w * base + min(w, rem) for w in range(slabs + 1)]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 def plane_step(plane_voxels: int) -> int:
@@ -145,11 +147,14 @@ def plane_step(plane_voxels: int) -> int:
 
 
 def run_planes(fn, nz: int, plane_voxels: int) -> None:
-    """Run fn(k0, k1) on the caller over range(nz) in chunks of whole z-planes
-    of about _CHUNK_VOXELS voxels."""
+    """Run fn(k0, k1, ws) on the caller over range(nz) in chunks of whole
+    z-planes of about _CHUNK_VOXELS voxels, each in a frame of this thread's
+    Workspace ws: the arrays fn takes from ws live until fn returns."""
     step = plane_step(plane_voxels)
+    ws = workspace()
     for k0 in range(0, nz, step):
-        fn(k0, min(k0 + step, nz))
+        with ws.frame():
+            fn(k0, min(k0 + step, nz), ws)
 
 
 def run_tasks(tasks, workers: int) -> list:
@@ -165,7 +170,7 @@ def shared_arrays(specs) -> list[np.ndarray]:
     offsets, size = [], 0
     for shape, dtype in specs:
         offsets.append(size)
-        size += -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
+        size += _line_bytes(shape, dtype)
     buf = mmap.mmap(-1, max(size, 1))
     return [np.ndarray(shape, dtype, buffer=buf, offset=offset)
             for (shape, dtype), offset in zip(specs, offsets)]

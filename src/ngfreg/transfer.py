@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Grid3, GridError, VectorField3
-from .parallel import Workspace, run_planes, workspace
+from .parallel import Workspace, run_planes
 
 __all__ = [
     "GatherPlan",
@@ -200,9 +200,8 @@ def apply_P(y: VectorField3, image_grid: Grid3, workers: int = 1) -> VectorField
     weights = build_gather_plan(y.grid, image_grid).weights(y.field.dtype)
     out = np.empty((3,) + image_grid.shape, dtype=y.field.dtype)
 
-    def do_chunk(k0, k1):
-        with workspace().frame() as ws:
-            out[:, k0:k1] = _P_planes(y.field, weights, k0, k1, ws)
+    def do_chunk(k0, k1, ws):
+        out[:, k0:k1] = _P_planes(y.field, weights, k0, k1, ws)
 
     nz, ny, nx = image_grid.shape
     run_planes(do_chunk, nz, ny * nx)
@@ -288,9 +287,8 @@ def apply_Pt(r: VectorField3, plan: GatherPlan, variant: str = "gather", workers
     nz, ny, nx = plan.image_grid.shape
     xy = np.empty((3, nz) + plan.def_grid.shape[1:], dtype=r.field.dtype)
 
-    def reduce_xy(k0, k1):
-        with workspace().frame() as ws:
-            _reduce_xy(r.field[:, k0:k1], plan, xy[:, k0:k1], ws)
+    def reduce_xy(k0, k1, ws):
+        _reduce_xy(r.field[:, k0:k1], plan, xy[:, k0:k1], ws)
 
     run_planes(reduce_xy, nz, ny * nx)
     return _reduce_z(xy, plan, z_schedule)

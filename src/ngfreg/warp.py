@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import DeformationField, Grid3, Image3, VectorField3
-from .parallel import Workspace, run_planes, workspace
+from .parallel import Workspace, run_planes
 from .transfer import _P_planes, build_gather_plan
 
 __all__ = [
@@ -177,8 +177,8 @@ def warp_image(template: Image3, y: DeformationField) -> Image3:
     flat = template.values.astype(y.field.dtype, copy=False).ravel()
     out = np.empty(grid.shape, dtype=flat.dtype)
 
-    def do_chunk(k0, k1):
-        _sample_planes(flat, grid, y.field, weights, k0, k1, out[k0:k1], None, workspace())
+    def do_chunk(k0, k1, ws):
+        _sample_planes(flat, grid, y.field, weights, k0, k1, out[k0:k1], None, ws)
 
     run_planes(do_chunk, grid.dims[2], grid.dims[0] * grid.dims[1])
     return Image3(grid, out)

@@ -71,17 +71,12 @@ def random_grid_pair(rng, max_dim=9):
     h = tuple(float(x) for x in rng.uniform(0.5, 3.0, 3))
     o = tuple(float(x) for x in rng.uniform(-5, 5, 3))
     image_grid = Grid3(di, h, o)
-    hd = tuple(n * s / m for n, s, m in zip(di, h, dd))
-    od = tuple(oo - s / 2 + sd / 2 for oo, s, sd in zip(o, h, hd))
-    return Grid3(dd, hd, od), image_grid
+    return image_grid.with_dims(dd), image_grid
 
 
 def def_grid_over(image_grid, def_dims):
     """The deformation grid of def_dims points over the image grid's domain."""
-    spacing = tuple(n * s / m for n, s, m in zip(image_grid.dims, image_grid.spacing, def_dims))
-    origin = tuple(o - s / 2 + sd / 2
-                   for o, s, sd in zip(image_grid.origin, image_grid.spacing, spacing))
-    return Grid3(def_dims, spacing, origin)
+    return image_grid.with_dims(def_dims)
 
 
 def coarse_plane_grid_pairs():

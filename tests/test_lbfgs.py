@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import ngfreg
+from ngfreg import lbfgs
 from ngfreg.lbfgs import (
     INITIAL_STEP,
     MAX_LS_STEPS,
     STEP_SHRINK,
-    StoppingRules,
     lbfgs_minimize,
     two_loop_direction,
 )
@@ -37,9 +37,11 @@ def rosenbrock(x):
     return J, g
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        StoppingRules(tol_J=0.0)
+def tolerances(monkeypatch, tol_J, tol_grad, tol_step, min_iterations=lbfgs.MIN_ITERATIONS):
+    """Set the stopping constants of ngfreg.lbfgs for one test."""
+    for name, value in (("TOL_J", tol_J), ("TOL_GRAD", tol_grad), ("TOL_STEP", tol_step),
+                        ("MIN_ITERATIONS", min_iterations)):
+        monkeypatch.setattr(lbfgs, name, value)
 
 
 @pytest.mark.parametrize("max_iterations", [0, -3])
@@ -48,6 +50,15 @@ def test_max_iterations_below_one_is_value_error_before_evaluating(max_iteration
         raise AssertionError("evaluated")
 
     with pytest.raises(ValueError, match="max_iterations"):
+        lbfgs_minimize(f, np.zeros(3), max_iterations)
+
+
+@pytest.mark.parametrize("max_iterations", [2.5, 1.0, True, "3", None])
+def test_max_iterations_that_is_no_integer_is_value_error(max_iterations):
+    def f(x):
+        raise AssertionError("evaluated")
+
+    with pytest.raises(ValueError, match="max_iterations must be an integer"):
         lbfgs_minimize(f, np.zeros(3), max_iterations)
 
 
@@ -166,22 +177,18 @@ def test_two_loop_matches_closed_form_inverse(rng):
     assert np.allclose(d, -H @ g, atol=1e-12)
 
 
-def test_quadratic_converges_to_solution(rng):
+def test_quadratic_converges_to_solution(rng, monkeypatch):
     f, x_star = quadratic_problem(rng)
-    x, trace = lbfgs_minimize(f, np.zeros_like(x_star),
-                              stop=StoppingRules(tol_grad=1e-8, tol_J=1e-16,
-                                                 tol_step=1e-12))
+    tolerances(monkeypatch, tol_J=1e-16, tol_grad=1e-8, tol_step=1e-12)
+    x, trace = lbfgs_minimize(f, np.zeros_like(x_star))
     assert np.max(np.abs(x - x_star)) < 1e-6
     assert trace.iterations < 60
 
 
-def test_rosenbrock_converges(rng):
+def test_rosenbrock_converges(rng, monkeypatch):
     x0 = np.full(8, -1.2)
-    x, trace = lbfgs_minimize(
-        rosenbrock, x0,
-        max_iterations=300,
-        stop=StoppingRules(tol_grad=1e-10, tol_J=1e-18, tol_step=1e-14),
-    )
+    tolerances(monkeypatch, tol_J=1e-18, tol_grad=1e-10, tol_step=1e-14)
+    x, trace = lbfgs_minimize(rosenbrock, x0, max_iterations=300)
     assert np.max(np.abs(x - 1.0)) < 1e-5
     assert trace.stop_reason != "max iterations"
 
@@ -214,13 +221,10 @@ def test_line_search_failure_reported():
     assert np.array_equal(x, np.ones(3))
 
 
-def test_respects_max_iterations(rng):
+def test_respects_max_iterations(rng, monkeypatch):
     f, _ = quadratic_problem(rng, n=30)
-    _, trace = lbfgs_minimize(
-        f, rng.standard_normal(30),
-        max_iterations=2,
-        stop=StoppingRules(tol_grad=1e-16, tol_J=1e-18, tol_step=1e-16, min_iterations=1),
-    )
+    tolerances(monkeypatch, tol_J=1e-18, tol_grad=1e-16, tol_step=1e-16, min_iterations=1)
+    _, trace = lbfgs_minimize(f, rng.standard_normal(30), max_iterations=2)
     assert trace.iterations <= 2
 
 

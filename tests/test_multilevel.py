@@ -205,6 +205,30 @@ def test_config_validation():
             MultilevelConfig(**bad)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("num_levels", 2.5), ("num_levels", True), ("coarsest_min_dim", 4.5), ("grid_ratio", 2.5),
+    ("grid_ratio", "4"), ("max_iterations", 2.5), ("max_iterations", np.float64(3)),
+    ("workers", 1.5), ("workers", True), ("alpha", "1"), ("alpha", True), ("tau", True),
+    ("rho", "10"),
+])
+def test_wrong_typed_setting_is_value_error_naming_it(name, value):
+    # each was accepted: register then raised TypeError or ran with the value
+    # rounded or read as a number
+    with pytest.raises(ValueError, match=name):
+        if name in ("tau", "rho"):
+            NgfParams(**{name: value})
+        else:
+            MultilevelConfig(**{name: value})
+
+
+def test_numpy_numbers_are_accepted_settings():
+    cfg = MultilevelConfig(num_levels=np.int64(2), coarsest_min_dim=np.int32(8),
+                           grid_ratio=np.int64(4), alpha=np.float32(0.5),
+                           ngf=NgfParams(tau=np.float64(5.0), rho=3), max_iterations=np.int64(4),
+                           workers=np.int16(1))
+    assert cfg.num_levels == 2 and cfg.alpha == 0.5 and cfg.ngf.tau == 5.0
+
+
 def test_register_requires_matching_grids():
     R = smooth_random_volume(_grid((8, 8, 8)), seed=1)
     T = smooth_random_volume(_grid((9, 8, 8)), seed=2)

@@ -49,9 +49,10 @@ def test_no_library_call_starts_a_thread(one_plane_chunks, threads):
     y = make_identity(plan.def_grid)
     r = VectorField3(g, np.ones((3,) + g.shape))
     chunks = []
-    parallel.run_planes(lambda k0, k1: chunks.append((k0, k1, threading.current_thread())),
+    parallel.run_planes(lambda k0, k1, ws: chunks.append((k0, k1, ws, threading.current_thread())),
                         8, 1)
-    assert chunks == [(k, k + 1, threading.current_thread()) for k in range(8)]
+    assert chunks == [(k, k + 1, parallel.workspace(), threading.current_thread())
+                      for k in range(8)]
     assert parallel.run_tasks([lambda i=i: i for i in range(3)], 2) == [0, 1, 2]
     warp_image(smooth_random_volume(g, seed=1), y)
     apply_P(y, g, 2)
@@ -365,13 +366,46 @@ print("forked", len(pids))
 """
 
 
-def test_children_of_an_objective_never_closed_are_reaped_at_exit():
+def _run_script(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run a Python script in a new interpreter that imports ngfreg from SRC."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", _EXIT_SCRIPT], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
                           env=env, timeout=120)
+
+
+def test_children_of_an_objective_never_closed_are_reaped_at_exit():
+    proc = _run_script(_EXIT_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     # the child reads end of file (status 0) if the group's finalizer runs
     # first, or gets SIGTERM if multiprocessing's exit hook does
     assert proc.stdout.splitlines() in (["forked 1", f"unreaped [] exit codes [{code}]"]
                                         for code in (0, -signal.SIGTERM))
+
+
+_NEVER_CLOSED_SWEEP = """
+import multiprocessing, sys
+from ngfreg import geometry, multilevel, ngf, synthetic, transfer
+g = geometry.Grid3((64, 64, 64), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+plan = transfer.build_gather_plan(multilevel.deformation_grid_for(g, 4), g)
+sweep = ngf.LevelSweep(synthetic.smooth_random_volume(g, seed=1),
+                       synthetic.smooth_random_volume(g, seed=2), plan, ngf.NgfParams(), workers=2)
+assert len(sweep._slabs) == 2  # at the module's own chunk size
+ngf.distance_and_gradient(geometry.make_identity(plan.def_grid), sweep)
+with open(sys.argv[1], "w") as fh:
+    fh.write(" ".join(str(p.pid) for p in multiprocessing.active_children()))
+"""
+
+
+def test_children_of_a_sweep_never_closed_end_with_the_caller(tmp_path):
+    # the caller exits without close(): its exit neither fails nor writes to
+    # stderr, and no child outlives it
+    pid_file = tmp_path / "pids"
+    proc = _run_script(_NEVER_CLOSED_SWEEP, str(pid_file))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    pids = [int(pid) for pid in pid_file.read_text().split()]
+    assert len(pids) == 1
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
