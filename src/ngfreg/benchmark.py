@@ -9,17 +9,20 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import Grid3, VectorField3, precision_dtype
 from .multilevel import MultilevelConfig, deformation_grid_for, register
-from .ngf import LevelSweep, NgfParams, distance_and_gradient
+from .ngf import LevelSweep, distance_and_gradient
 from .synthetic import smooth_random_field, smooth_random_volume
 from .transfer import PT_VARIANTS, apply_P, apply_Pt, build_gather_plan
 
 __all__ = ["BenchmarkRecord", "VariantDisagreement", "run_benchmark", "format_table"]
+
+SEED = 0          # run_benchmark's R, T and y draw SEED, SEED + 1 and SEED + 2
+REL_TOL = 1e-12   # P^T variant agreement, relative to the largest gather entry
 
 
 class VariantDisagreement(RuntimeError):
@@ -53,11 +56,11 @@ def _time(fn, reps: int):
     return out, min(times), float(np.median(times))
 
 
-def verify_variant_agreement(dims, seed: int = 0, rel_tol: float = 1e-12) -> None:
-    """Cross-check all P^T variants in double precision against gather;
-    raise on disagreement."""
+def verify_variant_agreement(dims, seed: int = 0) -> None:
+    """Cross-check all P^T variants in double precision against gather, on
+    the default config's deformation grid; raise on disagreement."""
     image_grid = Grid3(dims, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-    def_grid = deformation_grid_for(image_grid, 4)
+    def_grid = deformation_grid_for(image_grid, MultilevelConfig().grid_ratio)
     plan = build_gather_plan(def_grid, image_grid)
     rng = np.random.default_rng(seed)
     r = VectorField3(image_grid, rng.standard_normal((3,) + image_grid.shape))
@@ -65,10 +68,10 @@ def verify_variant_agreement(dims, seed: int = 0, rel_tol: float = 1e-12) -> Non
     scale = np.max(np.abs(ref)) + 1.0
     for name in ("scatter", "redblack"):
         diff = np.max(np.abs(apply_Pt(r, plan, name).field - ref))
-        if diff > rel_tol * scale:
+        if diff > REL_TOL * scale:
             raise VariantDisagreement(
                 f"P^T variant {name} deviates from gather by {diff:.3e} "
-                f"(tolerance {rel_tol * scale:.3e}) on dims {dims}"
+                f"(tolerance {REL_TOL * scale:.3e}) on dims {dims}"
             )
 
 
@@ -83,14 +86,14 @@ def run_benchmark(
     precisions=("f64",),
     variants=PT_VARIANTS,
     reps: int = 3,
-    seed: int = 0,
     register_max_iter: int = 10,
 ) -> list[BenchmarkRecord]:
     """Time P and each P^T variant per precision, which run on the caller
     (recorded at 1 worker), and one NGF evaluation and a short register call
-    per precision and worker count, after the variant agreement gate. The NGF
-    evaluations share one LevelSweep, as a level of register does, so only
-    the first of them forks; it is closed after them.
+    per precision and worker count, after the variant agreement gate. Both
+    run one MultilevelConfig, so the NGF evaluation times what each level of
+    register evaluates. The NGF evaluations share one LevelSweep, as a level
+    of register does, so only the first of them forks; it is closed after them.
 
     workers_list defaults to 1 and os.cpu_count(): more workers than cores
     would only measure oversubscription.
@@ -98,20 +101,20 @@ def run_benchmark(
     _check_reps(reps)
     if workers_list is None:
         workers_list = tuple(dict.fromkeys((1, os.cpu_count() or 1)))
-    verify_variant_agreement(dims, seed)
+    verify_variant_agreement(dims, SEED)
 
     records = []
     dims = tuple(dims)
+    image_grid = Grid3(dims, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     for precision in precisions:
+        base = MultilevelConfig(precision=precision, max_iterations=register_max_iter)
         dtype = precision_dtype(precision)
-        image_grid = Grid3(dims, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-        def_grid = deformation_grid_for(image_grid, 4)
+        def_grid = deformation_grid_for(image_grid, base.grid_ratio)
         plan = build_gather_plan(def_grid, image_grid)
-        R = smooth_random_volume(image_grid, seed=seed).astype(dtype)
-        T = smooth_random_volume(image_grid, seed=seed + 1).astype(dtype)
-        y = smooth_random_field(def_grid, seed=seed + 2, amplitude_mm=2.0)
+        R = smooth_random_volume(image_grid, seed=SEED).astype(dtype)
+        T = smooth_random_volume(image_grid, seed=SEED + 1).astype(dtype)
+        y = smooth_random_field(def_grid, seed=SEED + 2, amplitude_mm=2.0)
         y.field = y.field.astype(dtype)
-        params = NgfParams(tau=10.0, rho=10.0)
 
         yhat, tmin, tmed = _time(lambda: apply_P(y, image_grid), reps)
         records.append(BenchmarkRecord("apply_P", "-", precision, 1, dims, reps,
@@ -122,19 +125,18 @@ def run_benchmark(
                                            reps, tmin, tmed, _checksum(out.field)))
 
         for w in workers_list:
+            cfg = replace(base, workers=w)
             # as register runs it: one LevelSweep across the calls
-            sweep = LevelSweep(R, T, plan, params, "gather", w)
+            sweep = LevelSweep(R, T, plan, cfg.ngf, cfg.pt_variant, cfg.workers)
             try:
                 (D, g), tmin, tmed = _time(lambda: distance_and_gradient(y, sweep), reps)
             finally:
                 sweep.close()
-            records.append(BenchmarkRecord("ngf_value_grad", "gather", precision, w, dims,
+            records.append(BenchmarkRecord("ngf_value_grad", cfg.pt_variant, precision, w, dims,
                                            reps, tmin, tmed, _checksum(g.field)))
 
-            cfg = MultilevelConfig(precision=precision, workers=w,
-                                   max_iterations=register_max_iter)
-            (yfull, _), tmin, tmed = _time(lambda: register(R.astype(dtype), T.astype(dtype), cfg), reps)
-            records.append(BenchmarkRecord("register", "gather", precision, w, dims,
+            (yfull, _), tmin, tmed = _time(lambda: register(R, T, cfg), reps)
+            records.append(BenchmarkRecord("register", cfg.pt_variant, precision, w, dims,
                                            reps, tmin, tmed, _checksum(yfull.field)))
     return records
 

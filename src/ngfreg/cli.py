@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numeric/solver failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from . import fileio
 from .benchmark import VariantDisagreement, _check_reps, format_table, run_benchmark
 from .evaluation import field_difference_stats, landmark_error
-from .geometry import Grid3, GridError, Image3, precision_dtype
+from .geometry import PRECISIONS, Grid3, GridError, Image3, precision_dtype
 from .multilevel import MultilevelConfig, RegistrationReport, max_levels, register
 from .ngf import NgfParams
 from .parallel import run_planes
@@ -72,28 +73,39 @@ def _levels(text: str):
     return None if text == "auto" else int(text)
 
 
+def _passed(args, callee) -> dict:
+    """The settings in args that name a parameter of callee, as keyword
+    arguments. A setting's dest is the name of the parameter it sets; left
+    out, it is absent (argparse.SUPPRESS), so the callee's default holds."""
+    names = inspect.signature(callee).parameters
+    return {name: value for name, value in vars(args).items() if name in names}
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="ngfreg", description="Matrix-free variational deformable 3D registration")
     sub = p.add_subparsers(dest="command", required=True)
 
-    reg = sub.add_parser("register", help="register a template volume to a reference volume")
+    reg = sub.add_parser("register", help="register a template volume to a reference volume",
+                         argument_default=argparse.SUPPRESS)
     reg.add_argument("--reference", required=True)
     reg.add_argument("--template", required=True)
     reg.add_argument("--out-deformation", required=True)
-    reg.add_argument("--out-warped")
-    reg.add_argument("--alpha", type=_option(float, MultilevelConfig, "alpha"), default=1.0)
-    reg.add_argument("--tau", type=_option(float, NgfParams, "tau"), default=10.0)
-    reg.add_argument("--rho", type=_option(float, NgfParams, "rho"), default=10.0)
-    reg.add_argument("--levels", type=_option(_levels, MultilevelConfig, "num_levels"),
-                     default=None, help="number of levels or 'auto' (the default)")
-    reg.add_argument("--grid-ratio", type=_option(int, MultilevelConfig, "grid_ratio"), default=4)
-    reg.add_argument("--precision", choices=("f32", "f64"), default="f64")
-    reg.add_argument("--threads", type=_option(int, MultilevelConfig, "workers"), default=1,
+    reg.add_argument("--out-warped", default=None)
+    reg.add_argument("--alpha", type=_option(float, MultilevelConfig, "alpha"))
+    reg.add_argument("--tau", type=_option(float, NgfParams, "tau"))
+    reg.add_argument("--rho", type=_option(float, NgfParams, "rho"))
+    reg.add_argument("--levels", dest="num_levels",
+                     type=_option(_levels, MultilevelConfig, "num_levels"),
+                     help="number of levels or 'auto'")
+    reg.add_argument("--grid-ratio", type=_option(int, MultilevelConfig, "grid_ratio"))
+    reg.add_argument("--precision", choices=PRECISIONS)
+    reg.add_argument("--threads", dest="workers", type=_option(int, MultilevelConfig, "workers"),
                      help="worker processes of the NGF sweep, the caller included")
-    reg.add_argument("--pt-variant", choices=PT_VARIANTS, default="gather")
-    reg.add_argument("--max-iter", type=_option(int, MultilevelConfig, "max_iterations"),
-                     default=100, help="L-BFGS iterations per level, at most")
-    reg.add_argument("--report", help="write a structured text report of traces/timings")
+    reg.add_argument("--pt-variant", choices=PT_VARIANTS)
+    reg.add_argument("--max-iter", dest="max_iterations",
+                     type=_option(int, MultilevelConfig, "max_iterations"),
+                     help="L-BFGS iterations per level, at most")
+    reg.add_argument("--report", default=None, help="write a text report of traces and timings")
 
     warp = sub.add_parser("warp", help="apply a stored deformation to a volume")
     warp.add_argument("--template", required=True)
@@ -112,19 +124,20 @@ def _build_parser() -> _Parser:
     ev.add_argument("--compare-deformation",
                     help="second deformation: report field difference statistics")
 
-    bm = sub.add_parser("benchmark", help="time grid-transfer variants and the pipeline")
-    bm.add_argument("--dims", type=_checked(_dims, lambda d: Grid3(d, (1.0,) * 3, (0.0,) * 3)),
-                    default="64,64,64")
-    bm.add_argument("--threads", type=_option(int, MultilevelConfig, "workers", many=True),
-                    default=None,
-                    help="comma-separated worker counts, each the NGF sweep's worker "
-                         "processes (default: 1 and the number of cores)")
-    bm.add_argument("--precision", type=_option(str, MultilevelConfig, "precision", many=True),
-                    default="f64", help="comma-separated: f32,f64")
-    bm.add_argument("--pt-variant", type=_option(str, MultilevelConfig, "pt_variant", many=True),
-                    default="gather,scatter,redblack")
-    bm.add_argument("--reps", type=_checked(int, _check_reps), default=3)
-    bm.add_argument("--out", help="write the table to a file instead of stdout")
+    bm = sub.add_parser("benchmark", help="time grid-transfer variants and the pipeline",
+                        argument_default=argparse.SUPPRESS)
+    bm.add_argument("--dims", type=_checked(_dims, lambda d: Grid3(d, (1.0,) * 3, (0.0,) * 3)))
+    bm.add_argument("--threads", dest="workers_list",
+                    type=_option(int, MultilevelConfig, "workers", many=True),
+                    help="comma-separated worker counts, each the NGF sweep's worker processes")
+    bm.add_argument("--precision", dest="precisions",
+                    type=_option(str, MultilevelConfig, "precision", many=True),
+                    help=f"comma-separated: {','.join(PRECISIONS)}")
+    bm.add_argument("--pt-variant", dest="variants",
+                    type=_option(str, MultilevelConfig, "pt_variant", many=True),
+                    help=f"comma-separated: {','.join(PT_VARIANTS)}")
+    bm.add_argument("--reps", type=_checked(int, _check_reps))
+    bm.add_argument("--out", default=None, help="write the table to a file instead of stdout")
 
     rs = sub.add_parser("resample", help="resample a volume onto another volume's grid")
     rs.add_argument("--input", required=True)
@@ -165,16 +178,8 @@ def _write_report(path: str, report: RegistrationReport) -> None:
 
 def _cmd_register(args) -> int:
     try:
-        cfg = MultilevelConfig(
-            num_levels=args.levels,
-            grid_ratio=args.grid_ratio,
-            alpha=args.alpha,
-            ngf=NgfParams(tau=args.tau, rho=args.rho),
-            max_iterations=args.max_iter,
-            precision=args.precision,
-            workers=args.threads,
-            pt_variant=args.pt_variant,
-        )
+        cfg = MultilevelConfig(ngf=NgfParams(**_passed(args, NgfParams)),
+                               **_passed(args, MultilevelConfig))
     except ValueError as e:
         raise _UsageExit(str(e)) from None
     dtype = precision_dtype(cfg.precision)
@@ -241,8 +246,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    records = run_benchmark(dims=args.dims, workers_list=args.threads, precisions=args.precision,
-                            variants=args.pt_variant, reps=args.reps)
+    records = run_benchmark(**_passed(args, run_benchmark))
     table = format_table(records)
     if args.out:
         with open(args.out, "w") as fh:

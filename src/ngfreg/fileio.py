@@ -41,13 +41,12 @@ _ELEMENT_TYPES = {
     "MET_FLOAT": np.dtype("<f4"),
     "MET_DOUBLE": np.dtype("<f8"),
 }
+_TYPE_NAMES = {dtype: name for name, dtype in _ELEMENT_TYPES.items()}
 # Direction cosines, under the three names MetaImage accepts for them. Grids
 # here are axis-aligned, so a volume whose axes are rotated or flipped would
 # be misread; only the identity (up to formatting noise) is accepted.
 _DIRECTION_KEYS = ("TransformMatrix", "Rotation", "Orientation")
 _DIRECTION_TOL = 1e-6
-_TYPE_NAMES = {np.dtype(np.float32): "MET_FLOAT", np.dtype(np.float64): "MET_DOUBLE",
-               np.dtype(np.int16): "MET_SHORT"}
 
 
 def _parse_header(fh, path: str) -> dict:

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_EXTENT_TOL = 1e-9  # mm of world-coordinate slack in Grid3.same_extent
+
 
 class GridError(ValueError):
     """Invalid grid definition or mismatched grids."""
@@ -76,11 +78,11 @@ class Grid3:
         """World coordinates of the cell centers along one axis (0=x,1=y,2=z)."""
         return self.origin[axis] + self.spacing[axis] * np.arange(self.dims[axis], dtype=np.float64)
 
-    def same_extent(self, other: "Grid3", tol: float = 1e-9) -> bool:
+    def same_extent(self, other: "Grid3") -> bool:
         """True if both grids cover the same world domain (cell-edge to cell-edge)."""
         for lo_s, lo_o, ext_s, ext_o in zip(self.domain_min, other.domain_min,
                                             self.extent, other.extent):
-            if abs(lo_s - lo_o) > tol or abs(lo_s + ext_s - (lo_o + ext_o)) > tol:
+            if abs(lo_s - lo_o) > _EXTENT_TOL or abs(lo_s + ext_s - (lo_o + ext_o)) > _EXTENT_TOL:
                 return False
         return True
 
@@ -151,26 +153,26 @@ def make_identity(grid: Grid3, dtype=np.float64) -> DeformationField:
     return DeformationField(grid, identity_field_array(grid, dtype))
 
 
-def check_real(name: str, value, kind=numbers.Real, what: str = "a real number") -> None:
-    """Raise ValueError naming the setting `name` unless value is a Python or
-    numpy number of `kind`, not a bool."""
+def check_kind(name: str, value, kind=numbers.Real, what: str = "a real number") -> None:
+    """Raise ValueError naming the setting `name` unless value is an instance
+    of `kind` (by default a Python or numpy real number), not a bool."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def check_integer(name: str, value, minimum: int) -> None:
-    """check_real for a Python or numpy integer of at least `minimum`."""
-    check_real(name, value, numbers.Integral, "an integer")
+    """check_kind for a Python or numpy integer of at least `minimum`."""
+    check_kind(name, value, numbers.Integral, "an integer")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
-_PRECISIONS = {"f32": np.float32, "f64": np.float64}
+PRECISIONS = {"f32": np.float32, "f64": np.float64}
 
 
 def precision_dtype(name: str):
-    """Map a precision name ('f32' or 'f64') to a numpy dtype."""
+    """Map a precision name (a key of PRECISIONS) to a numpy dtype."""
     try:
-        return _PRECISIONS[name]
+        return PRECISIONS[name]
     except KeyError:
-        raise ValueError(f"unknown precision {name!r}, expected 'f32' or 'f64'") from None
+        raise ValueError(f"unknown precision {name!r}, expected {tuple(PRECISIONS)}") from None

@@ -111,7 +111,6 @@ def lbfgs_minimize(f, x0: np.ndarray, max_iterations: int = 100):
 
     history: list[tuple[np.ndarray, np.ndarray]] = []
     x_scale = max(math.sqrt(_dot(x, x)), 1.0)
-    rejected_streak = 0
 
     for it in range(max_iterations):
         d = two_loop_direction(history, g)
@@ -146,14 +145,10 @@ def lbfgs_minimize(f, x0: np.ndarray, max_iterations: int = 100):
             history.append((s, yv))
             if len(history) > MEMORY:
                 history.pop(0)
-            rejected_streak = 0
-        else:
-            # stale curvature: age the history so directions can recover
-            rejected_streak += 1
-            if history:
-                history.pop(0)
-            if rejected_streak >= MEMORY:
-                history.clear()
+        elif history:
+            # stale curvature: age the history so directions can recover;
+            # MEMORY rejections in a row empty it
+            history.pop(0)
 
         J_prev = J
         x, J, g = x_new, float(J_new), np.asarray(g_new)

@@ -21,7 +21,7 @@ from .geometry import (
     Image3,
     VectorField3,
     check_integer,
-    check_real,
+    check_kind,
     identity_field_array,
     make_identity,
     precision_dtype,
@@ -62,7 +62,9 @@ class MultilevelConfig:
             check_integer("num_levels", self.num_levels, 1)
         for name in ("coarsest_min_dim", "grid_ratio", "max_iterations", "workers"):
             check_integer(name, getattr(self, name), 1)
-        check_real("alpha", self.alpha)
+        check_kind("alpha", self.alpha)
+        for name, kind in (("precision", str), ("pt_variant", str), ("ngf", NgfParams)):
+            check_kind(name, getattr(self, name), kind, f"a {kind.__name__}")
         dtype = precision_dtype(self.precision)
         info = np.finfo(dtype)
         with np.errstate(all="ignore"):

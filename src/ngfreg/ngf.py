@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DeformationField, Grid3, GridError, Image3, VectorField3, check_real
+from .geometry import DeformationField, Grid3, GridError, Image3, VectorField3, check_kind
 from .parallel import (ProcessGroup, Workspace, can_fork, plane_step, shared_arrays,
                        slab_partition, workspace)
 from .transfer import GatherPlan, _reduce_xy, _reduce_z, _z_schedule
@@ -55,8 +55,8 @@ class NgfParams:
     rho: float = 10.0
 
     def __post_init__(self):
-        check_real("tau", self.tau)
-        check_real("rho", self.rho)
+        check_kind("tau", self.tau)
+        check_kind("rho", self.rho)
         if not (self.tau > 0 and self.rho > 0):
             raise ValueError(f"tau and rho must be > 0, got tau={self.tau}, rho={self.rho}")
 

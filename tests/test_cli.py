@@ -1,3 +1,4 @@
+import functools
 import os
 import re
 import subprocess
@@ -12,6 +13,8 @@ from ngfreg import cli, fileio
 from ngfreg.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from ngfreg.fileio import read_deformation, read_volume, write_deformation, write_volume
 from ngfreg.geometry import Grid3, Image3, identity_field_array, make_identity
+from ngfreg.multilevel import MultilevelConfig
+from ngfreg.ngf import NgfParams
 from ngfreg.synthetic import gaussian_bump_mapping, make_registration_pair, smooth_random_volume
 
 
@@ -25,6 +28,64 @@ def pair(tmp_path):
     write_volume(R, rp)
     write_volume(T, tp)
     return g, rp, tp
+
+
+class _Called(Exception):
+    """Stops a command once the library call it makes has been captured."""
+
+
+def _capture(monkeypatch, name):
+    """Replace cli.<name> (register or run_benchmark) by a stub with its
+    signature that records its arguments and raises _Called; returns the list
+    of recorded calls."""
+    calls = []
+
+    @functools.wraps(getattr(cli, name))
+    def stub(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise _Called
+
+    monkeypatch.setattr(cli, name, stub)
+    return calls
+
+
+def _settings_passed(monkeypatch, rp, tp, tmp_path, register_flags, benchmark_flags):
+    """The config that register and the keyword arguments that run_benchmark
+    receive from the CLI, given these flags."""
+    reg = _capture(monkeypatch, "register")
+    with pytest.raises(_Called):
+        main(["register", "--reference", rp, "--template", tp,
+              "--out-deformation", str(tmp_path / "y.mha")] + register_flags)
+    bench = _capture(monkeypatch, "run_benchmark")
+    with pytest.raises(_Called):
+        main(["benchmark"] + benchmark_flags)
+    (args, kwargs), = reg
+    assert not kwargs
+    (bench_args, bench_kwargs), = bench
+    assert not bench_args
+    return args[2], bench_kwargs
+
+
+def test_flags_left_out_take_the_library_defaults(pair, tmp_path, monkeypatch):
+    g, rp, tp = pair
+    cfg, bench_kwargs = _settings_passed(monkeypatch, rp, tp, tmp_path, [], [])
+    assert cfg == MultilevelConfig()
+    assert bench_kwargs == {}
+
+
+def test_each_setting_flag_reaches_its_field(pair, tmp_path, monkeypatch):
+    g, rp, tp = pair
+    cfg, bench_kwargs = _settings_passed(
+        monkeypatch, rp, tp, tmp_path,
+        ["--alpha", "2", "--tau", "3", "--rho", "4", "--levels", "2", "--grid-ratio", "3",
+         "--precision", "f32", "--threads", "2", "--pt-variant", "scatter", "--max-iter", "7"],
+        ["--dims", "8x9x10", "--threads", "1,2", "--precision", "f32",
+         "--pt-variant", "gather,redblack", "--reps", "4"])
+    assert cfg == MultilevelConfig(num_levels=2, grid_ratio=3, alpha=2.0,
+                                   ngf=NgfParams(tau=3.0, rho=4.0), max_iterations=7,
+                                   precision="f32", workers=2, pt_variant="scatter")
+    assert bench_kwargs == dict(dims=(8, 9, 10), workers_list=[1, 2], precisions=["f32"],
+                                variants=["gather", "redblack"], reps=4)
 
 
 def test_usage_errors():

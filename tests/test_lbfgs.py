@@ -209,6 +209,45 @@ def test_monotone_decrease(rng):
     assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
 
 
+def test_rejected_pairs_and_non_descent_direction_keep_j_falling(monkeypatch):
+    # Each call of two_loop_direction records the history length it got and
+    # the slope <g, d> of its direction.
+    calls = []
+    two_loop = lbfgs.two_loop_direction
+
+    def spy(history, g):
+        d = two_loop(history, g)
+        calls.append((len(history), float(g @ d)))
+        return d
+
+    monkeypatch.setattr(lbfgs, "two_loop_direction", spy)
+
+    def double_well(x):  # concave near 0, where steps into it have s.y < 0
+        return float(np.sum(x**4 / 4 - x**2 / 2)), x**3 - x
+
+    def bowl(x):  # the first step lands on the minimizer, so the next g is 0
+        return 0.5 * float(x @ x), x.copy()
+
+    for f, x0 in ((double_well, np.array([0.9, 0.02])), (bowl, np.array([1.0, -2.0]))):
+        calls.clear()
+        J0 = f(x0)[0]
+        x, trace = lbfgs_minimize(f, x0, 30)
+        js = [J0] + [r.J for r in trace.records]
+        assert all(b <= a for a, b in zip(js, js[1:]))
+        assert trace.stop_reason == "objective change below tolerance"
+        if f is double_well:
+            # two pairs kept, then rejected pairs age both out; every
+            # direction is a descent direction
+            assert [n for n, _ in calls[:6]] == [0, 1, 2, 1, 0, 0]
+            assert all(slope < 0 for _, slope in calls)
+            assert np.allclose(np.abs(x), 1.0, atol=1e-3)
+        else:
+            # slope 0 at g = 0: steepest descent clears the history, and the
+            # pair of its zero step (s = y = 0) is rejected
+            assert calls == [(0, -5.0), (1, 0.0), (0, 0.0)]
+            assert np.array_equal(x, np.zeros(2))
+
+
 def test_line_search_failure_reported():
     # the "gradient" points away from descent, so every probe increases J
     # and backtracking must give up cleanly, returning the start point

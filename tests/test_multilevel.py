@@ -209,11 +209,13 @@ def test_config_validation():
     ("num_levels", 2.5), ("num_levels", True), ("coarsest_min_dim", 4.5), ("grid_ratio", 2.5),
     ("grid_ratio", "4"), ("max_iterations", 2.5), ("max_iterations", np.float64(3)),
     ("workers", 1.5), ("workers", True), ("alpha", "1"), ("alpha", True), ("tau", True),
-    ("rho", "10"),
+    ("rho", "10"), ("precision", ["f64"]), ("pt_variant", ["gather"]), ("ngf", "x"),
+    ("ngf", None),
 ])
 def test_wrong_typed_setting_is_value_error_naming_it(name, value):
     # each was accepted: register then raised TypeError or ran with the value
-    # rounded or read as a number
+    # rounded or read as a number; a list precision or pt_variant raised
+    # TypeError and an ngf that is no NgfParams AttributeError
     with pytest.raises(ValueError, match=name):
         if name in ("tau", "rho"):
             NgfParams(**{name: value})
