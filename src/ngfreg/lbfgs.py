@@ -94,7 +94,7 @@ def two_loop_direction(history: list[tuple[np.ndarray, np.ndarray]], g: np.ndarr
     return -q
 
 
-def lbfgs_minimize(f, x0: np.ndarray, max_iterations: int = 100):
+def lbfgs_minimize(f, x0: np.ndarray, max_iterations: int):
     """Minimize f(x) -> (J, grad) in at most max_iterations iterations.
     Returns (best x, OptimizeTrace)."""
     check_integer("max_iterations", max_iterations, 1)

@@ -177,7 +177,7 @@ class LevelSweep:
     """
 
     def __init__(self, ref: Image3, template: Image3, plan: GatherPlan, params: NgfParams,
-                 pt_variant: str = "gather", workers: int = 1):
+                 pt_variant: str, workers: int):
         self.z_schedule = _z_schedule(pt_variant)
         if ref.grid != plan.image_grid:
             raise GridError("reference grid does not match the plan's image grid")
@@ -306,7 +306,7 @@ def _sweep_slab(field: np.ndarray, xy: np.ndarray, d_planes: np.ndarray, ref: Im
             for a in range(w0, t1, step):  # at most a chunk of planes at a time
                 b = min(a + step, t1)
                 new = W.at(a, b)
-                _sample_planes(flat, template.grid, field, weights, a, b, new[0], new[1:], ws)
+                _sample_planes(flat, template.grid, field, weights, a, b, new, ws)
             with ws.frame():
                 pointwise(W, Q, k0, q1, ws)
             with ws.frame():

@@ -40,8 +40,8 @@ class LevelObjective:
     plan: GatherPlan
     params: NgfParams
     alpha: float
-    pt_variant: str = "gather"
-    workers: int = 1
+    pt_variant: str
+    workers: int
     log: list = field(init=False, default_factory=list)
     seconds: dict = field(init=False, default_factory=lambda: {"distance": 0.0, "curvature": 0.0})
 

@@ -164,12 +164,14 @@ def build_gather_plan(def_grid: Grid3, image_grid: Grid3) -> GatherPlan:
     return GatherPlan(def_grid=def_grid, image_grid=image_grid, transfers=transfers)
 
 
-def _P_planes(field: np.ndarray, weights, k0: int, k1: int, ws: Workspace) -> np.ndarray:
+def _P_planes(field: np.ndarray, weights, k0: int, k1: int, upper: np.ndarray,
+              ws: Workspace) -> np.ndarray:
     """Image z-planes k0:k1 of P y from the field (3, nz_d, ny_d, nx_d) of y, as
     an array of ws; weights are its plan's weights. The coarse planes that
     these planes read are interpolated along x, then y, each plane multiplied
     by each block on its own, so the bytes do not depend on k0:k1; then the
-    planes i0 * (1 - w1) + the planes i1 * w1."""
+    planes i0 * (1 - w1) + the planes i1 * w1, the second term formed in the
+    caller's scratch `upper`, of the result's shape and dtype."""
     bx, by = weights[:2]
     i0, i1, w0, w1 = (w[k0:k1] for w in weights[3])
     c0 = i0[0]
@@ -184,7 +186,6 @@ def _P_planes(field: np.ndarray, weights, k0: int, k1: int, ws: Workspace) -> np
                 np.matmul(coarse[..., k], A, out=x[..., i])
             for i, k, A in by.interp:
                 np.matmul(A, x[..., k, :], out=xy[..., i, :])
-        upper = ws.array(shape, field.dtype)
         np.take(xy, i0 - c0, axis=1, out=out, mode="clip")
         out *= w0[:, None, None]
         np.take(xy, i1 - c0, axis=1, out=upper, mode="clip")
@@ -199,11 +200,12 @@ def apply_P(y: VectorField3, image_grid: Grid3, workers: int = 1) -> VectorField
     perfbench/, which still passes it; ROADMAP item 2 deletes it."""
     weights = build_gather_plan(y.grid, image_grid).weights(y.field.dtype)
     out = np.empty((3,) + image_grid.shape, dtype=y.field.dtype)
+    nz, ny, nx = image_grid.shape
 
     def do_chunk(k0, k1, ws):
-        out[:, k0:k1] = _P_planes(y.field, weights, k0, k1, ws)
+        upper = ws.array((3, k1 - k0, ny, nx), y.field.dtype)
+        out[:, k0:k1] = _P_planes(y.field, weights, k0, k1, upper, ws)
 
-    nz, ny, nx = image_grid.shape
     run_planes(do_chunk, nz, ny * nx)
     return VectorField3(image_grid, out)
 
@@ -277,7 +279,7 @@ def _reduce_z(xy: np.ndarray, plan: GatherPlan, z_schedule) -> VectorField3:
     return VectorField3(plan.def_grid, out)
 
 
-def apply_Pt(r: VectorField3, plan: GatherPlan, variant: str = "gather", workers: int = 1) -> VectorField3:
+def apply_Pt(r: VectorField3, plan: GatherPlan, variant: str, workers: int = 1) -> VectorField3:
     """P^T r: the plan's xy reduction, then the variant's z schedule, on the
     caller. `workers` does nothing: it is kept only for perfbench/, which
     still passes it; ROADMAP item 2 deletes it."""

@@ -39,18 +39,21 @@ def _trilinear(flat: np.ndarray, grid: Grid3, pos: np.ndarray, partials: bool = 
     value = np.empty(flat.shape[:-1] + pos.shape[1:], dtype=pos.dtype)
     grads = np.empty((3,) + value.shape, dtype=pos.dtype) if partials else None
     # a Workspace of its own: its temporaries are allocated, and freed, like any
-    inside = ~_trilinear_into(flat, grid, pos, value, grads, Workspace())
+    inside = ~_trilinear_into(flat, grid, pos.copy(), value, grads, Workspace())
     return value, inside, grads
 
 
 def _trilinear_into(flat: np.ndarray, grid: Grid3, pos: np.ndarray, value: np.ndarray,
                     partials: np.ndarray | None, ws: Workspace) -> np.ndarray:
-    """The kernel of _trilinear: writes value and, unless None, partials, and
-    returns the positions outside the hull as a bool array of ws."""
+    """The kernel of _trilinear: writes value and, unless None, partials, 0
+    outside the hull, and returns the positions outside the hull as a bool
+    array of ws. pos is overwritten (_cells)."""
     cells = _cell_arrays(pos.shape, pos.dtype, ws)
     with ws.frame():
         _cells(grid, pos, *cells, ws)
-    _corners(flat, grid, *cells, value, partials, ws)
+    _corners(flat, grid, *cells[:2], value, partials, ws)
+    if partials is not None:
+        np.copyto(partials, 0, where=cells[2])
     return cells[2]
 
 
@@ -64,49 +67,62 @@ def _cell_arrays(pos_shape: tuple, dtype, ws: Workspace) -> tuple:
 def _cells(grid: Grid3, pos: np.ndarray, f: np.ndarray, base: np.ndarray,
            outside: np.ndarray, ws: Workspace) -> None:
     """The cells of world positions pos (3, *shape) on `grid`, into f, base and
-    outside (_cell_arrays).
+    outside (_cell_arrays); pos is overwritten.
 
-    Per axis the index coordinate t = (pos - origin) / spacing is clipped into
-    [0, n - 1], which is the clamp-to-edge position, and a position is outside
-    the cell-center hull where that changed t. The lower corner is the clipped
-    t floored, at most n - 2, and its fraction f is what remains, in [0, 1].
-    The lower corner's flat index is formed in float64, exact below 2^53.
+    Per axis the index coordinate t = (pos - origin) / spacing, formed in
+    pos, is clipped into [0, n - 1], which is the clamp-to-edge position, and
+    a position is outside the cell-center hull where that changed t. The
+    lower corner is the clipped t floored, at most n - 2, and its fraction f
+    is what remains, in [0, 1]. The lower corner's flat index is accumulated
+    in base axis by axis from z, in integers: times the next axis's points,
+    plus that axis's floor cast into an integer scratch. The floors are exact
+    integers (the grid has at most 2^53 points), so the index is exact. No
+    (3, N) float64 array is formed: the index as such a product and its
+    reduce took 1 MiB of a 48^3 f64 chunk. np.matmul of f32 floors would
+    copy them to float64 outside the workspace (786,992 bytes per chunk of
+    32k positions), and so would the cast buffers of an add of floats into
+    base (129 KiB per f64 add).
     """
     dtype = f.dtype
     per_axis = (3,) + (1,) * (pos.ndim - 1)
     dims = grid.dims
     if grid.num_points > 2**53:
         raise ValueError(f"a grid of {grid.num_points} points has flat indices beyond 2^53")
-    t = ws.array(pos.shape, dtype)
-    np.subtract(pos, np.array(grid.origin, dtype).reshape(per_axis), out=t)
+    t = np.subtract(pos, np.array(grid.origin, dtype).reshape(per_axis), out=pos)
     np.divide(t, np.array(grid.spacing, dtype).reshape(per_axis), out=t)
-    np.maximum(t, 0, out=f)
-    np.minimum(f, np.array([n - 1 for n in dims], dtype).reshape(per_axis), out=f)
-    moved = ws.array(pos.shape, bool)
-    np.not_equal(t, f, out=moved)
-    np.logical_or.reduce(moved, axis=0, out=outside)
+    np.clip(t, 0, np.array([n - 1 for n in dims], dtype).reshape(per_axis), out=f)
+    with ws.frame():
+        moved = ws.array(pos.shape, bool)
+        np.not_equal(t, f, out=moved)
+        np.logical_or.reduce(moved, axis=0, out=outside)
     np.minimum(f, np.array([max(n - 2, 0) for n in dims], dtype).reshape(per_axis), out=t)
     np.floor(t, out=t)
     np.subtract(f, t, out=f)
-    lo = ws.array(pos.shape, np.float64)
-    np.multiply(t, np.array([1, dims[0], dims[0] * dims[1]], np.float64).reshape(per_axis),
-                out=lo)
-    flat = ws.array(pos.shape[1:], np.float64)
-    np.add.reduce(lo, axis=0, out=flat)
-    np.copyto(base, flat, casting="unsafe")
+    np.copyto(base, t[2], casting="unsafe")
+    lower = ws.array(base.shape, base.dtype)
+    for a in (1, 0):
+        base *= dims[a]
+        np.copyto(lower, t[a], casting="unsafe")
+        base += lower
 
 
 def _corners(flat: np.ndarray, grid: Grid3, f: np.ndarray, base: np.ndarray,
-             outside: np.ndarray, value: np.ndarray, partials: np.ndarray | None,
-             ws: Workspace) -> None:
+             value: np.ndarray, partials: np.ndarray | None, ws: Workspace) -> None:
     """The samples flat (..., N) of `grid` interpolated in the cells of _cells
     into value (..., *shape) and, unless None, the partials into partials
-    (3, ..., *shape), 0 outside.
+    (3, ..., *shape), everywhere: outside the hull a caller zeroes them.
 
     The 8 corners are taken from views of flat shifted by each corner's
     offset, all at the lower corner's index, as the 4 cell edges along x, and
     combined by lerps lo + f (hi - lo) whose differences hi - lo are kept for
-    the partials. Each face of the cell along z is done before the next.
+    the partials. The face of the cell at the lower z is taken straight into
+    value, partials[1] (its y difference) and partials[0] (its x differences
+    lerped along y), with partials[2] as the lerps' scratch, and the upper
+    face's three arrays are lerped into them along z in place. So the
+    corners take 4 arrays of value's size from ws, 3 without the partials,
+    where holding both faces beside the outputs took 8 and 5; with P y's
+    index coordinates formed in its own buffer and its second z term in f,
+    that lowered a 48^3 f64 sweep's workspace from 5.68 to 4.19 MiB.
     """
     dtype = value.dtype
     keep = partials is not None  # the partials need the differences
@@ -114,6 +130,9 @@ def _corners(flat: np.ndarray, grid: Grid3, f: np.ndarray, base: np.ndarray,
     sx, sy, sz = (s if n > 1 else 0  # a degenerate axis has one corner
                   for s, n in zip((1, dims[0], dims[0] * dims[1]), dims))
     fx, fy, fz = f
+
+    def new():
+        return ws.array(value.shape, dtype)
 
     def take(off, out):
         return np.take(flat[..., off:], base, axis=-1, out=out, mode="clip")
@@ -123,49 +142,57 @@ def _corners(flat: np.ndarray, grid: Grid3, f: np.ndarray, base: np.ndarray,
         np.multiply(hi, frac, out=tmp)
         lo += tmp
 
-    tmp = ws.array(value.shape, dtype)
-    faces = []
-    for z in (0, sz):
-        e0 = take(z, ws.array(value.shape, dtype))
-        d0 = take(z + sx, ws.array(value.shape, dtype) if keep else tmp)
-        lerp(e0, d0, fx, tmp if keep else d0)
-        e1 = take(z + sy, ws.array(value.shape, dtype))
+    def face(z, e0, e1, d0):
+        """The face at z: its lerp along x, then y into e0; with the partials
+        the y difference into e1 and the x differences lerped along y into d0."""
+        lerp(take(z, e0), take(z + sx, d0), fx, tmp if keep else d0)
+        take(z + sy, e1)
         with ws.frame():
-            d1 = take(z + sy + sx, ws.array(value.shape, dtype) if keep else tmp)
+            d1 = take(z + sy + sx, new() if keep else tmp)
             lerp(e1, d1, fx, tmp if keep else d1)
-            lerp(e0, e1, fy, tmp if keep else e1)  # along y; e1 keeps the y difference
+            lerp(e0, e1, fy, tmp if keep else e1)
             if keep:
                 lerp(d0, d1, fy, d1)
-        faces.append((e0, e1, d0))
-    (e0, e1, d0), (e2, e3, d2) = faces
-    dz = partials[2] if keep else e2  # then along z
-    np.subtract(e2, e0, out=dz)
-    np.multiply(dz, fz, out=tmp)
-    np.add(e0, tmp, out=value)
+
     if not keep:
+        tmp = new()
+        with ws.frame():  # the y difference is scratch
+            face(0, value, new(), tmp)
+        e2 = new()
+        with ws.frame():
+            face(sz, e2, new(), tmp)
+        e2 -= value  # then along z
+        e2 *= fz
+        value += e2
         return
-    for lo, hi, out in ((e1, e3, partials[1]), (d0, d2, partials[0])):  # lerps along z
+    tmp = partials[2]  # scratch until the lerp along z fills it
+    face(0, value, partials[1], partials[0])
+    e2, e3, d2 = new(), new(), new()
+    face(sz, e2, e3, d2)
+    for lo, hi in ((partials[1], e3), (partials[0], d2)):  # then along z
         hi -= lo
         hi *= fz
-        np.add(lo, hi, out=out)
+        lo += hi
+    np.subtract(e2, value, out=partials[2])
+    value += np.multiply(partials[2], fz, out=e3)
     partials *= (1 / np.array(grid.spacing, dtype)).reshape((3,) + (1,) * (partials.ndim - 1))
-    np.copyto(partials, 0, where=outside)
 
 
 def _sample_planes(flat: np.ndarray, grid: Grid3, field: np.ndarray, weights,
-                   k0: int, k1: int, value: np.ndarray, partials: np.ndarray | None,
-                   ws: Workspace) -> None:
+                   k0: int, k1: int, out: np.ndarray, ws: Workspace) -> None:
     """The template samples flat of `grid` at image z-planes k0:k1 of P y into
-    value, 0 outside the template's cell-center hull, from the field of y and
-    its plan's weights (_P_planes); and the partials into partials unless it
-    is None, 0 there too. P y is formed above the kernel's cell arrays, so its
-    memory is free again when the corners are taken."""
+    out (1 or 4, k1-k0, ny, nx), from the field of y and its plan's weights
+    (_P_planes): the value into out[0] and, with 4 channels, the partials
+    into out[1:], all 0 outside the template's cell-center hull. P y is
+    formed above the kernel's cell arrays, its second z term in the
+    fractions' array, so its memory is free again when the corners are
+    taken."""
     with ws.frame():
-        cells = _cell_arrays((3,) + value.shape, value.dtype, ws)
+        cells = _cell_arrays((3,) + out.shape[1:], out.dtype, ws)
         with ws.frame():
-            _cells(grid, _P_planes(field, weights, k0, k1, ws), *cells, ws)
-        _corners(flat, grid, *cells, value, partials, ws)
-        np.copyto(value, 0, where=cells[2])
+            _cells(grid, _P_planes(field, weights, k0, k1, cells[0], ws), *cells, ws)
+        _corners(flat, grid, *cells[:2], out[0], out[1:] if len(out) > 1 else None, ws)
+        np.copyto(out, 0, where=cells[2])
 
 
 def warp_image(template: Image3, y: DeformationField) -> Image3:
@@ -175,13 +202,13 @@ def warp_image(template: Image3, y: DeformationField) -> Image3:
     grid = template.grid
     weights = build_gather_plan(y.grid, grid).weights(y.field.dtype)
     flat = template.values.astype(y.field.dtype, copy=False).ravel()
-    out = np.empty(grid.shape, dtype=flat.dtype)
+    out = np.empty((1,) + grid.shape, dtype=flat.dtype)
 
     def do_chunk(k0, k1, ws):
-        _sample_planes(flat, grid, y.field, weights, k0, k1, out[k0:k1], None, ws)
+        _sample_planes(flat, grid, y.field, weights, k0, k1, out[:, k0:k1], ws)
 
     run_planes(do_chunk, grid.dims[2], grid.dims[0] * grid.dims[1])
-    return Image3(grid, out)
+    return Image3(grid, out[0])
 
 
 def _diff_rows(v: np.ndarray, h: float, k0: int, k1: int, out: np.ndarray,

@@ -73,7 +73,7 @@ def test_nonfinite_start_is_floating_point_error(J, g):
         return J, np.array(g)
 
     with pytest.raises(FloatingPointError, match="start point"):
-        lbfgs_minimize(f, np.zeros(2))
+        lbfgs_minimize(f, np.zeros(2), 100)
     assert len(calls) == 1
 
 
@@ -91,7 +91,7 @@ def test_line_search_backtracks_from_initial_step_only(rng, eig_max):
         calls.append(x)
         return 0.5 * float(x @ (A @ x)) - float(b @ x), A @ x - b
 
-    _, trace = lbfgs_minimize(f, np.zeros(n))
+    _, trace = lbfgs_minimize(f, np.zeros(n), 100)
     assert trace.iterations >= 3
     assert len(calls) == 1 + sum(r.ls_evals for r in trace.records)
     assert INITIAL_STEP == 1.0 and STEP_SHRINK == 0.5
@@ -180,7 +180,7 @@ def test_two_loop_matches_closed_form_inverse(rng):
 def test_quadratic_converges_to_solution(rng, monkeypatch):
     f, x_star = quadratic_problem(rng)
     tolerances(monkeypatch, tol_J=1e-16, tol_grad=1e-8, tol_step=1e-12)
-    x, trace = lbfgs_minimize(f, np.zeros_like(x_star))
+    x, trace = lbfgs_minimize(f, np.zeros_like(x_star), 100)
     assert np.max(np.abs(x - x_star)) < 1e-6
     assert trace.iterations < 60
 
@@ -197,14 +197,14 @@ def test_stationary_start_returns_immediately():
     def f(x):
         return 0.0, np.zeros_like(x)
 
-    x, trace = lbfgs_minimize(f, np.ones(4))
+    x, trace = lbfgs_minimize(f, np.ones(4), 100)
     assert trace.iterations == 0
     assert trace.stop_reason == "stationary start"
 
 
 def test_monotone_decrease(rng):
     f, _ = quadratic_problem(rng, n=20)
-    _, trace = lbfgs_minimize(f, rng.standard_normal(20))
+    _, trace = lbfgs_minimize(f, rng.standard_normal(20), 100)
     js = [r.J for r in trace.records]
     assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
 
@@ -252,7 +252,7 @@ def test_line_search_failure_reported():
     # the "gradient" points away from descent, so every probe increases J
     # and backtracking must give up cleanly, returning the start point
     f, calls = _recording(lambda x: (float(np.sum(x)), -np.ones_like(x)))
-    x, trace = lbfgs_minimize(f, np.ones(3))
+    x, trace = lbfgs_minimize(f, np.ones(3), 100)
     assert MAX_LS_STEPS == 20
     assert len(calls) == 1 + 20
     assert trace.line_search_failed
@@ -274,7 +274,7 @@ rng = np.random.default_rng(0)
 d = rng.uniform(1.0, 100.0, 3 * 16**3)
 b = rng.standard_normal(d.size)
 x, _ = lbfgs_minimize(lambda x: (float(np.sum(0.5 * d * x * x - b * x)), d * x - b),
-                      np.zeros_like(d))
+                      np.zeros_like(d), 100)
 print(x.tobytes().hex())
 """
 

@@ -396,7 +396,8 @@ def test_objective_logs_every_call_and_a_nonfinite_trial_as_inf():
     obj = LevelObjective(
         template=smooth_random_volume(g, seed=1),
         ref=smooth_random_volume(g, seed=2),
-        plan=build_gather_plan(dg, g), params=params, alpha=0.5,
+        plan=build_gather_plan(dg, g), params=params, alpha=0.5, pt_variant="gather",
+        workers=1,
     )
     x = smooth_random_field(dg, seed=3, amplitude_mm=1.0).field.ravel()
     bad = x.copy()

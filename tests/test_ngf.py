@@ -119,7 +119,7 @@ def test_gradient_matches_fd(rng):
     plan = build_gather_plan(gd, gi)
     # offsets of ~0.37 cells keep the image-grid samples off trilinear knots
     field = make_identity(gd).field + 0.37 + 0.1 * rng.standard_normal((3,) + gd.shape)
-    sweep = LevelSweep(R, T, plan, params)
+    sweep = LevelSweep(R, T, plan, params, "gather", 1)
     _, grad = distance_and_gradient(DeformationField(gd, field), sweep)
     gnorm = max(float(np.max(np.abs(grad.field))), 1.0)
 
@@ -229,13 +229,14 @@ def test_reference_off_the_plan_grid_is_grid_error():
     T = smooth_random_volume(g, seed=6)
     R = smooth_random_volume(_grid((6, 5, 4), spacing=(1.5, 1, 1)), seed=7)
     with pytest.raises(GridError, match="reference grid"):
-        LevelSweep(R, T, build_gather_plan(g, g), NgfParams())
+        LevelSweep(R, T, build_gather_plan(g, g), NgfParams(), "gather", 1)
 
 
 def test_deformation_off_the_plan_grid_is_grid_error_at_the_call():
     g = _grid((6, 5, 4))
     sweep = LevelSweep(smooth_random_volume(g, seed=7), smooth_random_volume(g, seed=6),
-                       build_gather_plan(def_grid_over(g, (3, 3, 2)), g), NgfParams())
+                       build_gather_plan(def_grid_over(g, (3, 3, 2)), g), NgfParams(),
+                       "gather", 1)
     with pytest.raises(GridError, match="deformation grid"):
         distance_and_gradient(make_identity(def_grid_over(g, (3, 3, 3))), sweep)
 
@@ -249,7 +250,7 @@ def test_a_field_of_another_dtype_is_value_error_and_leaves_the_sweep_usable(
     T, R = _extended_template(gi), make_volume(gi)
     plan = build_gather_plan(gd, gi)
     y = DeformationField(gd, make_identity(gd).field + 0.5 * rng.standard_normal((3,) + gd.shape))
-    sweep = LevelSweep(R, T, plan, NgfParams(), workers=2)
+    sweep = LevelSweep(R, T, plan, NgfParams(), "gather", 2)
     try:
         D, g = distance_and_gradient(y, sweep)
         assert len(forks) == 1
@@ -271,7 +272,7 @@ def test_images_of_two_dtypes_or_integers_are_value_error(ref_dtype, template_dt
     R = smooth_random_volume(g, seed=7).astype(ref_dtype)
     T = smooth_random_volume(g, seed=6).astype(template_dtype)
     with pytest.raises(ValueError, match="float32 or float64"):
-        LevelSweep(R, T, build_gather_plan(g, g), NgfParams())
+        LevelSweep(R, T, build_gather_plan(g, g), NgfParams(), "gather", 1)
 
 
 def _layered_chain(y, R, T, plan, params, variant):
@@ -331,7 +332,7 @@ def test_evaluation_allocates_no_image_sized_temporaries(rng, workers):
     # y interpolated along x and y on a slab's coarse planes took it to
     # 36.7 MiB (1 worker). What the sweep allocates is the gather plan, the
     # P^T buffer (3 MiB) and per slab its workspace: its windows and one
-    # chunk's temporaries, P y of the chunk's planes among them; 12.7 MiB in
+    # chunk's temporaries, P y of the chunk's planes among them; 12.6 MiB in
     # all. tracemalloc sees this process only: with 1 worker it runs the
     # whole sweep, with 2 a child runs the second slab. Each case runs on a
     # new thread, so on a new workspace, as a fresh process would.
@@ -344,7 +345,8 @@ def test_evaluation_allocates_no_image_sized_temporaries(rng, workers):
 
     def run():
         obj = LevelObjective(template=T, ref=R, plan=build_gather_plan(gd, g),
-                             params=NgfParams(), alpha=1.0, workers=workers)
+                             params=NgfParams(), alpha=1.0, pt_variant="gather",
+                             workers=workers)
         obj(x)
         peaks.append(tracemalloc.get_traced_memory()[1])
         obj.close()
@@ -389,6 +391,39 @@ def test_sweep_workspace_does_not_grow_with_the_slab(rng):
     assert sizes[0] == sizes[1]
 
 
+@pytest.mark.parametrize("n, workers, bound_mib", [(48, 1, 4.25), (64, 2, 4.70)])
+def test_caller_workspace_depth(rng, n, workers, bound_mib):
+    # the caller's workspace after one f64 evaluation holds its slab's
+    # windows and one chunk's deepest stack. At 48^3 that is the sampling
+    # kernel's, at 64^3 the pointwise terms': 4.19 and 4.63 MiB. When the
+    # kernel formed the lower corner's index through (3, N) float64 arrays
+    # and kept the lower face's corners beside the output slots it was 5.68
+    # and 6.06 MiB. The evaluation runs on a new thread, so on a new workspace
+    g = _grid((n, n, n))
+    gd = def_grid_over(g, (n // 4,) * 3)
+    T = Image3(g, rng.standard_normal(g.shape))
+    R = Image3(g, rng.standard_normal(g.shape))
+    x = (make_identity(gd).field + 2 * rng.standard_normal((3,) + gd.shape)).ravel()
+    sizes = []
+
+    def run():
+        obj = LevelObjective(template=T, ref=R, plan=build_gather_plan(gd, g),
+                             params=NgfParams(), alpha=1.0, pt_variant="gather",
+                             workers=workers)
+        try:
+            obj(x)
+        finally:
+            obj.close()
+        sizes.append(parallel.workspace()._buf.nbytes)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert len(sizes) == 1
+    assert sizes[0] <= bound_mib * 2**20
+
+
 @pytest.mark.parametrize("n, workers", [(48, 1), (64, 2)])
 def test_evaluation_after_the_first_allocates_no_chunk_sized_temporaries(rng, n, workers):
     # Once a worker has run a slab, its chunks take every temporary from its
@@ -404,7 +439,8 @@ def test_evaluation_after_the_first_allocates_no_chunk_sized_temporaries(rng, n,
     R = Image3(g, rng.standard_normal(g.shape))
     x = (make_identity(gd).field + 2 * rng.standard_normal((3,) + gd.shape)).ravel()
     obj = LevelObjective(template=T, ref=R, plan=build_gather_plan(gd, g),
-                         params=NgfParams(), alpha=1.0, workers=workers)
+                         params=NgfParams(), alpha=1.0, pt_variant="gather",
+                             workers=workers)
     obj(x)
     tracemalloc.start()
     try:
@@ -430,11 +466,11 @@ plan = build_gather_plan(gd, gi)
 R, T = (smooth_random_volume(gi, seed=s) for s in (0, 1))
 y = smooth_random_field(gd, seed=2, amplitude_mm=2.0)
 assert len(slab_partition(4, 384 * 384, 2)) == 2
-sweep = LevelSweep(R, T, plan, NgfParams(), workers=2)
+sweep = LevelSweep(R, T, plan, NgfParams(), "gather", 2)
 D, g = distance_and_gradient(y, sweep)
 sweep.close()
 r = VectorField3(gi, np.random.default_rng(3).standard_normal((3,) + gi.shape))
-for out in (np.float64(D), g.field, apply_P(y, gi).field, apply_Pt(r, plan).field):
+for out in (np.float64(D), g.field, apply_P(y, gi).field, apply_Pt(r, plan, "gather").field):
     print(hashlib.sha256(np.asarray(out).tobytes()).hexdigest())
 """
 

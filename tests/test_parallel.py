@@ -160,7 +160,7 @@ def _objective(workers, n=8):
     plan = build_gather_plan(deformation_grid_for(g, 2), g)
     obj = LevelObjective(template=smooth_random_volume(g, seed=1),
                          ref=smooth_random_volume(g, seed=2), plan=plan, params=NgfParams(),
-                         alpha=1.0, workers=workers)
+                         alpha=1.0, pt_variant="gather", workers=workers)
     rng = np.random.default_rng(3)
     x = (make_identity(plan.def_grid).field
          + 0.3 * rng.standard_normal((3,) + plan.def_grid.shape)).ravel()
@@ -359,7 +359,7 @@ plan = transfer.build_gather_plan(multilevel.deformation_grid_for(g, 2), g)
 obj = objective.LevelObjective(
     template=synthetic.smooth_random_volume(g, seed=1),
     ref=synthetic.smooth_random_volume(g, seed=2), plan=plan, params=ngf.NgfParams(),
-    alpha=1.0, workers=2)
+    alpha=1.0, pt_variant="gather", workers=2)
 obj(geometry.make_identity(plan.def_grid).field.ravel())
 children = multiprocessing.active_children()
 print("forked", len(pids))
@@ -389,7 +389,7 @@ from ngfreg import geometry, multilevel, ngf, synthetic, transfer
 g = geometry.Grid3((64, 64, 64), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
 plan = transfer.build_gather_plan(multilevel.deformation_grid_for(g, 4), g)
 sweep = ngf.LevelSweep(synthetic.smooth_random_volume(g, seed=1),
-                       synthetic.smooth_random_volume(g, seed=2), plan, ngf.NgfParams(), workers=2)
+                       synthetic.smooth_random_volume(g, seed=2), plan, ngf.NgfParams(), "gather", 2)
 assert len(sweep._slabs) == 2  # at the module's own chunk size
 ngf.distance_and_gradient(geometry.make_identity(plan.def_grid), sweep)
 with open(sys.argv[1], "w") as fh:

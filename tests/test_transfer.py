@@ -123,7 +123,7 @@ def test_one_point_coarse_axes_match_dense_oracle(rng):
         plan = build_gather_plan(gd, gi)
         y = DeformationField(gd, rng.standard_normal((3,) + gd.shape))
         r = VectorField3(gi, rng.standard_normal((3,) + gi.shape))
-        px, ptr = apply_P(y, gi).field, apply_Pt(r, plan).field
+        px, ptr = apply_P(y, gi).field, apply_Pt(r, plan, "gather").field
         for c in range(3):
             assert np.allclose(px[c].ravel(), P @ y.field[c].ravel(), atol=1e-13)
             assert np.allclose(ptr[c].ravel(), P.T @ r.field[c].ravel(), atol=1e-12)

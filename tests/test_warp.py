@@ -3,13 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ngfreg import parallel
 from ngfreg.geometry import DeformationField, Grid3, Image3, VectorField3, make_identity
 from ngfreg.multilevel import deformation_grid_for
 from ngfreg.synthetic import smooth_random_field, smooth_random_volume
-from ngfreg.transfer import apply_P
+from ngfreg.transfer import apply_P, build_gather_plan
 from ngfreg.warp import (
-    _gradient_planes, _gradient_transpose_planes, _trilinear, image_gradient,
+    _gradient_planes, _gradient_transpose_planes, _sample_planes, _trilinear, image_gradient,
     image_gradient_apply_transpose, warp_image,
 )
 
@@ -251,7 +253,7 @@ def test_kernel_outside_hull_is_value_at_clamped_position(rng, dims, spacing, or
 
 
 def test_kernel_rejects_a_grid_whose_flat_indices_pass_2_53():
-    # the lower corner's flat index is formed in float64, exact below 2^53
+    # the float64 floors of the index coordinates are exact integers below 2^53
     g = _grid((2**18, 2**18, 2**18))
     with pytest.raises(ValueError, match="2\\^53"):
         _trilinear(np.zeros(8), g, np.zeros((3, 1)))
@@ -314,3 +316,53 @@ def test_plane_range_stencils_match_full_arrays(rng, nz):
         assert grad.tobytes() == full_grad.tobytes()
         assert gt.tobytes() == full_gt.tobytes()
 
+
+_AXIS = st.tuples(st.integers(1, 12), st.floats(0.3, 3.0), st.floats(-500.0, 500.0))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(axes=st.tuples(_AXIS, _AXIS, _AXIS), dtype=st.sampled_from([np.float32, np.float64]),
+       ratios=st.tuples(*[st.integers(1, 4)] * 3), seed=st.integers(0, 2**32 - 1))
+def test_kernel_properties(axes, dtype, ratios, seed):
+    # any grid, axes of 1 and 2 points among them, at any spacing and origin,
+    # in f32 and f64, at positions inside and outside the hull:
+    # - the kernel's value, partials and hull flags against the reference;
+    # - _sample_planes' value and partials are the kernel's at P y, 0 outside;
+    # - warp_image's bytes do not depend on the chunk size
+    dims, spacing, origin = (tuple(a[i] for a in axes) for i in range(3))
+    gt = _grid(dims, spacing, origin)
+    rng = np.random.default_rng(seed)
+    T = Image3(gt, rng.standard_normal(gt.shape))
+    flat = T.values.astype(dtype).ravel()
+    hull = [(o, o + (n - 1) * h) for o, h, n in zip(origin, spacing, dims)]
+    pos = np.empty((3, 2, 64))
+    for a, ((lo, hi), h) in enumerate(zip(hull, spacing)):
+        pos[a, 0] = rng.uniform(lo, hi, 64)                     # in the hull along a
+        pos[a, 1] = rng.uniform(lo - 2 * h, hi + 2 * h, 64)     # inside or outside
+    p = pos.astype(dtype)
+    ref_value, ref_inside, ref_grads = _reference_trilinear(T, p)
+    value, inside, partials = _trilinear(flat, gt, p, partials=True)
+    assert ref_inside[0].any() and not ref_inside[1].all()
+    assert np.array_equal(inside, ref_inside)
+    tol = 1e-5 if dtype == np.float32 else 1e-13
+    vscale = np.abs(T.values).max()
+    assert np.abs(value - ref_value).max() <= tol * vscale
+    for a in range(3):
+        assert np.abs(partials[a] - ref_grads[a]).max() <= tol * vscale / spacing[a]
+    assert np.all(partials[:, ~inside] == 0)
+
+    gd = gt.with_dims(tuple(-(-n // r) for n, r in zip(dims, ratios)))
+    field = np.empty((3,) + gd.shape, dtype)
+    for a, ((lo, hi), h) in enumerate(zip(hull, spacing)):
+        field[a] = rng.uniform(lo - 2 * h, hi + 2 * h, gd.shape)
+    y = DeformationField(gd, field)
+    value, inside, partials = _trilinear(flat, gt, apply_P(y, gt).field, partials=True)
+    expected = np.concatenate([np.where(inside, value, 0)[None], partials])
+    out = np.empty((4,) + gt.shape, dtype)
+    _sample_planes(flat, gt, field, build_gather_plan(gd, gt).weights(dtype), 0, dims[2], out,
+                   parallel.Workspace())
+    assert out.tobytes() == expected.tobytes()
+    for chunk in (1, dims[0] * dims[1] * 2, DEFAULT_CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parallel, "_CHUNK_VOXELS", chunk)
+            assert warp_image(T, y).values.tobytes() == out[0].tobytes()
