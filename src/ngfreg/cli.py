@@ -259,9 +259,11 @@ def _cmd_benchmark(args) -> int:
 def _cmd_resample(args) -> int:
     src = fileio.read_volume(args.input)
     grid = fileio.read_volume_grid(args.like)
-    # clamp-to-edge resampling at the cell centres of like, per chunk of z-planes
-    dtype = src.values.dtype
-    x, y, z = (grid.axis_centers(a).astype(dtype) for a in range(3))
+    # clamp-to-edge resampling at the cell centres of like, per chunk of
+    # z-planes; the kernel takes them in index coordinates of the input
+    dtype = src.values.dtype.type
+    x, y, z = ((grid.axis_centers(a).astype(dtype) - dtype(src.grid.origin[a]))
+               / dtype(src.grid.spacing[a]) for a in range(3))
     flat = src.values.ravel()
     out = np.empty(grid.shape, dtype=dtype)
 

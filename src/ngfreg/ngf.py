@@ -28,6 +28,9 @@ nothing. A LevelSweep binds the sweep to one level's images, plan, dtype and
 buffers. Its forked children run each slab after the first, because threads
 running the sweep's many small numpy calls mostly wait for the interpreter
 lock; with one slab, or where it cannot fork, the caller sweeps the whole grid.
+While the children sweep, the caller runs the work it was given beside the
+sweep (the objective's curvature term) after its own slab, so that neither
+waits with work left.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .geometry import DeformationField, Grid3, GridError, Image3, VectorField3, 
 from .parallel import (ProcessGroup, Workspace, can_fork, plane_step, shared_arrays,
                        slab_partition, workspace)
 from .transfer import GatherPlan, _reduce_xy, _reduce_z, _z_schedule
-from .warp import _gradient_planes, _gradient_transpose_planes, _sample_planes
+from .warp import _gradient_planes, _gradient_transpose_planes, _sample_planes, _to_index
 
 __all__ = ["LevelSweep", "NgfParams", "distance_and_gradient"]
 
@@ -76,29 +79,36 @@ def _dot(u: np.ndarray, v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.n
     return out
 
 
-def _norm(g: np.ndarray, eps: float, out: np.ndarray | None = None,
-          tmp: np.ndarray | None = None) -> np.ndarray:
-    """The smoothed norm ||v||_eps of gradient arrays (3, ...), into out if given;
-    tmp, if given, is scratch shaped like out."""
-    out = np.empty(g.shape[1:], g.dtype) if out is None else out
-    _dot(g, g, out, np.empty_like(out) if tmp is None else tmp)
-    out += g.dtype.type(eps) ** 2
-    return np.sqrt(out, out=out)
+def _ratio(gT: np.ndarray, gR: np.ndarray, params: NgfParams, h_bar: float = 1.0, out=None):
+    """r_i and the coefficients a_i, b_i of d[(h_bar/2)(1 - r_i^2)]/d gT_i =
+    a_i gR_i - b_i gT_i from gradient arrays (3, ...), h_bar the cell volume
+    (r does not depend on it), into out if given: four arrays shaped like
+    gT[0], the last of which it leaves holding r_i^2.
 
-
-def _ratio(gT: np.ndarray, gR: np.ndarray, params: NgfParams, out=None):
-    """r_i, ||gT_i||_tau and ||gT_i||_tau * ||gR_i||_rho from gradient arrays (3, ...),
-    into out if given: four arrays shaped like gT[0], the last one scratch."""
+    With A = |gT|^2 + tau^2 and B = |gR|^2 + rho^2, r = (<gT, gR> + tau rho) /
+    (sqrt(A) sqrt(B)), a = -h_bar r / (sqrt(A) sqrt(B)) and b = -h_bar r^2 / A.
+    The two roots are taken apart, as A B would overflow float32 where |gT|
+    and |gR| pass about 4e9. Both A and B are >= tau^2, rho^2 > 0, so a
+    non-finite gT or gR makes r non-finite (inf / inf, or nan)."""
     if out is None:
         out = [np.empty(gT.shape[1:], gT.dtype) for _ in range(4)]
-    r, norm_T, norms, tmp = out
+    r, a, b, tmp = out
+    dtype = gT.dtype.type
+    _dot(gT, gT, b, tmp)
+    b += dtype(params.tau) ** 2  # A
+    _dot(gR, gR, a, tmp)
+    a += dtype(params.rho) ** 2  # B
     _dot(gT, gR, r, tmp)
-    r += gT.dtype.type(params.tau * params.rho)
-    _norm(gT, params.tau, norm_T, tmp)
-    _norm(gR, params.rho, norms, tmp)
-    norms *= norm_T
-    r /= norms
-    return r, norm_T, norms
+    r += dtype(params.tau * params.rho)
+    np.sqrt(a, out=a)
+    a *= np.sqrt(b, out=tmp)  # sqrt(A) sqrt(B)
+    r /= a
+    np.divide(r, a, out=a)
+    a *= dtype(-h_bar)
+    np.multiply(r, r, out=tmp)
+    np.divide(tmp, b, out=b)
+    b *= dtype(-h_bar)
+    return r, a, b, tmp
 
 
 class _PlaneWindow:
@@ -130,13 +140,16 @@ class _PlaneWindow:
         return self.at(k0, k1)
 
 
-def distance_and_gradient(y: DeformationField, sweep: LevelSweep) -> tuple[float, VectorField3]:
+def distance_and_gradient(y: DeformationField, sweep: LevelSweep,
+                          meanwhile=None) -> tuple[float, VectorField3]:
     """NGF distance and its gradient with respect to y, in one sweep of the level.
 
     The sweep walks each slab's chunks of whole z-planes in order
     (_sweep_slab), and the variant's z schedule of P^T then runs once, on the
-    caller. A y of another dtype than the level's raises ValueError, and a
-    non-finite D or xy reduction FloatingPointError.
+    caller. meanwhile, if given, is a callable without arguments that the
+    sweep runs on the caller while its children sweep (LevelSweep.__call__),
+    the objective's curvature term say. A y of another dtype than the level's
+    raises ValueError, and a non-finite D or xy reduction FloatingPointError.
 
     Every plane gets the same operations in the same order as on whole
     arrays, so the gradient is the same for any worker count and chunk size.
@@ -148,10 +161,10 @@ def distance_and_gradient(y: DeformationField, sweep: LevelSweep) -> tuple[float
     if y.grid != plan.def_grid:
         raise GridError("deformation grid does not match the plan's deformation grid")
     dtype = y.field.dtype
-    xy, d_planes = sweep(y.field)
+    xy, d_planes = sweep(y.field, meanwhile)
     D = float(plan.image_grid.cell_volume / 2 * np.sum(d_planes, dtype=dtype))
-    # both norms are >= tau, rho > 0: a non-finite gT, gR or q at a voxel makes r,
-    # so D, non-finite; the template's partials reach only the gradient, via xy
+    # a non-finite gT or gR at a voxel makes r, so D, non-finite (_ratio); the
+    # template's partials reach only the gradient, via xy
     if not (np.isfinite(D) and np.isfinite(xy).all()):
         raise FloatingPointError("non-finite template gradient or reference gradient")
     return D, _reduce_z(xy, plan, sweep.z_schedule)
@@ -163,8 +176,9 @@ class LevelSweep:
     most `workers` slabs of image z-planes and the dtype of R and the
     template are fixed at construction, and the level's buffers allocated
     once, over one shared mapping: the field, P^T's xy reduction and D's
-    per-plane sums. A call copies a field of that dtype in and returns the
-    other two, which the next call overwrites.
+    per-plane sums. A call writes a field of that dtype there in the
+    template's index coordinates (warp._to_index), the one copy it makes,
+    and returns the other two, which the next call overwrites.
 
     Where there is more than one slab and it can fork (can_fork), the caller
     runs the first slab and a kept child process each other one: the children
@@ -190,17 +204,26 @@ class LevelSweep:
         self._buffers = shared_arrays([((3,) + plan.def_grid.shape, dtype),
                                        ((3, nz) + plan.def_grid.shape[1:], dtype), ((nz,), dtype)])
         self._inputs = (*self._buffers, ref, template, plan, params, plane_step(ny * nx))
+        self._template_grid = template.grid
         self._slabs = slab_partition(nz, ny * nx, workers)
         self._group: ProcessGroup | None = None
 
-    def __call__(self, field: np.ndarray) -> tuple:
-        """P^T's xy reduction and D's per-plane sums of the sweep of field."""
+    def __call__(self, field: np.ndarray, meanwhile=None) -> tuple:
+        """P^T's xy reduction and D's per-plane sums of the sweep of field.
+
+        meanwhile, if given, is called without arguments on the caller after
+        its own slab and before it waits for the children, so it runs while
+        they sweep; with one slab it runs after the sweep. An exception there
+        is handled as one of the caller's slab: the children are waited for
+        first, and the sweep serves the next call."""
         y, xy, d_planes = self._buffers
         if field.dtype != y.dtype:
             raise ValueError(f"a {field.dtype} deformation field for a {y.dtype} level")
-        np.copyto(y, field)
+        _to_index(field, self._template_grid, y)
         if len(self._slabs) == 1 or not can_fork():
             _sweep_slab(*self._inputs, 0, self.plan.image_grid.shape[0])
+            if meanwhile is not None:
+                meanwhile()
             return xy, d_planes
         if self._group is None or self._group.closed:
             self._group = ProcessGroup(
@@ -209,6 +232,8 @@ class LevelSweep:
         self._group.start()  # before this thread's own slab, so the children start at once
         try:
             _sweep_slab(*self._inputs, *self._slabs[0])
+            if meanwhile is not None:
+                meanwhile()
         except BaseException:
             with contextlib.suppress(Exception):  # the first slab's error comes first
                 self._group.wait()
@@ -227,7 +252,8 @@ def _sweep_slab(field: np.ndarray, xy: np.ndarray, d_planes: np.ndarray, ref: Im
                 template: Image3, plan: GatherPlan, params: NgfParams, step: int, lo: int,
                 hi: int) -> None:
     """The sweep over image z-planes lo:hi, in chunks of `step` planes, of the
-    deformation field (3, nz_d, ny_d, nx_d): D's sums of those planes into
+    deformation field (3, nz_d, ny_d, nx_d) in the template's index
+    coordinates: D's sums of those planes into
     d_planes[lo:hi] and their xy reduction of P^T into xy[:, lo:hi]. numpy's
     floating-point warnings are off: distance_and_gradient checks D and xy.
 
@@ -254,34 +280,27 @@ def _sweep_slab(field: np.ndarray, xy: np.ndarray, d_planes: np.ndarray, ref: Im
     weights = plan.weights(dtype)
 
     def pointwise(W, Q, k0, q1, ws):
-        """gR, r, the terms of D and q on the planes Q.end:q1, q into Q."""
+        """gR, r, the terms of D and q = a gR - b gT (_ratio) on the planes
+        Q.end:q1, q into Q."""
         qa = Q.end
         m = q1 - qa
         # at most step + 2 planes; every chunk takes that many from ws, so
         # every slab's first chunk reaches the same depth, whatever its planes
         cap = (step + 2, ny, nx)
         gT = ws.array((3,) + cap, dtype)[:, :m]
-        r, norm_T, norms, tmp = (ws.array(cap, dtype)[:m] for _ in range(4))
+        scratch = [ws.array(cap, dtype)[:m] for _ in range(4)]
         q = Q.append(q1, keep_from=max(k0 - 1, 0))
         gR = _gradient_planes(ref.values, spacing, qa, q1, q)  # q is gR until it is q
         _gradient_planes(W.planes[0], spacing, qa, q1, gT, W.base, nz)
-        _ratio(gT, gR, params, (r, norm_T, norms, tmp))
-        terms = np.multiply(r, r, out=tmp)
+        _, a, b, terms = _ratio(gT, gR, params, h_bar, scratch)
         np.subtract(1, terms, out=terms)
-        a, b = max(qa, lo), min(q1, hi)
-        if a < b:
-            np.sum(terms[a - qa:b - qa].reshape(b - a, ny * nx), axis=1, dtype=dtype,
-                   out=d_planes[a:b])
-        # d[(hbar/2)(1 - r^2)]/d(grad T) = -hbar * r * (gR/(nT*nR) - r*gT/nT^2)
-        coef = np.multiply(r, dtype.type(-h_bar), out=tmp)
-        inv_prod = np.divide(1, norms, out=norms)
-        inv_nt2 = np.multiply(norm_T, norm_T, out=norm_T)
-        np.divide(1, inv_nt2, out=inv_nt2)
-        q *= inv_prod
-        gT *= r  # gT is not needed after q
-        gT *= inv_nt2
+        d0, d1 = max(qa, lo), min(q1, hi)
+        if d0 < d1:
+            np.sum(terms[d0 - qa:d1 - qa].reshape(d1 - d0, ny * nx), axis=1, dtype=dtype,
+                   out=d_planes[d0:d1])
+        q *= a
+        gT *= b  # gT is not needed after q
         q -= gT
-        q *= coef
 
     def chain(W, Q, k0, k1, ws):
         """s = G^T q on the planes k0:k1, the partials times s, and their xy

@@ -25,8 +25,11 @@ class LevelObjective:
     """Callable objective for one multilevel level. Each call appends (J, D, S)
     to `log`, (inf, nan, nan) for a non-finite trial point, and adds the wall
     seconds of the distance and of the curvature term to `seconds`; both are
-    outputs, which start empty and at zero. x must have the dtype of the
-    images, which LevelSweep checks.
+    outputs, which start empty and at zero. The curvature term runs on the
+    caller while the sweep's children sweep (distance_and_gradient's
+    meanwhile), and `seconds["distance"]` counts the distance's call less
+    the curvature's own seconds, so the two never count a second twice. x
+    must have the dtype of the images, which LevelSweep checks.
 
     It builds the level's LevelSweep at construction. With more than one
     worker, its first evaluation whose sweep has more than one slab forks the
@@ -56,12 +59,19 @@ class LevelObjective:
             return float("inf"), np.zeros_like(x)
         grid = self.plan.def_grid
         y = DeformationField(grid, x.reshape((3,) + grid.shape))
+        curvature = []  # S, its gradient and its seconds
+
+        def curvature_term():
+            t = time.perf_counter()
+            curvature.extend(curvature_value_and_gradient(y))
+            curvature.append(time.perf_counter() - t)
+
         t0 = time.perf_counter()
-        D, grad_D = distance_and_gradient(y, self._sweep)
-        t1 = time.perf_counter()
-        S, grad_S = curvature_value_and_gradient(y)
-        self.seconds["distance"] += t1 - t0
-        self.seconds["curvature"] += time.perf_counter() - t1
+        D, grad_D = distance_and_gradient(y, self._sweep, curvature_term)
+        elapsed = time.perf_counter() - t0
+        S, grad_S, seconds = curvature
+        self.seconds["distance"] += elapsed - seconds
+        self.seconds["curvature"] += seconds
         grad = grad_D.field + y.field.dtype.type(self.alpha) * grad_S
         J = D + self.alpha * S
         self.log.append((J, D, S))

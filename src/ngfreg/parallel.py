@@ -60,7 +60,7 @@ import numpy as np
 # Voxels per chunk of whole z-planes in run_planes and the NGF sweep: the
 # kernels' temporaries stay small and cache-resident instead of slab-sized.
 # A chunk takes its temporaries from its thread's Workspace, which also holds
-# a sweep slab's windows of planes: measured in f64, 4.2 MiB at 48^3 with 1
+# a sweep slab's windows of planes: measured in f64, 4.1 MiB at 48^3 with 1
 # worker, 4.6 MiB at 64^3 and 8.0 MiB at 128^3 per process with 2. It grows
 # with the plane, not with the number of planes. On a 2-core machine a 64^3
 # registration with 2 threads peaked at 75 MB resident; halving the chunk

@@ -8,10 +8,11 @@ row, so F is a band. One GatherPlan per grid pair holds, per dtype, F of each
 axis cut into small dense blocks (AxisBlocks): at grid ratio 4 a block of 8
 coarse points meets at most 36 image points, and the image points whose lower
 coarse point lies in such a block meet at most 9 coarse points. P is formed
-per chunk of image z-planes (_P_planes): the coarse z-planes that the chunk
-reads are multiplied by the blocks of x and y, then interpolated from the z
-band, so apply_P, the NGF sweep and the warp form P y chunk by chunk from the
-coarse field. No 3-D matrix is formed, and nothing image-sized either.
+per chunk of image z-planes (_P_planes): each image plane's two coarse
+z-planes are lerped from the z band on the deformation grid, then the
+planes are multiplied by the blocks of x and y, which write the image plane
+once, so apply_P, the NGF sweep and the warp form P y chunk by chunk from
+the coarse field. No 3-D matrix is formed, and nothing image-sized either.
 
 The blocks are applied with np.matmul, one BLAS product per plane (or row)
 and block. Each product has one shape per plane and block, whatever the
@@ -164,33 +165,29 @@ def build_gather_plan(def_grid: Grid3, image_grid: Grid3) -> GatherPlan:
     return GatherPlan(def_grid=def_grid, image_grid=image_grid, transfers=transfers)
 
 
-def _P_planes(field: np.ndarray, weights, k0: int, k1: int, upper: np.ndarray,
+def _P_planes(field: np.ndarray, weights, k0: int, k1: int, out: np.ndarray,
               ws: Workspace) -> np.ndarray:
-    """Image z-planes k0:k1 of P y from the field (3, nz_d, ny_d, nx_d) of y, as
-    an array of ws; weights are its plan's weights. The coarse planes that
-    these planes read are interpolated along x, then y, each plane multiplied
-    by each block on its own, so the bytes do not depend on k0:k1; then the
-    planes i0 * (1 - w1) + the planes i1 * w1, the second term formed in the
-    caller's scratch `upper`, of the result's shape and dtype."""
+    """Image z-planes k0:k1 of P y into out (3, k1-k0, ny, nx), which it
+    returns, from the field (3, nz_d, ny_d, nx_d) of y; weights are its plan's
+    weights. Each image plane's two coarse planes are lerped along z first,
+    i0 * (1 - w1) + i1 * w1, on the deformation grid; then the planes are
+    interpolated along x and y, each plane multiplied by each block on its
+    own, so the bytes do not depend on k0:k1, and the y blocks write out."""
     bx, by = weights[:2]
     i0, i1, w0, w1 = (w[k0:k1] for w in weights[3])
-    c0 = i0[0]
-    coarse = field[:, c0:min(i1[-1], field.shape[1] - 1) + 1]
-    shape = (3, k1 - k0, by.size, bx.size)
-    out = ws.array(shape, field.dtype)
     with ws.frame():
-        xy = ws.array((3, coarse.shape[1]) + shape[2:], field.dtype)
+        z = ws.array(out.shape[:2] + field.shape[2:], field.dtype)
         with ws.frame():
-            x = ws.array(coarse.shape[:3] + shape[3:], field.dtype)
-            for i, k, A in bx.interp:
-                np.matmul(coarse[..., k], A, out=x[..., i])
-            for i, k, A in by.interp:
-                np.matmul(A, x[..., k, :], out=xy[..., i, :])
-        np.take(xy, i0 - c0, axis=1, out=out, mode="clip")
-        out *= w0[:, None, None]
-        np.take(xy, i1 - c0, axis=1, out=upper, mode="clip")
-        upper *= w1[:, None, None]
-        out += upper
+            np.take(field, i0, axis=1, out=z, mode="clip")
+            z *= w0[:, None, None]
+            upper = np.take(field, i1, axis=1, out=ws.array(z.shape, z.dtype), mode="clip")
+            upper *= w1[:, None, None]
+            z += upper
+        x = ws.array(z.shape[:3] + out.shape[3:], field.dtype)
+        for i, k, A in bx.interp:
+            np.matmul(z[..., k], A, out=x[..., i])
+        for i, k, A in by.interp:
+            np.matmul(A, x[..., k, :], out=out[..., i, :])
     return out
 
 
@@ -203,8 +200,7 @@ def apply_P(y: VectorField3, image_grid: Grid3, workers: int = 1) -> VectorField
     nz, ny, nx = image_grid.shape
 
     def do_chunk(k0, k1, ws):
-        upper = ws.array((3, k1 - k0, ny, nx), y.field.dtype)
-        out[:, k0:k1] = _P_planes(y.field, weights, k0, k1, upper, ws)
+        _P_planes(y.field, weights, k0, k1, out[:, k0:k1], ws)
 
     run_planes(do_chunk, nz, ny * nx)
     return VectorField3(image_grid, out)

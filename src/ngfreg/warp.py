@@ -1,15 +1,19 @@
 """Template sampling at deformed positions and image-grid finite differences.
 
-One trilinear kernel serves every interpolation of grid samples at world
-positions: the warp at P y and its derivative, which one helper takes per
-chunk of z-planes for the NGF sweep and for warp_image alike, with P y of
-the chunk's planes formed from the coarse field (transfer._P_planes),
-resampling and the evaluation of deformation fields at landmarks.
-warp_image walks its chunks on the caller; only the sweep runs in parallel,
-in its LevelSweep's processes. The gradient stencil comes with its exact
-transpose, so the distance gradient is assembled by the chain rule without
-materializing any operator matrix; both run on whole arrays or on windows
-of z-planes.
+One trilinear kernel serves every interpolation of grid samples: the warp
+at P y and its derivative, which one helper takes per chunk of z-planes for
+the NGF sweep and for warp_image alike, with P y of the chunk's planes
+formed from the coarse field (transfer._P_planes), resampling and the
+evaluation of deformation fields at landmarks. The kernel takes index
+coordinates of the sampled grid, (p - origin) / spacing of world positions
+p (_to_index). Its callers convert what is smallest: the sweep and
+warp_image the coarse field of y, whose P is then P y in index coordinates
+(P's weights sum to 1), the resampler the 1-D axis centres, _trilinear its
+positions. warp_image walks its chunks on the caller; only the sweep runs
+in parallel, in its LevelSweep's processes. The gradient stencil comes with
+its exact transpose, so the distance gradient is assembled by the chain
+rule without materializing any operator matrix; both run on whole arrays
+or on windows of z-planes.
 """
 
 from __future__ import annotations
@@ -27,6 +31,14 @@ __all__ = [
 ]
 
 
+def _to_index(pos: np.ndarray, grid: Grid3, out: np.ndarray) -> np.ndarray:
+    """The index coordinates (pos - origin) / spacing on `grid` of world
+    positions pos (3, ...), per axis in pos's dtype, into out, which it returns."""
+    per_axis = (3,) + (1,) * (pos.ndim - 1)
+    np.subtract(pos, np.array(grid.origin, pos.dtype).reshape(per_axis), out=out)
+    return np.divide(out, np.array(grid.spacing, pos.dtype).reshape(per_axis), out=out)
+
+
 def _trilinear(flat: np.ndarray, grid: Grid3, pos: np.ndarray, partials: bool = False):
     """Trilinear interpolation of grid samples at world positions.
 
@@ -39,15 +51,17 @@ def _trilinear(flat: np.ndarray, grid: Grid3, pos: np.ndarray, partials: bool = 
     value = np.empty(flat.shape[:-1] + pos.shape[1:], dtype=pos.dtype)
     grads = np.empty((3,) + value.shape, dtype=pos.dtype) if partials else None
     # a Workspace of its own: its temporaries are allocated, and freed, like any
-    inside = ~_trilinear_into(flat, grid, pos.copy(), value, grads, Workspace())
+    inside = ~_trilinear_into(flat, grid, _to_index(pos, grid, np.empty_like(pos)), value,
+                              grads, Workspace())
     return value, inside, grads
 
 
 def _trilinear_into(flat: np.ndarray, grid: Grid3, pos: np.ndarray, value: np.ndarray,
                     partials: np.ndarray | None, ws: Workspace) -> np.ndarray:
-    """The kernel of _trilinear: writes value and, unless None, partials, 0
-    outside the hull, and returns the positions outside the hull as a bool
-    array of ws. pos is overwritten (_cells)."""
+    """The kernel of _trilinear at index coordinates pos (3, *shape) of
+    `grid`: writes value and, unless None, partials, 0 outside the hull, and
+    returns the positions outside the hull as a bool array of ws. pos is
+    overwritten (_cells)."""
     cells = _cell_arrays(pos.shape, pos.dtype, ws)
     with ws.frame():
         _cells(grid, pos, *cells, ws)
@@ -64,35 +78,32 @@ def _cell_arrays(pos_shape: tuple, dtype, ws: Workspace) -> tuple:
             ws.array(pos_shape[1:], bool))
 
 
-def _cells(grid: Grid3, pos: np.ndarray, f: np.ndarray, base: np.ndarray,
+def _cells(grid: Grid3, t: np.ndarray, f: np.ndarray, base: np.ndarray,
            outside: np.ndarray, ws: Workspace) -> None:
-    """The cells of world positions pos (3, *shape) on `grid`, into f, base and
-    outside (_cell_arrays); pos is overwritten.
+    """The cells of index coordinates t (3, *shape) on `grid` (_to_index),
+    into f, base and outside (_cell_arrays); t is overwritten.
 
-    Per axis the index coordinate t = (pos - origin) / spacing, formed in
-    pos, is clipped into [0, n - 1], which is the clamp-to-edge position, and
-    a position is outside the cell-center hull where that changed t. The
-    lower corner is the clipped t floored, at most n - 2, and its fraction f
-    is what remains, in [0, 1]. The lower corner's flat index is accumulated
-    in base axis by axis from z, in integers: times the next axis's points,
-    plus that axis's floor cast into an integer scratch. The floors are exact
-    integers (the grid has at most 2^53 points), so the index is exact. No
-    (3, N) float64 array is formed: the index as such a product and its
-    reduce took 1 MiB of a 48^3 f64 chunk. np.matmul of f32 floors would
-    copy them to float64 outside the workspace (786,992 bytes per chunk of
-    32k positions), and so would the cast buffers of an add of floats into
-    base (129 KiB per f64 add).
+    Per axis t is clipped into [0, n - 1], which is the clamp-to-edge
+    position, and a position is outside the cell-center hull where that
+    changed t. The lower corner is the clipped t floored, at most n - 2, and
+    its fraction f is what remains, in [0, 1]. The lower corner's flat index
+    is accumulated in base axis by axis from z, in integers: times the next
+    axis's points, plus that axis's floor cast into an integer scratch. The
+    floors are exact integers (the grid has at most 2^53 points), so the
+    index is exact. No (3, N) float64 array is formed: the index as such a
+    product and its reduce took 1 MiB of a 48^3 f64 chunk. np.matmul of f32
+    floors would copy them to float64 outside the workspace (786,992 bytes
+    per chunk of 32k positions), and so would the cast buffers of an add of
+    floats into base (129 KiB per f64 add).
     """
     dtype = f.dtype
-    per_axis = (3,) + (1,) * (pos.ndim - 1)
+    per_axis = (3,) + (1,) * (t.ndim - 1)
     dims = grid.dims
     if grid.num_points > 2**53:
         raise ValueError(f"a grid of {grid.num_points} points has flat indices beyond 2^53")
-    t = np.subtract(pos, np.array(grid.origin, dtype).reshape(per_axis), out=pos)
-    np.divide(t, np.array(grid.spacing, dtype).reshape(per_axis), out=t)
     np.clip(t, 0, np.array([n - 1 for n in dims], dtype).reshape(per_axis), out=f)
     with ws.frame():
-        moved = ws.array(pos.shape, bool)
+        moved = ws.array(t.shape, bool)
         np.not_equal(t, f, out=moved)
         np.logical_or.reduce(moved, axis=0, out=outside)
     np.minimum(f, np.array([max(n - 2, 0) for n in dims], dtype).reshape(per_axis), out=t)
@@ -120,9 +131,7 @@ def _corners(flat: np.ndarray, grid: Grid3, f: np.ndarray, base: np.ndarray,
     lerped along y), with partials[2] as the lerps' scratch, and the upper
     face's three arrays are lerped into them along z in place. So the
     corners take 4 arrays of value's size from ws, 3 without the partials,
-    where holding both faces beside the outputs took 8 and 5; with P y's
-    index coordinates formed in its own buffer and its second z term in f,
-    that lowered a 48^3 f64 sweep's workspace from 5.68 to 4.19 MiB.
+    where holding both faces beside the outputs took 8 and 5.
     """
     dtype = value.dtype
     keep = partials is not None  # the partials need the differences
@@ -181,31 +190,34 @@ def _corners(flat: np.ndarray, grid: Grid3, f: np.ndarray, base: np.ndarray,
 def _sample_planes(flat: np.ndarray, grid: Grid3, field: np.ndarray, weights,
                    k0: int, k1: int, out: np.ndarray, ws: Workspace) -> None:
     """The template samples flat of `grid` at image z-planes k0:k1 of P y into
-    out (1 or 4, k1-k0, ny, nx), from the field of y and its plan's weights
-    (_P_planes): the value into out[0] and, with 4 channels, the partials
-    into out[1:], all 0 outside the template's cell-center hull. P y is
-    formed above the kernel's cell arrays, its second z term in the
-    fractions' array, so its memory is free again when the corners are
-    taken."""
+    out (1 or 4, k1-k0, ny, nx), from the field of y in index coordinates of
+    `grid` (_to_index) and its plan's weights (_P_planes): the value into
+    out[0] and, with 4 channels, the partials into out[1:], all 0 outside the
+    template's cell-center hull. P y is formed above the kernel's cell
+    arrays, so its memory is free again when the corners are taken."""
+    shape = (3,) + out.shape[1:]
     with ws.frame():
-        cells = _cell_arrays((3,) + out.shape[1:], out.dtype, ws)
+        cells = _cell_arrays(shape, out.dtype, ws)
         with ws.frame():
-            _cells(grid, _P_planes(field, weights, k0, k1, cells[0], ws), *cells, ws)
+            pos = _P_planes(field, weights, k0, k1, ws.array(shape, out.dtype), ws)
+            _cells(grid, pos, *cells, ws)
         _corners(flat, grid, *cells[:2], out[0], out[1:] if len(out) > 1 else None, ws)
         np.copyto(out, 0, where=cells[2])
 
 
 def warp_image(template: Image3, y: DeformationField) -> Image3:
     """The template sampled at P y on its own grid, 0 outside its cell-center hull;
-    P y is formed per chunk of z-planes from y's coarse planes, as in the NGF
-    sweep, never image-sized. It runs on the caller."""
+    P y is formed per chunk of z-planes from y's coarse planes in the
+    template's index coordinates, as in the NGF sweep, never image-sized. It
+    runs on the caller."""
     grid = template.grid
     weights = build_gather_plan(y.grid, grid).weights(y.field.dtype)
     flat = template.values.astype(y.field.dtype, copy=False).ravel()
+    field = _to_index(y.field, grid, np.empty_like(y.field))
     out = np.empty((1,) + grid.shape, dtype=flat.dtype)
 
     def do_chunk(k0, k1, ws):
-        _sample_planes(flat, grid, y.field, weights, k0, k1, out[:, k0:k1], ws)
+        _sample_planes(flat, grid, field, weights, k0, k1, out[:, k0:k1], ws)
 
     run_planes(do_chunk, grid.dims[2], grid.dims[0] * grid.dims[1])
     return Image3(grid, out[0])

@@ -13,10 +13,11 @@ import ngfreg
 from ngfreg import parallel
 from ngfreg.geometry import DeformationField, Grid3, GridError, Image3, VectorField3, make_identity
 from ngfreg.objective import LevelObjective
-from ngfreg.ngf import LevelSweep, NgfParams, _norm, distance_and_gradient
+from ngfreg.ngf import LevelSweep, NgfParams, _ratio, distance_and_gradient
 from ngfreg.synthetic import make_volume, smooth_random_volume
 from ngfreg.transfer import PT_VARIANTS, apply_P, apply_Pt, build_gather_plan
-from ngfreg.warp import _trilinear, image_gradient, image_gradient_apply_transpose
+from ngfreg.warp import (_to_index, _trilinear_into, image_gradient,
+                         image_gradient_apply_transpose)
 
 from conftest import (DEFAULT_CHUNK, assert_reaped, coarse_plane_grid_pairs,
                       def_grid_over, default_chunks, sweep_once)
@@ -224,6 +225,24 @@ def test_nonfinite_intermediate_is_floating_point_error(workers, request):
         assert max(slab_counts) == workers
 
 
+def test_float32_gradients_near_1e10_per_mm_give_a_finite_distance():
+    # |grad T|^2 |grad R|^2 passes the float32 range at some voxels, where the
+    # product of the two smoothed squared norms would overflow: the norms'
+    # two roots keep D finite in f32, and it matches D in f64 on the same images
+    g = _grid((8, 7, 6), (1.0, 1.1, 0.9))
+    T, R = (Image3(g, (5e7 * smooth_random_volume(g, seed=s).values).astype(np.float32))
+            for s in (5, 6))
+    gT, gR = (image_gradient(img.astype(np.float64)).field for img in (T, R))
+    assert np.sqrt(np.sum(gT**2, axis=0)).max() > 1e10
+    assert (np.sum(gT**2, axis=0) * np.sum(gR**2, axis=0)).max() > np.finfo(np.float32).max
+    plan, params = build_gather_plan(g, g), NgfParams()
+    D32, g32 = sweep_once(make_identity(g, np.float32), R, T, plan, params)
+    D64, _ = sweep_once(make_identity(g), R.astype(np.float64), T.astype(np.float64), plan,
+                        params)
+    assert np.isfinite(D32) and np.isfinite(g32.field).all()
+    assert abs(D32 - D64) <= 1e-5 * abs(D64)
+
+
 def test_reference_off_the_plan_grid_is_grid_error():
     g = _grid((6, 5, 4))
     T = smooth_random_volume(g, seed=6)
@@ -277,21 +296,23 @@ def test_images_of_two_dtypes_or_integers_are_value_error(ref_dtype, template_dt
 
 def _layered_chain(y, R, T, plan, params, variant):
     """D and its gradient from the layers composed on whole image-grid arrays:
-    P, the trilinear kernel with partials, G, r, q, G^T, the multiply, P^T."""
+    P of y in the template's index coordinates, the trilinear kernel with
+    partials there, G, r and the coefficients of q (_ratio), G^T, the
+    multiply, P^T."""
     g = plan.image_grid
-    yhat = apply_P(y, g).field
+    index = VectorField3(y.grid, _to_index(y.field, T.grid, np.empty_like(y.field)))
+    yhat = apply_P(index, g).field
     dtype = yhat.dtype
-    warped, inside, partials = _trilinear(T.values.astype(dtype).ravel(), T.grid, yhat,
-                                          partials=True)
-    np.copyto(warped, 0, where=~inside)
+    warped = np.empty(g.shape, dtype)
+    partials = np.empty((3,) + g.shape, dtype)
+    outside = _trilinear_into(T.values.astype(dtype).ravel(), T.grid, yhat, warped, partials,
+                              parallel.Workspace())
+    np.copyto(warped, 0, where=outside)
     gT = image_gradient(Image3(g, warped)).field
     gR = image_gradient(R).field
-    norm_T, norm_R = _norm(gT, params.tau), _norm(gR, params.rho)
-    r = (np.sum(gT * gR, axis=0) + dtype.type(params.tau * params.rho)) / (norm_T * norm_R)
+    r, a, b, _ = _ratio(gT, gR, params, g.cell_volume)
     D = g.cell_volume / 2 * float(np.sum(1 - r * r))
-    coef = dtype.type(-g.cell_volume) * r
-    q = np.stack([coef * (gR[a] * (1 / (norm_T * norm_R)) - r * gT[a] * (1 / (norm_T * norm_T)))
-                  for a in range(3)])
+    q = a * gR - b * gT
     s = image_gradient_apply_transpose(VectorField3(g, q), g)
     return D, apply_Pt(VectorField3(g, partials * s), plan, variant).field
 
@@ -395,7 +416,7 @@ def test_sweep_workspace_does_not_grow_with_the_slab(rng):
 def test_caller_workspace_depth(rng, n, workers, bound_mib):
     # the caller's workspace after one f64 evaluation holds its slab's
     # windows and one chunk's deepest stack. At 48^3 that is the sampling
-    # kernel's, at 64^3 the pointwise terms': 4.19 and 4.63 MiB. When the
+    # kernel's, at 64^3 the pointwise terms': 4.11 and 4.63 MiB. When the
     # kernel formed the lower corner's index through (3, N) float64 arrays
     # and kept the lower face's corners beside the output slots it was 5.68
     # and 6.06 MiB. The evaluation runs on a new thread, so on a new workspace

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ngfreg import ngf, parallel
+from ngfreg import ngf, objective, parallel
 from ngfreg.geometry import DeformationField, Grid3, Image3, VectorField3, make_identity
 from ngfreg.multilevel import MultilevelConfig, deformation_grid_for, register
 from ngfreg.ngf import NgfParams
@@ -326,6 +326,56 @@ def test_error_in_a_child_reaches_the_caller(one_plane_chunks, forks, monkeypatc
     with pytest.raises(KeyError):  # the child lives on, and fails again
         obj(x)
     assert len(forks) == 1
+    obj.close()
+    assert_reaped(forks)
+
+
+def test_curvature_runs_while_the_child_sweeps(one_plane_chunks, forks, monkeypatch):
+    # with 2 slabs the caller runs the curvature term after its own slab and
+    # before it waits for the child, and the result has the 1-worker bytes;
+    # a curvature term that raises is handled as the caller's slab: the child
+    # is waited for, and the sweep serves the next call without a new fork
+    caller, order = os.getpid(), []
+    sweep_slab, wait = ngf._sweep_slab, parallel.ProcessGroup.wait
+    curvature = objective.curvature_value_and_gradient
+
+    def recording_slab(*args):
+        sweep_slab(*args)
+        if os.getpid() == caller:
+            order.append("slab")
+
+    def recording_wait(self):
+        order.append("wait")
+        wait(self)
+
+    def recording_curvature(y):
+        order.append("curvature")
+        return curvature(y)
+
+    def failing_curvature(y):
+        order.append("curvature")
+        raise KeyError("no curvature")
+
+    monkeypatch.setattr(ngf, "_sweep_slab", recording_slab)
+    monkeypatch.setattr(parallel.ProcessGroup, "wait", recording_wait)
+    monkeypatch.setattr(objective, "curvature_value_and_gradient", recording_curvature)
+    one, x = _objective(1)
+    J1, g1 = one(x)
+    assert order == ["slab", "curvature"]  # one slab: after the sweep
+    obj, _ = _objective(2)
+    for curvature_term in (recording_curvature, failing_curvature, recording_curvature):
+        order.clear()
+        monkeypatch.setattr(objective, "curvature_value_and_gradient", curvature_term)
+        if curvature_term is failing_curvature:
+            with pytest.raises(KeyError, match="no curvature"):
+                obj(x)
+        else:
+            J, g = obj(x)
+            assert J == J1 and g.tobytes() == g1.tobytes()
+        assert order == ["slab", "curvature", "wait"]
+    assert len(forks) == 1
+    seconds = obj.seconds
+    assert seconds["distance"] > 0 and seconds["curvature"] > 0
     obj.close()
     assert_reaped(forks)
 

@@ -12,6 +12,8 @@ from ngfreg.transfer import (
     build_gather_plan,
     dense_P_oracle,
 )
+from ngfreg.synthetic import smooth_random_field
+from ngfreg.warp import _to_index
 
 from conftest import (DEFAULT_CHUNK, coarse_plane_grid_pairs, def_grid_over, default_chunks,
                       random_grid_pair)
@@ -45,6 +47,24 @@ def test_apply_P_matches_dense_oracle_1d():
     out = apply_P(y, gi)
     for c in range(3):
         assert np.allclose(out.field[c].ravel(), P @ y.field[c].ravel(), atol=1e-13)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-13), (np.float32, 1e-5)])
+def test_P_commutes_with_index_coordinates(dtype, tol):
+    # P's weights sum to 1, so P of y in a grid's index coordinates, as the
+    # sweep and the warp form it (_P_planes chunk by chunk), is P y in those
+    # coordinates up to rounding: here on an anisotropic grid far from the
+    # world origin (its z origin is 124 spacings from 0)
+    gi = Grid3((40, 37, 15), (0.97, 0.97, 2.5), (-120.3, -80.0, 310.0))
+    gd = def_grid_over(gi, (10, 10, 4))
+    field = smooth_random_field(gd, seed=8, amplitude_mm=3.0).field.astype(dtype)
+    index = _to_index(field, gi, np.empty_like(field))
+    P_index = apply_P(VectorField3(gd, index), gi).field
+    Py = apply_P(VectorField3(gd, field), gi).field
+    expected = _to_index(Py, gi, np.empty_like(Py))
+    assert P_index.dtype == dtype
+    scale = np.abs(expected).max()
+    assert np.abs(P_index - expected).max() <= tol * scale
 
 
 def test_incompatible_grids_rejected():

@@ -11,8 +11,8 @@ from ngfreg.multilevel import deformation_grid_for
 from ngfreg.synthetic import smooth_random_field, smooth_random_volume
 from ngfreg.transfer import apply_P, build_gather_plan
 from ngfreg.warp import (
-    _gradient_planes, _gradient_transpose_planes, _sample_planes, _trilinear, image_gradient,
-    image_gradient_apply_transpose, warp_image,
+    _gradient_planes, _gradient_transpose_planes, _sample_planes, _to_index, _trilinear,
+    _trilinear_into, image_gradient, image_gradient_apply_transpose, warp_image,
 )
 
 from conftest import DEFAULT_CHUNK, coarse_plane_grid_pairs, default_chunks
@@ -76,15 +76,17 @@ def test_warp_bit_identical_across_workers(rng, one_plane_chunks):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_warp_at_P_y_matches_layered_reference(one_plane_chunks, dtype):
-    # y on a coarse grid: the chunked warp against P y on the whole image
-    # grid, then the kernel, then zero outside the hull; an f32 y warps the
-    # f64 template in f32
+    # y on a coarse grid: the chunked warp against P of y in index
+    # coordinates on the whole image grid, then the kernel, then zero outside
+    # the hull; an f32 y warps the f64 template in f32
     g = _grid((23, 19, 17), (1.1, 0.9, 1.3), (-3.0, 2.0, 0.5))
     T = smooth_random_volume(g, seed=8)
     y = smooth_random_field(deformation_grid_for(g, 4), seed=9, amplitude_mm=2.5)
     y = DeformationField(y.grid, y.field.astype(dtype))
-    value, inside, _ = _trilinear(T.values.astype(dtype).ravel(), g, apply_P(y, g).field)
-    assert value.dtype == dtype
+    pos = apply_P(VectorField3(y.grid, _to_index(y.field, g, np.empty_like(y.field))), g).field
+    value = np.empty(g.shape, dtype)
+    inside = ~_trilinear_into(T.values.astype(dtype).ravel(), g, pos, value, None,
+                              parallel.Workspace())
     assert inside.any() and not inside.all()
     expected = np.where(inside, value, 0)
     for chunks in (default_chunks, contextlib.nullcontext):  # one chunk, then one plane
@@ -356,10 +358,13 @@ def test_kernel_properties(axes, dtype, ratios, seed):
     for a, ((lo, hi), h) in enumerate(zip(hull, spacing)):
         field[a] = rng.uniform(lo - 2 * h, hi + 2 * h, gd.shape)
     y = DeformationField(gd, field)
-    value, inside, partials = _trilinear(flat, gt, apply_P(y, gt).field, partials=True)
-    expected = np.concatenate([np.where(inside, value, 0)[None], partials])
+    index = _to_index(field, gt, np.empty_like(field))
+    expected = np.empty((4,) + gt.shape, dtype)
+    pos = apply_P(VectorField3(gd, index), gt).field
+    outside = _trilinear_into(flat, gt, pos, expected[0], expected[1:], parallel.Workspace())
+    np.copyto(expected[0], 0, where=outside)
     out = np.empty((4,) + gt.shape, dtype)
-    _sample_planes(flat, gt, field, build_gather_plan(gd, gt).weights(dtype), 0, dims[2], out,
+    _sample_planes(flat, gt, index, build_gather_plan(gd, gt).weights(dtype), 0, dims[2], out,
                    parallel.Workspace())
     assert out.tobytes() == expected.tobytes()
     for chunk in (1, dims[0] * dims[1] * 2, DEFAULT_CHUNK):
